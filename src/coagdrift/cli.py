@@ -336,7 +336,7 @@ def cmd_sweep(args) -> int:
         payload["meta"] = None
         jobs.append(payload)
 
-    workers = args.jobs or len(jobs)
+    workers = args.jobs or min(len(jobs), os.cpu_count() or 1)
     results = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for m0, code, out in pool.map(_sweep_worker, jobs):
@@ -414,7 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m0-list", dest="m0_list", required=True)
     _add_solve_flags(p)
     p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: one per m0, at most the CPU count)")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -15,6 +15,14 @@ Quadrature conventions:
 * the half-range convolution and everything feeding the monotone fixed-point
   iteration use the plain trapezoid with nonnegative weights only, so the
   pointwise comparison arguments of the iteration survive discretization.
+
+The half-range quadrature at all nodes is precomputed once per grid as a
+plan of O(N^2) points.  Consecutive points of one row z_j whose argument
+z_j - y falls in the same grid interval form a pair; the plan keeps per point
+only the trapezoid weight, the sample index and the two interpolation
+fractions, and per pair the row, the interval and the run length.  Operators
+gather node data once per pair and spend one exp per point.  The plan is
+built in blocks of rows, so the build needs little memory beyond the plan.
 """
 
 from __future__ import annotations
@@ -304,24 +312,38 @@ class _HalfRangePlan:
     at every node z_j, j >= 1.
 
     The y sub-grid of segment j is (z_0, ..., z_{k_j - 1}, z_j/2); the flat
-    arrays concatenate all segments.  ``y_node_idx`` is -1 at the half
-    endpoint, where the B factor needs interpolation.
+    per-point arrays concatenate all segments.  ``y_node_idx`` is -1 at the
+    half endpoint, where the B factor needs interpolation.
+
+    Within a segment x = z_j - y decreases, so the points whose x falls in
+    one grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
+    pairs: pair p covers the next ``pair_count[p]`` points, all in the
+    segment of node ``pair_row[p]`` and bracketed by interval ``pair_a[p]``.
+    Operators gather the A data once per pair and interpolate per point with
+    the stored fractions ``x_lam_z`` (in z) and ``x_lam_w`` (in w).
     """
 
     starts: np.ndarray
     counts: np.ndarray
     weights: np.ndarray
     y_node_idx: np.ndarray
-    x_idx: np.ndarray
     x_lam_z: np.ndarray
     x_lam_w: np.ndarray
-    half_points: np.ndarray
+    pair_row: np.ndarray
+    pair_a: np.ndarray
+    pair_count: np.ndarray
     half_idx: np.ndarray
     half_lam_z: np.ndarray
 
     @property
     def size(self) -> int:
         return self.weights.size
+
+
+# Points per block of rows while building a plan.  The build's transient
+# memory is a dozen arrays of this length (about 13 MB), small next to the
+# plan itself at any grid size where the build is costly.
+_PLAN_BLOCK_POINTS = 1 << 17
 
 
 def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
@@ -332,35 +354,62 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
     counts = ks + 1
     starts = np.zeros(n - 1, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    total = int(starts[-1] + counts[-1])
+    ends = starts + counts
+    total = int(ends[-1])
+
+    # trapezoid weight of each node between its two gaps; in a segment only
+    # the last node and the half endpoint see the gap up to z_j/2 instead
+    gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
+    node_w = 0.5 * (gap[:-1] + gap[1:])
 
     weights = np.empty(total)
-    y_node_idx = np.full(total, -1, dtype=np.int64)
-    x_flat = np.empty(total)
-    for j in range(1, n):
-        s, k = starts[j - 1], ks[j - 1]
-        y = np.concatenate([z[:k], [half[j - 1]]])
-        dy = np.diff(y)
-        w = np.empty(k + 1)
-        w[0] = 0.5 * dy[0]
-        w[-1] = 0.5 * dy[-1]
-        if k > 1:
-            w[1:-1] = 0.5 * (dy[1:] + dy[:-1])
-        weights[s : s + k + 1] = w
-        y_node_idx[s : s + k] = np.arange(k)
-        x_flat[s : s + k + 1] = z[j] - y
+    y_node_idx = np.empty(total, dtype=np.int64)
+    x_lam_z = np.empty(total)
+    x_lam_w = np.empty(total)
+    pair_row, pair_a, pair_count = [], [], []
+    r0 = 0
+    while r0 < n - 1:
+        r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PLAN_BLOCK_POINTS, side="right")))
+        base, size = int(starts[r0]), int(ends[r1 - 1] - starts[r0])
+        k = ks[r0:r1]
+        seg = starts[r0:r1] - base
+        last = seg + k  # local positions of the half endpoints
+        out = slice(base, base + size)
 
-    x_idx, x_lam_z, x_lam_w = grid.bracket(x_flat)
+        pos = np.arange(size) - np.repeat(seg, counts[r0:r1])
+        row = np.repeat(np.arange(r0 + 1, r1 + 1), counts[r0:r1])
+        y = z[pos]
+        y[last] = half[r0:r1]
+        idx, x_lam_z[out], x_lam_w[out] = grid.bracket(z[row] - y)
+
+        w = node_w[pos]
+        tail = half[r0:r1] - z[k - 1]
+        w[last - 1] = 0.5 * (gap[k - 1] + tail)
+        w[last] = 0.5 * tail
+        weights[out] = w
+        pos[last] = -1
+        y_node_idx[out] = pos
+
+        opens = np.empty(size, dtype=bool)  # a point that starts a pair
+        np.not_equal(idx[1:], idx[:-1], out=opens[1:])
+        opens[seg] = True  # every row start, so a pair never crosses a row
+        first = np.flatnonzero(opens)
+        pair_row.append(row[first])
+        pair_a.append(idx[first])
+        pair_count.append(np.diff(first, append=size))
+        r0 = r1
+
     half_idx, half_lam_z, _ = grid.bracket(half)
     return _HalfRangePlan(
         starts=starts,
         counts=counts,
         weights=weights,
         y_node_idx=y_node_idx,
-        x_idx=x_idx,
         x_lam_z=x_lam_z,
         x_lam_w=x_lam_w,
-        half_points=half,
+        pair_row=np.concatenate(pair_row),
+        pair_a=np.concatenate(pair_a),
+        pair_count=np.concatenate(pair_count),
         half_idx=half_idx,
         half_lam_z=half_lam_z,
     )
@@ -369,10 +418,8 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
 def sample_on_plan(plan: _HalfRangePlan, B: GridFunction) -> np.ndarray:
     """Values of B at every y node of the plan (grid samples are exact, the
     half endpoints are interpolated)."""
-    out = np.empty(plan.size)
-    node = plan.y_node_idx >= 0
-    out[node] = B.values[plan.y_node_idx[node]]
-    out[~node] = B.interp_at_brackets(plan.half_idx, plan.half_lam_z)
+    out = B.values[plan.y_node_idx]
+    out[plan.starts + plan.counts - 1] = B.interp_at_brackets(plan.half_idx, plan.half_lam_z)
     return out
 
 
@@ -381,14 +428,28 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
 
     For F = G this is the full convolution int_0^z F(z-y) F(y) dy by
     symmetry, and it is the form used everywhere a convolution of identical
-    arguments occurs.
+    arguments occurs.  F(z_j - y) is interpolated as in
+    ``GridFunction.interp_at_brackets``: per plan pair the base log F(z_a)
+    and the increment log F(z_{a+1}) - log F(z_a) are gathered once, and
+    each point adds its z fraction of the increment before one exp.  Pairs
+    with a nonpositive endpoint interpolate the values linearly instead.
     """
     if not _same_grid(F.grid, G.grid):
         raise GridMismatchError("half_convolution requires both functions on one grid")
     plan = F.grid.half_range_plan()
-    a = F.interp_at_brackets(plan.x_idx, plan.x_lam_z)
-    b = sample_on_plan(plan, G)
-    contrib = plan.weights * a * b
+    va = F.values[plan.pair_a]
+    vb = F.values[plan.pair_a + 1]
+    loglin = (va > 0.0) & (vb > 0.0)
+    la = np.log(va, out=np.zeros_like(va), where=loglin)
+    lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
+    base = np.where(loglin, la, va)
+    slope = np.where(loglin, lb - la, vb - va)
+    contrib = np.repeat(slope, plan.pair_count)
+    contrib *= plan.x_lam_z
+    contrib += np.repeat(base, plan.pair_count)
+    np.exp(contrib, out=contrib, where=np.repeat(loglin, plan.pair_count))
+    contrib *= plan.weights
+    contrib *= sample_on_plan(plan, G)
     out = np.empty(F.grid.n)
     out[0] = 0.0
     out[1:] = 2.0 * np.add.reduceat(contrib, plan.starts)

@@ -203,23 +203,28 @@ def certification_checks(
     """Numerical acceptance checks of a computed profile: residual,
     moments, F(0), tail-exponent fit, monotonicity, and (inside the
     fat-tail regime) domination by the closed-form barrier."""
-    checks: dict[str, bool] = {}
     rnorm = weighted_residual_norm(residual_selfsimilar(F, params), params)
-    checks["residual"] = rnorm <= tol_residual
-    m0_num = moment(F, 0)
-    checks["M0"] = abs(m0_num - params.m0) <= CERT_M0_RTOL * params.m0
-    m1_target = params.m0 / params.v
-    checks["M1"] = abs(moment(F, 1) - m1_target) <= CERT_M1_RTOL * m1_target
-    f0_target = params.m0 * (1.0 - params.m0)
-    checks["F0"] = abs(F.values[0] - f0_target) <= CERT_F0_RTOL * f0_target
     try:
         fit = tail_exponent_fit(F)
-        checks["tail"] = (
-            fit.max_deviation <= NON_POWER_LAW_DEVIATION
-            and abs(fit.exponent - params.tau_inf) <= CERT_TAIL_RTOL * params.tau_inf
-        )
     except ParameterDomainError:
-        checks["tail"] = False
+        fit = None
+    return _checks(F, params, tol_residual, rnorm, moment(F, 0), moment(F, 1), fit)
+
+
+def _checks(F, params, tol_residual, rnorm, m0_num, m1_num, fit) -> dict[str, bool]:
+    """The checks of ``certification_checks`` on figures already computed;
+    ``fit`` is None when the tail could not be fitted."""
+    checks: dict[str, bool] = {}
+    checks["residual"] = rnorm <= tol_residual
+    checks["M0"] = abs(m0_num - params.m0) <= CERT_M0_RTOL * params.m0
+    m1_target = params.m0 / params.v
+    checks["M1"] = abs(m1_num - m1_target) <= CERT_M1_RTOL * m1_target
+    f0_target = params.m0 * (1.0 - params.m0)
+    checks["F0"] = abs(F.values[0] - f0_target) <= CERT_F0_RTOL * f0_target
+    checks["tail"] = fit is not None and (
+        fit.max_deviation <= NON_POWER_LAW_DEVIATION
+        and abs(fit.exponent - params.tau_inf) <= CERT_TAIL_RTOL * params.tau_inf
+    )
     checks["monotone"] = bool(np.all(np.diff(F.values) <= 0.0))
     if params.m0 < 0.5 * params.v:
         from .model import supersolution_value
@@ -236,7 +241,7 @@ def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
     fit = tail_exponent_fit(F)
     m0_num = moment(F, 0)
     m1_num = moment(F, 1)
-    checks = certification_checks(F, params, opts.tol_residual)
+    checks = _checks(F, params, opts.tol_residual, rnorm, m0_num, m1_num, fit)
     return SolveReport(
         outer_iterations=outer_iterations,
         inner_iterations_total=inner_total,

@@ -92,12 +92,19 @@ def _sweep(grid, plan, weighted_g, cum, linear_coeff, v):
     """One application of the tau update, vectorized over all nodes.
 
     ``cum`` is the plain (uncorrected) cumulative log-integral table of the
-    current tau; the kernel exp(I(z_j) - I(z_j - y)) interpolates the table
-    linearly in w, a convex combination, so order in tau is preserved.
+    current tau.  The kernel exp(I(z_j) - I(z_j - y)) interpolates the table
+    linearly in w: for a point in interval a with w fraction lam its
+    exponent is (c_j - c_a) - lam (c_{a+1} - c_a), where both differences
+    are gathered once per plan pair and the point only adds its fraction.
+    The exponent equals c_j - ((1 - lam) c_a + lam c_{a+1}), the same convex
+    combination as a per-point interpolation, so order in tau is preserved.
     """
-    ix = cum[plan.x_idx] * (1.0 - plan.x_lam_w) + cum[plan.x_idx + 1] * plan.x_lam_w
-    iz = np.repeat(cum[1:], plan.counts)
-    contrib = weighted_g * np.exp(iz - ix)
+    a = plan.pair_a
+    contrib = np.repeat(cum[a + 1] - cum[a], plan.pair_count)
+    contrib *= plan.x_lam_w
+    np.subtract(np.repeat(cum[plan.pair_row] - cum[a], plan.pair_count), contrib, out=contrib)
+    np.exp(contrib, out=contrib)
+    contrib *= weighted_g
     h = np.empty(grid.n)
     h[0] = 0.0
     h[1:] = 2.0 * np.add.reduceat(contrib, plan.starts)

@@ -200,3 +200,42 @@ def test_sweep_command(tmp_path):
     for m0 in ("0.004", "0.008"):
         assert (outdir / f"profile_v0.5_m0{m0}.csv").exists()
         assert (outdir / f"profile_v0.5_m0{m0}.json").exists()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and answers
+    every job in-process without solving, so no process is started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [(job["m0"], 0, job["out"]) for job in jobs]
+
+
+@pytest.mark.parametrize("cpus, extra, want", [
+    (2, (), 2),            # five m0 values, capped at the CPU count
+    (8, (), 5),            # never more workers than m0 values
+    (None, (), 1),         # unknown CPU count
+    (2, ("--jobs", "3"), 3),
+])
+def test_sweep_pool_size(monkeypatch, tmp_path, cpus, extra, want):
+    from coagdrift import cli
+
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code = main([
+        "sweep", "--v", "0.5", "--m0-list", "0.001,0.002,0.003,0.004,0.005",
+        "--out-dir", str(tmp_path), *extra,
+    ])
+    assert code == 0
+    assert _RecordingPool.created == [want]

@@ -207,3 +207,124 @@ def test_log_integral_domain_errors():
         cd.log_integral(tau, 3.0, 1.0)
     with pytest.raises(cd.ParameterDomainError):
         cd.log_integral(tau, 0.0, 100.0)
+
+
+# ----------------------------------------------------------------------
+# half-range plan: pair layout against the per-row reference
+# ----------------------------------------------------------------------
+
+def _reference_plan(grid):
+    """The plan built one row at a time, with per-point bracket indices."""
+    z = grid.nodes
+    half = 0.5 * z[1:]
+    ks = np.searchsorted(z, half, side="left")
+    starts = np.concatenate([[0], np.cumsum(ks + 1)[:-1]])
+    weights, y_node_idx, x_flat = [], [], []
+    for j in range(1, grid.n):
+        k = ks[j - 1]
+        y = np.concatenate([z[:k], [half[j - 1]]])
+        dy = np.diff(y)
+        w = np.empty(k + 1)
+        w[0] = 0.5 * dy[0]
+        w[-1] = 0.5 * dy[-1]
+        if k > 1:
+            w[1:-1] = 0.5 * (dy[1:] + dy[:-1])
+        weights.append(w)
+        y_node_idx.append(np.append(np.arange(k), -1))
+        x_flat.append(z[j] - y)
+    x_idx, x_lam_z, x_lam_w = grid.bracket(np.concatenate(x_flat))
+    return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
+                y_node_idx=np.concatenate(y_node_idx), x_idx=x_idx,
+                x_lam_z=x_lam_z, x_lam_w=x_lam_w)
+
+
+PLAN_SIZES = (2, 3, 5, 65, 2049)
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+def test_half_range_plan_matches_row_loop(n):
+    grid = cd.build_grid(1e6, n, 0.5)
+    ref = _reference_plan(grid)
+    plan = grid.half_range_plan()
+    for name in ("starts", "counts", "weights", "y_node_idx", "x_lam_z", "x_lam_w"):
+        assert np.array_equal(getattr(plan, name), ref[name]), name
+
+
+def test_half_range_plan_covers_short_segments():
+    # segments with a single node below z_j/2 (k = 1) occur in the sizes above
+    ks = [_reference_plan(cd.build_grid(1e6, n, 0.5))["counts"] - 1 for n in PLAN_SIZES]
+    assert np.any(np.concatenate(ks) == 1)
+
+
+@pytest.mark.parametrize("n", PLAN_SIZES)
+def test_half_range_plan_pairs_tile_rows(n):
+    grid = cd.build_grid(1e6, n, 0.5)
+    ref = _reference_plan(grid)
+    plan = grid.half_range_plan()
+    # the pairs tile [0, size) once, in order
+    assert np.all(plan.pair_count >= 1)
+    offsets = np.concatenate([[0], np.cumsum(plan.pair_count)])
+    assert offsets[-1] == plan.size
+    # no pair crosses a row: it lies inside the segment of its node
+    seg_start = plan.starts[plan.pair_row - 1]
+    seg_end = seg_start + plan.counts[plan.pair_row - 1]
+    assert np.all(plan.pair_row >= 1) and np.all(plan.pair_row <= n - 1)
+    assert np.all(np.diff(plan.pair_row) >= 0)
+    assert np.all(offsets[:-1] >= seg_start) and np.all(offsets[1:] <= seg_end)
+    # every point of a pair has the pair's bracketing interval, and
+    # neighbouring pairs of one row have different ones
+    assert np.array_equal(np.repeat(plan.pair_a, plan.pair_count), ref["x_idx"])
+    same_row = plan.pair_row[1:] == plan.pair_row[:-1]
+    assert np.all(plan.pair_a[1:][same_row] != plan.pair_a[:-1][same_row])
+
+
+@pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
+def test_half_range_plan_blocked_build(monkeypatch, n, block):
+    from coagdrift import grids
+
+    whole = grids._build_half_range_plan(cd.build_grid(1e6, n, 0.5))
+    monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
+    assert whole.size > 3 * block  # several blocks
+    blocked = grids._build_half_range_plan(cd.build_grid(1e6, n, 0.5))
+    for name, value in vars(whole).items():
+        assert np.array_equal(getattr(blocked, name), value), name
+
+
+def _reference_half_convolution(F, G):
+    """Per-point interpolation of F (the GridFunction rule) on the
+    reference plan."""
+    ref = _reference_plan(F.grid)
+    a = F.interp_at_brackets(ref["x_idx"], ref["x_lam_z"])
+    node = ref["y_node_idx"] >= 0
+    b = np.empty(a.size)
+    b[node] = G.values[ref["y_node_idx"][node]]
+    b[~node] = G(0.5 * F.grid.nodes[1:])
+    out = np.zeros(F.grid.n)
+    out[1:] = 2.0 * np.add.reduceat(ref["weights"] * a * b, ref["starts"])
+    return out
+
+
+def _tail_cut(values, grid, zcut):
+    out = values.copy()
+    out[grid.nodes > zcut] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("case", ["barrier", "pair", "zero_tail", "zero_tail_pair"])
+def test_half_convolution_at_nodes_matches_per_point(case):
+    params = cd.ModelParams(0.5, 0.01)
+    grid = cd.build_grid(1e4, 1025, 0.5)
+    barrier = cd.supersolution_value(params, grid.nodes)
+    F = cd.GridFunction(grid, barrier, tail_exponent=2.96)
+    G = F
+    if case in ("pair", "zero_tail_pair"):
+        G = cd.exponential_grid_function(0.5, grid)
+    if case.startswith("zero_tail"):
+        # the far tail is exactly zero: pairs there take the linear branch
+        F = cd.GridFunction(grid, _tail_cut(barrier, grid, 50.0))
+        assert np.any(F.values == 0.0)
+    got = cd.half_convolution_at_nodes(F, G)
+    want = _reference_half_convolution(F, G)
+    assert got[0] == 0.0
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-14

@@ -150,3 +150,53 @@ def test_forced_inner_solve_above_threshold():
     assert not result.certified
     assert result.barrier == pytest.approx(2.0 * params.tau_inf)
     assert np.all(result.tau.values >= 0.0)
+
+
+def _reference_brackets(grid):
+    """Per-point brackets of x = z_j - y over every plan segment, row by row."""
+    z = grid.nodes
+    xs = []
+    for j in range(1, grid.n):
+        k = int(np.searchsorted(z, 0.5 * z[j], side="left"))
+        xs.append(z[j] - np.append(z[:k], 0.5 * z[j]))
+    return grid.bracket(np.concatenate(xs))
+
+
+def _reference_sweep(grid, plan, weighted_g, cum, linear_coeff, v):
+    """The tau update with the log-integral interpolated point by point."""
+    x_idx, _, x_lam_w = _reference_brackets(grid)
+    ix = cum[x_idx] * (1.0 - x_lam_w) + cum[x_idx + 1] * x_lam_w
+    iz = np.repeat(cum[1:], plan.counts)
+    h = np.zeros(grid.n)
+    h[1:] = 2.0 * np.add.reduceat(weighted_g * np.exp(iz - ix), plan.starts)
+    z = grid.nodes
+    out = np.zeros(grid.n)
+    out[1:] = z[1:] / ((1.0 - v) * z[1:] + 1.0) * (linear_coeff + h[1:])
+    return out, h
+
+
+@pytest.mark.parametrize("tau_case", ["barrier", "converged"])
+@pytest.mark.parametrize("zero_tail", [False, True])
+def test_sweep_matches_per_point(setup, tau_case, zero_tail):
+    from coagdrift.grids import sample_on_plan
+    from coagdrift.tau_iteration import _sweep
+
+    params, grid, seed, constants = setup
+    G = seed
+    if zero_tail:
+        # datum whose far tail is exactly zero
+        G = cd.GridFunction(grid, np.where(grid.nodes > 60.0, 0.0, seed.values))
+        assert np.any(G.values == 0.0)
+    if tau_case == "barrier":
+        tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
+    else:
+        tau = cd.inner_solve(seed, params).tau
+    plan = grid.half_range_plan()
+    weighted_g = plan.weights * sample_on_plan(plan, G)
+    cum = cd.cumulative_log_integral(tau, corrected=False)
+    args = (grid, plan, weighted_g, cum, params.linear_coefficient, params.v)
+    got_tau, got_h = _sweep(*args)
+    want_tau, want_h = _reference_sweep(*args)
+    assert got_tau[0] == 0.0 and got_h[0] == 0.0
+    np.testing.assert_allclose(got_h[1:], want_h[1:], rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(got_tau[1:], want_tau[1:], rtol=1e-14, atol=0.0)
