@@ -36,7 +36,6 @@ from .grids import (
     full_convolution_quadrature,
     half_convolution,
     half_convolution_at_nodes,
-    log_integral,
     moment,
 )
 from .model import (

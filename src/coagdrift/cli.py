@@ -14,8 +14,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from .errors import (
     CoagDriftError,
     ConvergenceError,
@@ -25,16 +23,9 @@ from .errors import (
     ThresholdExceededError,
 )
 from .evolution import default_domain_cutoff, init_from_profile, self_similar_error, simulate
-from .grids import moment
 from .model import ModelParams, admissible_threshold, derive_constants
 from .profile_io import ProfileRecord, atomic_write_text, read_profile, write_json, write_profile
-from .profiles import (
-    OuterSolveOptions,
-    outer_solve,
-    residual_selfsimilar,
-    tail_exponent_fit,
-    weighted_residual_norm,
-)
+from .profiles import OuterSolveOptions, certification_checks, outer_solve, recover_tau
 from .tau_iteration import InnerSolveOptions
 
 EXIT_OK = 0
@@ -42,16 +33,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_UNCERTIFIED = 4
-
-# verify reuses the solver's certification tolerances (the residual bound
-# additionally comes from the file header)
-from .profiles import (  # noqa: E402
-    CERT_F0_RTOL as _VERIFY_F0_RTOL,
-    CERT_M0_RTOL as _VERIFY_M0_RTOL,
-    CERT_M1_RTOL as _VERIFY_M1_RTOL,
-    CERT_TAIL_RTOL as _VERIFY_TAIL_RTOL,
-    NON_POWER_LAW_DEVIATION as _NON_POWER_LAW_DEVIATION,
-)
 
 
 def _outdir() -> str:
@@ -156,16 +137,12 @@ def cmd_solve(args) -> int:
     except ConvergenceError as exc:
         print(f"solve did not converge: {exc}", file=sys.stderr)
         if exc.best is not None and exc.report is not None:
-            from .profiles import recover_tau
-
             tau = recover_tau(exc.best).values
             record = _record_from_solve(params, opts, exc.best, tau, certified=False)
             write_profile(out, record)
             write_json(meta, _metadata(params, opts, exc.report))
             print(f"best iterate written to {out}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-    from .profiles import recover_tau
 
     tau_vals = recover_tau(F).values
     record = _record_from_solve(params, opts, F, tau_vals, certified=report.certified)
@@ -202,55 +179,12 @@ def _metadata(params: ModelParams, opts: OuterSolveOptions, report) -> dict:
 # verify
 # ----------------------------------------------------------------------
 
-def _verify_checks(record: ProfileRecord) -> list[tuple[str, bool, str]]:
-    params = record.params()
-    F = record.grid_function()
-    checks: list[tuple[str, bool, str]] = []
-
-    rnorm = weighted_residual_norm(residual_selfsimilar(F, params), params)
-    checks.append(
-        ("residual", rnorm <= record.tol_residual, f"{rnorm:.3e} <= {record.tol_residual:.1e}")
-    )
-
-    m0 = moment(F, 0)
-    rel = abs(m0 - record.m0) / record.m0
-    checks.append(("M0", rel <= _VERIFY_M0_RTOL, f"M0={m0:.10g} rel_err={rel:.2e}"))
-
-    m1 = moment(F, 1)
-    m1_target = record.m0 / record.v
-    rel = abs(m1 - m1_target) / m1_target
-    checks.append(("M1", rel <= _VERIFY_M1_RTOL, f"M1={m1:.10g} rel_err={rel:.2e}"))
-
-    f0_target = record.m0 * (1.0 - record.m0)
-    rel = abs(record.F[0] - f0_target) / f0_target
-    checks.append(("F0", rel <= _VERIFY_F0_RTOL, f"F0={record.F[0]:.10g} rel_err={rel:.2e}"))
-
-    try:
-        fit = tail_exponent_fit(F)
-    except ParameterDomainError:
-        checks.append(("tail", True, "non-power-law (fit not applicable)"))
-    else:
-        if fit.max_deviation > _NON_POWER_LAW_DEVIATION:
-            checks.append(
-                ("tail", True, f"non-power-law (log deviation {fit.max_deviation:.3f})")
-            )
-        else:
-            rel = abs(fit.exponent - params.tau_inf) / params.tau_inf
-            checks.append(
-                ("tail", rel <= _VERIFY_TAIL_RTOL,
-                 f"exponent={fit.exponent:.5f} target={params.tau_inf:.5f} rel_err={rel:.2e}")
-            )
-    return checks
-
-
 def cmd_verify(args) -> int:
     record = read_profile(args.profile)
-    checks = _verify_checks(record)
-    all_ok = True
-    for name, ok, detail in checks:
-        all_ok &= ok
+    cert = certification_checks(record.grid_function(), record.params(), record.tol_residual)
+    for name, ok, detail in cert.checks:
         print(f"{name:9s}: {'PASS' if ok else 'FAIL'}  {detail}")
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if cert.ok else EXIT_CHECK_FAILED
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +210,6 @@ def cmd_simulate(args) -> int:
             state,
             args.t1,
             cfl=args.cfl,
-            convolution=args.convolution,
             profile=F,
             z_window=z_window,
             snapshot_times=snapshot_times,
@@ -402,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl", type=float, default=0.5)
     p.add_argument("--snapshots", default="", help="comma list of snapshot times")
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--convolution", choices=("direct", "fft"), default="direct")
     p.add_argument("--allow-truncation", action="store_true",
                    help="downgrade the 99.9%% coverage check to a warning")
     p.add_argument("--z-window", dest="z_window", type=float, default=None)

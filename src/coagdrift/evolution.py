@@ -94,7 +94,8 @@ def init_from_profile(
     """State t0^-2 F(x/t0) sampled at cell centers on a uniform grid.
 
     The conserved first moment is taken from the initialized state itself.
-    If the cutoff captures less than 99.9% of the profile's first moment the
+    If the sampled state carries less than 99.9% of the profile's first
+    moment, because the cutoff is too small or the cells too coarse, the
     initialization warns, or raises when ``strict``.
     """
     if t0 <= 0.0:
@@ -111,8 +112,8 @@ def init_from_profile(
     captured = state_m1 / profile_m1
     if captured < _MASS_COVERAGE:
         msg = (
-            f"cutoff xmax={xmax} captures only {captured:.4%} of the profile's "
-            f"first moment at t0={t0}"
+            f"{cells} cells up to xmax={xmax} capture only {captured:.4%} of the "
+            f"profile's first moment at t0={t0}: too few cells or too small a cutoff"
         )
         if strict:
             raise ParameterDomainError(msg)
@@ -121,21 +122,16 @@ def init_from_profile(
     return EvolutionState(edges=edges, f=f, t=t0, m1_target=state_m1, u=m0 / state_m1)
 
 
-def _gain_term(f: np.ndarray, dx: float, convolution: str) -> np.ndarray:
+def _gain_term(f: np.ndarray, dx: float) -> np.ndarray:
     """Coagulation gain (f*f)(x_i) at cell centers.
 
     The midpoint convolution sum dx * sum_{j+k=n} f_j f_k lands on cell
     edges; averaging adjacent edge values (a trapezoid in disguise) centers
-    it.  The FFT path must agree with the direct sum to 1e-12 relative and
-    exists only for speed.
+    it.  The sum is taken by FFT, which agrees with the direct sum to 1e-12
+    relative.
     """
     m = f.size
-    if convolution == "direct":
-        c = np.convolve(f, f)[:m]
-    elif convolution == "fft":
-        c = fftconvolve(f, f)[:m]
-    else:
-        raise ParameterDomainError(f"unknown convolution mode {convolution!r}")
+    c = fftconvolve(f, f)[:m]
     gain = np.empty(m)
     gain[0] = 0.5 * dx * c[0]
     gain[1:] = 0.5 * dx * (c[:-1] + c[1:])
@@ -149,7 +145,6 @@ def step(
     drift: bool = True,
     coagulation: bool = True,
     u_override: float | None = None,
-    convolution: str = "direct",
 ) -> EvolutionState:
     """One explicit Euler step; returns a new state.
 
@@ -182,7 +177,7 @@ def step(
             raise StepSizeError(
                 f"dt={dt} violates the loss bound 0.25/M0 = {0.25 / m0}"
             )
-        rhs += _gain_term(f, dx, convolution) - 2.0 * f * m0
+        rhs += _gain_term(f, dx) - 2.0 * f * m0
 
     f_new = f + dt * rhs
     fmax = float(np.max(f)) if f.size else 0.0
@@ -227,7 +222,6 @@ def simulate(
     cfl: float = 0.5,
     drift: bool = True,
     coagulation: bool = True,
-    convolution: str = "direct",
     profile: GridFunction | None = None,
     z_window: float = 10.0,
     snapshot_times: tuple[float, ...] = (),
@@ -279,13 +273,7 @@ def simulate(
             if dt_max is not None:
                 dt = min(dt, dt_max)
             try:
-                state = step(
-                    state,
-                    dt,
-                    drift=drift,
-                    coagulation=coagulation,
-                    convolution=convolution,
-                )
+                state = step(state, dt, drift=drift, coagulation=coagulation)
             except SchemeFailureError as exc:
                 # attach the last-good state so callers can preserve it
                 exc.state = state

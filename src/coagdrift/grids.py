@@ -8,7 +8,7 @@ exponential solution family) and linearly where a sample is zero.
 
 Quadrature conventions:
 
-* moments and the standalone log-integral use the composite trapezoid in w
+* moments and the cumulative log-integral use the composite trapezoid in w
   with an Euler-Maclaurin endpoint correction (effective order 4); the
   correction is needed to certify F(0) and the moments at the default grid
   resolution;
@@ -47,7 +47,6 @@ __all__ = [
     "half_convolution",
     "half_convolution_at_nodes",
     "full_convolution_quadrature",
-    "log_integral",
     "cumulative_log_integral",
 ]
 
@@ -210,15 +209,14 @@ class TauFunction:
     """Log-derivative representation tau(z) = -z F'(z)/F(z) of a profile.
 
     ``slope0`` is the limit of tau(s)/s as s -> 0 (the integrand of the
-    log-integral is continued with it), ``limit_inf`` the asserted limit at
-    infinity and ``cap`` an optional upper barrier used while solving.
+    log-integral is continued with it) and ``limit_inf`` the asserted limit
+    at infinity.
     """
 
     grid: Grid
     values: np.ndarray
     slope0: float
     limit_inf: float
-    cap: float | None = None
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -229,13 +227,6 @@ class TauFunction:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDomainError("tau values must be finite")
         self._cum: dict[bool, np.ndarray] = {}
-
-    def interp(self, z):
-        """Linear interpolation of tau in z (tau is smooth and signed-free)."""
-        z = np.asarray(z, dtype=float)
-        idx, lam_z, _ = self.grid.bracket(np.atleast_1d(z))
-        out = (1.0 - lam_z) * self.values[idx] + lam_z * self.values[idx + 1]
-        return float(out[0]) if z.ndim == 0 else out
 
     def integrand_scaled(self) -> np.ndarray:
         """tau(s)/s * ds/dw sampled on the grid, with the s = 0 value
@@ -515,35 +506,3 @@ def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndar
         out -= dw * dw / 12.0 * (dg - dg[0])
     tau._cum[corrected] = out
     return out
-
-
-def _psi_at(tau: TauFunction, s: float) -> float:
-    if s == 0.0:
-        return tau.slope0
-    return float(tau.interp(s)) / s
-
-
-def log_integral(tau: TauFunction, z1: float, z2: float) -> float:
-    """int_{z1}^{z2} tau(s)/s ds with the s = 0 integrand continued by
-    slope0; grid-aligned spans reduce to differences of the cumulative
-    table, partial end intervals use the trapezoid with interpolated
-    endpoints."""
-    if z1 < 0.0 or z2 < z1:
-        raise ParameterDomainError(f"need 0 <= z1 <= z2, got z1={z1}, z2={z2}")
-    if z2 > tau.grid.zmax * (1.0 + 1e-12):
-        raise ParameterDomainError("z2 beyond the grid")
-    if z1 == z2:
-        return 0.0
-    nodes = tau.grid.nodes
-    cum = cumulative_log_integral(tau)
-    ja = int(np.searchsorted(nodes, z1, side="left"))   # first node >= z1
-    jb = int(np.searchsorted(nodes, z2, side="right")) - 1  # last node <= z2
-    if jb < ja:
-        # both endpoints inside a single grid interval
-        return 0.5 * (_psi_at(tau, z1) + _psi_at(tau, z2)) * (z2 - z1)
-    total = float(cum[jb] - cum[ja])
-    if nodes[ja] > z1:
-        total += 0.5 * (_psi_at(tau, z1) + _psi_at(tau, float(nodes[ja]))) * (nodes[ja] - z1)
-    if nodes[jb] < z2:
-        total += 0.5 * (_psi_at(tau, float(nodes[jb])) + _psi_at(tau, z2)) * (z2 - nodes[jb])
-    return total

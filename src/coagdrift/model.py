@@ -82,18 +82,14 @@ class DerivedConstants:
 
     alpha      supersolution decay exponent (2 - v - 2*m0)/(1 - v), in (2, inf)
     tau_inf    limiting tail exponent (2 - v)/(1 - v)
-    a_m0       same value as alpha under its conventional name
-    a_0        a at m0 = 0, equal to tau_inf
     b_m0       2*m0/(1 - v)
-    sigma_star smallest sigma > 0 with b_m0 * 2^(a_0 + sigma) <= sigma
-    tau_star   constant barrier a_0 + sigma_star for the monotone iteration
+    sigma_star smallest sigma > 0 with b_m0 * 2^(tau_inf + sigma) <= sigma
+    tau_star   constant barrier tau_inf + sigma_star for the monotone iteration
     m0_bar     largest m0 for which such a sigma exists at this v
     """
 
     alpha: float
     tau_inf: float
-    a_m0: float
-    a_0: float
     b_m0: float
     sigma_star: float
     tau_star: float
@@ -162,8 +158,6 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     return DerivedConstants(
         alpha=alpha,
         tau_inf=a_0,
-        a_m0=alpha,
-        a_0=a_0,
         b_m0=b_m0,
         sigma_star=sigma,
         tau_star=a_0 + sigma,

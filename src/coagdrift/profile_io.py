@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProfileFormatError
-from .grids import Grid, GridFunction, TauFunction
+from .grids import Grid, GridFunction
 from .model import ModelParams
 
 __all__ = ["ProfileRecord", "write_profile", "read_profile", "write_json", "atomic_write_text"]
@@ -72,15 +72,6 @@ class ProfileRecord:
         grid = Grid(nodes=self.z, v=self.v)
         _check_graded(grid)
         return GridFunction(grid, self.F, tail_exponent=self.tail_exponent)
-
-    def tau_function(self) -> TauFunction:
-        grid = Grid(nodes=self.z, v=self.v)
-        return TauFunction(
-            grid,
-            self.tau,
-            slope0=2.0 - self.v - 2.0 * self.m0,
-            limit_inf=self.tail_exponent,
-        )
 
 
 def _check_graded(grid: Grid) -> None:

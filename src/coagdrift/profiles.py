@@ -17,15 +17,17 @@ from .grids import (
     Grid,
     GridFunction,
     TauFunction,
+    _derivative_uniform,
     build_grid,
     half_convolution_at_nodes,
     moment,
 )
-from .model import ModelParams, derive_constants, exponential_profile
+from .model import ModelParams, derive_constants, exponential_profile, supersolution_value
 from .tau_iteration import InnerSolveOptions, inner_solve, reconstruct_profile
 
 __all__ = [
     "SolveReport",
+    "Certification",
     "OuterSolveOptions",
     "TailFit",
     "exponential_grid_function",
@@ -113,9 +115,12 @@ def exponential_grid_function(v: float, grid: Grid) -> GridFunction:
 
 
 def seed_profile(params: ModelParams, grid: Grid) -> GridFunction:
-    """Outer initial guess m0 * v * e^(-v z): admissible with M0 = m0 exactly."""
+    """Outer initial guess m0 * v * e^(-v z), scaled so that M0 = m0 under
+    the package quadrature (on a coarse or short grid the quadrature of the
+    exact profile misses m0 by more than the inner solve tolerates)."""
     vals = params.m0 * params.v * np.exp(-params.v * grid.nodes)
-    return GridFunction(grid, vals, tail_exponent=math.inf)
+    shape = GridFunction(grid, vals, tail_exponent=math.inf)
+    return GridFunction(grid, (params.m0 / moment(shape, 0)) * vals, tail_exponent=math.inf)
 
 
 def auxiliary_solve(
@@ -197,64 +202,96 @@ def outer_solve(
     return F, report
 
 
+@dataclass(frozen=True)
+class Certification:
+    """Certification figures of a profile and its named checks.
+
+    ``checks`` lists ``(name, ok, detail)`` for residual, M0, M1, F0,
+    tail, monotone and, inside the fat-tail regime, barrier.  ``fit`` is
+    None when the tail could not be fitted (the tail check then fails).
+    """
+
+    residual_norm: float
+    M0: float
+    M1: float
+    fit: TailFit | None
+    checks: list[tuple[str, bool, str]]
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _ in self.checks)
+
+
+def _relative_check(name, value, target, rtol):
+    err = abs(value - target)
+    return name, err <= rtol * target, f"{name}={value:.10g} rel_err={err / target:.2e}"
+
+
+def _tail_check(F: GridFunction, fit: TailFit | None, why: str, tau_inf: float):
+    """The tail the profile declares: a finite ``tail_exponent`` must fit a
+    power law with exponent tau_inf, an infinite one must not fit any.  A
+    tail that underflows to zero in the fit window is no power law."""
+    if fit is None:
+        if math.isinf(F.tail_exponent) and why == _NONPOSITIVE_WINDOW:
+            return "tail", True, f"declared exponential, fit is non-power-law ({why})"
+        return "tail", False, f"no power-law fit ({why})"
+    power_law = fit.max_deviation <= NON_POWER_LAW_DEVIATION
+    shape = (f"{'power law' if power_law else 'non-power-law'} "
+             f"(log deviation {fit.max_deviation:.3f})")
+    if math.isinf(F.tail_exponent):
+        return "tail", not power_law, f"declared exponential, fit is {shape}"
+    err = abs(fit.exponent - tau_inf)
+    return "tail", power_law and err <= CERT_TAIL_RTOL * tau_inf, (
+        f"exponent={fit.exponent:.5f} target={tau_inf:.5f} rel_err={err / tau_inf:.2e}, {shape}")
+
+
 def certification_checks(
     F: GridFunction, params: ModelParams, tol_residual: float = DEFAULT_RESIDUAL_TOL
-) -> dict[str, bool]:
+) -> Certification:
     """Numerical acceptance checks of a computed profile: residual,
     moments, F(0), tail-exponent fit, monotonicity, and (inside the
-    fat-tail regime) domination by the closed-form barrier."""
+    fat-tail regime) domination by the closed-form barrier.  The one
+    certification rule shared by ``outer_solve`` and ``verify``."""
     rnorm = weighted_residual_norm(residual_selfsimilar(F, params), params)
+    m0_num = moment(F, 0)
+    m1_num = moment(F, 1)
     try:
-        fit = tail_exponent_fit(F)
-    except ParameterDomainError:
-        fit = None
-    return _checks(F, params, tol_residual, rnorm, moment(F, 0), moment(F, 1), fit)
-
-
-def _checks(F, params, tol_residual, rnorm, m0_num, m1_num, fit) -> dict[str, bool]:
-    """The checks of ``certification_checks`` on figures already computed;
-    ``fit`` is None when the tail could not be fitted."""
-    checks: dict[str, bool] = {}
-    checks["residual"] = rnorm <= tol_residual
-    checks["M0"] = abs(m0_num - params.m0) <= CERT_M0_RTOL * params.m0
-    m1_target = params.m0 / params.v
-    checks["M1"] = abs(m1_num - m1_target) <= CERT_M1_RTOL * m1_target
-    f0_target = params.m0 * (1.0 - params.m0)
-    checks["F0"] = abs(F.values[0] - f0_target) <= CERT_F0_RTOL * f0_target
-    checks["tail"] = fit is not None and (
-        fit.max_deviation <= NON_POWER_LAW_DEVIATION
-        and abs(fit.exponent - params.tau_inf) <= CERT_TAIL_RTOL * params.tau_inf
-    )
-    checks["monotone"] = bool(np.all(np.diff(F.values) <= 0.0))
+        fit, why = tail_exponent_fit(F), ""
+    except ParameterDomainError as exc:
+        fit, why = None, str(exc)
+    rise = float(np.max(np.diff(F.values)))
+    checks = [
+        ("residual", rnorm <= tol_residual, f"{rnorm:.3e} <= {tol_residual:.1e}"),
+        _relative_check("M0", m0_num, params.m0, CERT_M0_RTOL),
+        _relative_check("M1", m1_num, params.m0 / params.v, CERT_M1_RTOL),
+        _relative_check("F0", float(F.values[0]), params.m0 * (1.0 - params.m0), CERT_F0_RTOL),
+        _tail_check(F, fit, why, params.tau_inf),
+        ("monotone", rise <= 0.0, f"largest increase {max(rise, 0.0):.3e}"),
+    ]
     if params.m0 < 0.5 * params.v:
-        from .model import supersolution_value
-
-        barrier = supersolution_value(params, F.grid.nodes)
-        checks["barrier"] = bool(np.all(F.values <= barrier * (1.0 + 1e-12)))
-    return checks
+        excess = F.values - supersolution_value(params, F.grid.nodes) * (1.0 + 1e-12)
+        worst = float(np.max(excess))
+        checks.append(("barrier", worst <= 0.0, f"largest excess {max(worst, 0.0):.3e}"))
+    return Certification(rnorm, m0_num, m1_num, fit, checks)
 
 
 def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
              theta, forced, converged) -> SolveReport:
-    resid = residual_selfsimilar(F, params)
-    rnorm = weighted_residual_norm(resid, params)
-    fit = tail_exponent_fit(F)
-    m0_num = moment(F, 0)
-    m1_num = moment(F, 1)
-    checks = _checks(F, params, opts.tol_residual, rnorm, m0_num, m1_num, fit)
+    cert = certification_checks(F, params, opts.tol_residual)
+    fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
     return SolveReport(
         outer_iterations=outer_iterations,
         inner_iterations_total=inner_total,
         fp_residual=fp_residual,
-        model_residual_norm=rnorm,
+        model_residual_norm=cert.residual_norm,
         F0=float(F.values[0]),
-        M0=m0_num,
-        M1=m1_num,
+        M0=cert.M0,
+        M1=cert.M1,
         tail_exponent_fit=fit.exponent,
         tail_fit_deviation=fit.max_deviation,
         tail_prefactor_fit=fit.prefactor,
-        v_effective=m0_num / m1_num,
-        certified=bool(converged and fp_residual <= opts.tol and all(checks.values())),
+        v_effective=cert.M0 / cert.M1,
+        certified=bool(converged and fp_residual <= opts.tol and cert.ok),
         damping_final=theta,
         forced=forced,
     )
@@ -284,7 +321,7 @@ def recover_tau(F: GridFunction) -> TauFunction:
     grid = F.grid
     dlog = np.zeros(grid.n)
     if j0 >= 5:
-        dlog[:j0] = _fourth_order_derivative(np.log(vals[:j0]), grid.dw)
+        dlog[:j0] = _derivative_uniform(np.log(vals[:j0]), grid.dw)
     else:
         dlog[:j0] = np.gradient(np.log(vals[:j0]), grid.dw)
     z = grid.nodes
@@ -293,12 +330,6 @@ def recover_tau(F: GridFunction) -> TauFunction:
     slope0 = -(1.0 - grid.v) * dlog[0]
     limit = float(tau_vals[j0 - 1]) if j0 > 1 else slope0
     return TauFunction(grid, tau_vals, slope0=slope0, limit_inf=limit)
-
-
-def _fourth_order_derivative(g: np.ndarray, h: float) -> np.ndarray:
-    from .grids import _derivative_uniform
-
-    return _derivative_uniform(g, h)
 
 
 def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:
@@ -342,6 +373,9 @@ class TailFit:
     n_nodes: int
 
 
+_NONPOSITIVE_WINDOW = "fit window contains nonpositive samples"
+
+
 def tail_exponent_fit(F: GridFunction, window_decades: float = 2.0) -> TailFit:
     """Fit log F = log c - p log z over the top ``window_decades`` decades
     of the grid; returns the fitted exponent and the maximum log-space
@@ -355,7 +389,7 @@ def tail_exponent_fit(F: GridFunction, window_decades: float = 2.0) -> TailFit:
     if int(np.count_nonzero(sel)) < 4:
         raise ParameterDomainError("fit window holds fewer than 4 nodes")
     if np.any(F.values[sel] <= 0.0):
-        raise ParameterDomainError("fit window contains nonpositive samples")
+        raise ParameterDomainError(_NONPOSITIVE_WINDOW)
     x = np.log(grid.nodes[sel])
     y = np.log(F.values[sel])
     slope, intercept = np.polyfit(x, y, 1)

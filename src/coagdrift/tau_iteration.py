@@ -11,7 +11,7 @@ point equation
     h(z)   = 2 int_0^{z/2} G(y) exp( int_{z-y}^{z} tau(s)/s ds ) dy.
 
 The map is order preserving in tau and admits the constant barrier
-tau_star = a_0 + sigma_star whenever m0 stays below the admissibility
+tau_star = tau_inf + sigma_star whenever m0 stays below the admissibility
 threshold, so the sweep started at the barrier decreases pointwise and
 converges.  Every quadrature weight on this path is nonnegative (plain
 trapezoid, convex-combination interpolation), which is what makes the
@@ -136,7 +136,6 @@ def apply_tau_operator(
         values=vals,
         slope0=params.linear_coefficient,
         limit_inf=params.tau_inf,
-        cap=tau.cap,
     )
 
 
@@ -191,7 +190,6 @@ def inner_solve(
         values=np.full(grid.n, cap),
         slope0=linear_coeff,
         limit_inf=cap,
-        cap=cap,
     )
     history: list[np.ndarray] | None = [tau.values.copy()] if keep_history else None
 
@@ -219,7 +217,6 @@ def inner_solve(
             values=new_vals,
             slope0=linear_coeff,
             limit_inf=params.tau_inf,
-            cap=cap,
         )
         if history is not None:
             history.append(new_vals.copy())

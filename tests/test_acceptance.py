@@ -178,8 +178,7 @@ def _evolve_exponential(cells: int):
     grid = cd.build_grid(1e6, 2049, 0.5)
     F = cd.exponential_grid_function(0.5, grid)
     state = cd.init_from_profile(F, 1.0, cells, 50.0)
-    state, diag, _ = cd.simulate(state, 2.0, cfl=0.5, convolution="fft",
-                                 profile=F, record_every=10)
+    state, diag, _ = cd.simulate(state, 2.0, cfl=0.5, profile=F, record_every=10)
     diag = np.array(diag)
     err = cd.self_similar_error(state, F)
     ut_dev = float(np.max(np.abs(diag[:, 0] * diag[:, 3] - 0.5) / 0.5))
@@ -210,8 +209,7 @@ def test_criterion_8_evolution_fat_tail(solved):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             state = cd.init_from_profile(F, 1.0, cells, 200.0, strict=False)
-        state, _, _ = cd.simulate(state, 2.0, cfl=0.5, convolution="fft",
-                                  record_every=10**9)
+        state, _, _ = cd.simulate(state, 2.0, cfl=0.5, record_every=10**9)
         errs.append(cd.self_similar_error(state, F))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 1.5 <= r1 <= 3.0 and 1.5 <= r2 <= 3.0
@@ -226,8 +224,7 @@ def test_criterion_9_coagulation_only_moment_law():
     m0_start = state.m0()
     t_end = state.t + 1.0
     while state.t < t_end - 1e-12:
-        state = cd.step(state, min(1e-3, t_end - state.t), drift=False,
-                        convolution="fft")
+        state = cd.step(state, min(1e-3, t_end - state.t), drift=False)
     want = m0_start / (1.0 + m0_start * 1.0)
     rel = abs(state.m0() - want) / want
     ok = rel <= 1e-2

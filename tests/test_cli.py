@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_profile_roundtrip_bit_exact(solved_file, tmp_path):
 def test_verify_solved_profile(solved_file, capsys):
     assert main(["verify", str(solved_file)]) == 0
     text = capsys.readouterr().out
-    assert text.count("PASS") == 5
+    assert text.count("PASS") == 7
 
 
 def test_verify_detects_scaled_profile(solved_file, tmp_path, capsys):
@@ -100,11 +101,61 @@ def test_verify_exponential_profile(tmp_path, capsys):
     assert "residual : PASS" in text
 
 
+def test_verify_underflowed_exponential_profile(tmp_path, capsys):
+    # on the default zmax the exponential tail underflows to 0, so no power
+    # law can be fitted: that passes the check of a declared exponential tail
+    v = 0.5
+    grid = cd.build_grid(1e6, 1025, v)
+    F = cd.exponential_grid_function(v, grid)
+    assert F.values[-1] == 0.0
+    record = ProfileRecord(
+        v=v, m0=1.0 - v, alpha=v / (1 - v), tau_star=math.nan, tau_inf=(2 - v) / (1 - v),
+        tail_exponent=math.inf, tol_inner=1e-10, tol_outer=1e-9, tol_residual=1e-5,
+        certified=False, z=grid.nodes, F=F.values, tau=v * grid.nodes,
+    )
+    path = tmp_path / "exp.csv"
+    write_profile(str(path), record)
+    assert main(["verify", str(path)]) == 0
+    assert "tail     : PASS  declared exponential, fit is non-power-law" in capsys.readouterr().out
+
+
 def test_verify_malformed_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("z,F,tau\n0,1,0\n")
     assert main(["verify", str(path)]) == 2
     assert main(["verify", str(tmp_path / "missing.csv")]) == 2
+
+
+@pytest.mark.parametrize("extra", [("--nodes", "65"), ("--nodes", "5"), ("--zmax", "10")])
+def test_solve_coarse_grid_seed_is_normalized(tmp_path, capsys, extra):
+    # the seed meets M0 = m0 under the package quadrature on any grid, so
+    # these valid inputs end in the solver, not in a datum domain error
+    code = main(["solve", "--v", "0.5", "--m0", "0.005", *extra,
+                 "--out", str(tmp_path / "c.csv")])
+    assert code != 2
+    assert "datum has M0" not in capsys.readouterr().err
+
+
+def test_verify_fails_short_grid_tail(tmp_path, capsys):
+    # zmax = 10 cuts the profile before its algebraic tail: solve leaves the
+    # file uncertified and verify fails the tail by the same rule
+    out = tmp_path / "short.csv"
+    assert main(["solve", "--v", "0.5", "--m0", "0.005", "--zmax", "10",
+                 "--out", str(out)]) == 4
+    capsys.readouterr()
+    assert main(["verify", str(out)]) == 1
+    assert "tail     : FAIL" in capsys.readouterr().out
+
+
+def test_solve_large_v_ends_in_solver(tmp_path):
+    # at v = 0.99 the far tail underflows; the unfittable tail fails the
+    # check instead of raising a domain error
+    m0 = 0.5 * cd.admissible_threshold(0.99)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(["solve", "--v", "0.99", "--m0", repr(m0), "--nodes", "257",
+                     "--out", str(tmp_path / "big.csv")])
+    assert code in (3, 4)
 
 
 def test_solve_threshold_gate(tmp_path, capsys):
@@ -165,7 +216,7 @@ def test_simulate_command(solved_file, tmp_path, capsys):
     outdir = tmp_path / "sim"
     code = main([
         "simulate", "--profile", str(solved_file), "--t0", "1", "--t1", "1.1",
-        "--cells", "512", "--xmax", "50", "--cfl", "0.5", "--convolution", "fft",
+        "--cells", "512", "--xmax", "50", "--cfl", "0.5",
         "--allow-truncation", "--snapshots", "1.05", "--out", str(outdir),
         "--record-every", "10",
     ])
@@ -180,6 +231,15 @@ def test_simulate_command(solved_file, tmp_path, capsys):
     assert np.max(np.abs(data[:, 2] - data[0, 2])) / data[0, 2] < 1e-2
     assert (outdir / "snapshot_t1.05.csv").exists()
     assert (outdir / "snapshot_t1.1.csv").exists()
+
+
+def test_simulate_rejects_coarse_cells(solved_file, tmp_path, capsys):
+    # 512 cells over the default cutoff carry only 93% of the profile's
+    # first moment; the truncation check rejects the run and names the cells
+    code = main(["simulate", "--profile", str(solved_file), "--t1", "1.05",
+                 "--cells", "512", "--out", str(tmp_path)])
+    assert code == 2
+    assert "512 cells" in capsys.readouterr().err
 
 
 def test_simulate_rejects_bad_times(solved_file, tmp_path):

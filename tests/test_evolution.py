@@ -89,12 +89,16 @@ def test_closure_invariant_along_run(exp_profile):
 
 
 def test_fft_matches_direct(exp_profile):
+    # the FFT gain term against the direct convolution sum, centered on
+    # the cells by averaging adjacent edge values
     state = cd.init_from_profile(exp_profile, 1.0, 2048, 60.0)
     dt = 1e-4
-    a = cd.step(state, dt, convolution="direct")
-    b = cd.step(state, dt, convolution="fft")
-    scale = float(np.max(np.abs(a.f)))
-    assert float(np.max(np.abs(a.f - b.f))) <= 1e-12 * scale
+    f, dx, m0 = state.f, state.dx, state.m0()
+    c = np.convolve(f, f)[:f.size]
+    gain = 0.5 * dx * (np.concatenate(([0.0], c[:-1])) + c)
+    want = f + dt * (gain - 2.0 * f * m0)
+    got = cd.step(state, dt, drift=False).f
+    assert float(np.max(np.abs(got - want))) <= 1e-12 * float(np.max(np.abs(want)))
 
 
 def test_self_similar_error_after_init(exp_profile):
@@ -112,7 +116,7 @@ def test_short_exponential_evolution_accuracy(exp_profile):
     for cells in (1024, 2048):
         state = cd.init_from_profile(exp_profile, 1.0, cells, 50.0)
         state, diag, _ = cd.simulate(
-            state, 1.5, cfl=0.5, convolution="fft", profile=exp_profile,
+            state, 1.5, cfl=0.5, profile=exp_profile,
             record_every=10**9,
         )
         errs[cells] = cd.self_similar_error(state, exp_profile)
@@ -123,7 +127,7 @@ def test_short_exponential_evolution_accuracy(exp_profile):
 def test_simulate_snapshots_and_diagnostics(exp_profile):
     state = cd.init_from_profile(exp_profile, 1.0, 512, 60.0)
     state, diag, snaps = cd.simulate(
-        state, 1.1, convolution="fft", profile=exp_profile,
+        state, 1.1, profile=exp_profile,
         snapshot_times=(1.05,), record_every=5,
     )
     assert state.t == pytest.approx(1.1)

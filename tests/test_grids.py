@@ -174,39 +174,30 @@ def _tau_linear(grid, v, limit=5.0):
 def test_log_integral_constant_tau():
     grid = cd.build_grid(1e3, 1025, 0.5)
     tau = cd.TauFunction(grid, np.full(grid.n, 2.0), slope0=2.0, limit_inf=2.0)
-    # grid-aligned endpoints hit the endpoint-corrected cumulative table
+    # node differences of the endpoint-corrected cumulative table
+    cum = cd.cumulative_log_integral(tau)
     z1, z2 = float(grid.nodes[100]), float(grid.nodes[800])
-    assert cd.log_integral(tau, z1, z2) == pytest.approx(2.0 * math.log(z2 / z1), rel=1e-10)
-    # off-grid endpoints add single-interval trapezoid corrections (order h^3)
-    assert cd.log_integral(tau, 1.0, 100.0) == pytest.approx(2.0 * math.log(100.0), rel=1e-5)
-    assert cd.log_integral(tau, 5.0, 5.0) == 0.0
+    assert cum[800] - cum[100] == pytest.approx(2.0 * math.log(z2 / z1), rel=1e-10)
+    assert cum[0] == 0.0
 
 
 def test_log_integral_linear_tau():
     grid = cd.build_grid(1e3, 1025, 0.5)
     tau = _tau_linear(grid, 0.5)
     # integrand tau(s)/s = v, so the integral from 0 is exactly v z
-    z2 = float(grid.nodes[700])
-    assert cd.log_integral(tau, 0.0, z2) == pytest.approx(0.5 * z2, rel=1e-9)
-    assert cd.log_integral(tau, 0.0, 7.3) == pytest.approx(0.5 * 7.3, rel=1e-8)
+    cum = cd.cumulative_log_integral(tau)
+    assert cum[700] == pytest.approx(0.5 * grid.nodes[700], rel=1e-9)
+    j = int(np.argmin(np.abs(grid.nodes - 7.3)))
+    assert cum[j] == pytest.approx(0.5 * grid.nodes[j], rel=1e-8)
 
 
 def test_log_integral_additivity_on_nodes():
     grid = cd.build_grid(1e3, 257, 0.5)
     tau = _tau_linear(grid, 0.5)
-    a, b, c = (float(grid.nodes[i]) for i in (10, 100, 200))
-    left = cd.log_integral(tau, a, b) + cd.log_integral(tau, b, c)
-    total = cd.log_integral(tau, a, c)
-    assert left == pytest.approx(total, rel=1e-13)
-
-
-def test_log_integral_domain_errors():
-    grid = cd.build_grid(10.0, 32, 0.5)
-    tau = _tau_linear(grid, 0.5)
-    with pytest.raises(cd.ParameterDomainError):
-        cd.log_integral(tau, 3.0, 1.0)
-    with pytest.raises(cd.ParameterDomainError):
-        cd.log_integral(tau, 0.0, 100.0)
+    cum = cd.cumulative_log_integral(tau)
+    a, b, c = 10, 100, 200
+    left = (cum[b] - cum[a]) + (cum[c] - cum[b])
+    assert left == pytest.approx(cum[c] - cum[a], rel=1e-13)
 
 
 # ----------------------------------------------------------------------

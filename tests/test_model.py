@@ -40,10 +40,8 @@ def test_fat_tail_regime_check():
 def test_alpha_formula():
     constants = cd.derive_constants(cd.ModelParams(0.5, 0.01))
     assert constants.alpha == pytest.approx(2.96, abs=1e-12)
-    assert constants.a_m0 == constants.alpha
     assert constants.alpha > 2.0
     assert constants.tau_inf == pytest.approx(3.0, abs=1e-12)
-    assert constants.a_0 == constants.tau_inf
     assert constants.b_m0 == pytest.approx(0.04, abs=1e-15)
 
 
@@ -64,7 +62,7 @@ def test_tau_star_against_independent_bisection():
 def test_tau_star_invariants():
     for v, m0 in [(0.25, 0.02), (0.5, 0.01), (0.75, 0.001)]:
         constants = cd.derive_constants(cd.ModelParams(v, m0))
-        assert constants.tau_star >= constants.a_0 > 2.0
+        assert constants.tau_star >= constants.tau_inf > 2.0
         assert constants.alpha > 2.0
 
 

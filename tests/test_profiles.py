@@ -134,9 +134,57 @@ def test_outer_solve_derivative_bound(solved, default_params):
 
 
 def test_certification_checks_pass(solved, default_params):
-    F, _, _ = solved
-    checks = certification_checks(F, default_params)
-    assert checks == {name: True for name in checks}
+    F, report, _ = solved
+    cert = certification_checks(F, default_params)
+    assert [name for name, _, _ in cert.checks] == [
+        "residual", "M0", "M1", "F0", "tail", "monotone", "barrier"]
+    assert cert.ok and all(ok for _, ok, _ in cert.checks)
+    # the report carries the same figures
+    assert cert.residual_norm == report.model_residual_norm
+    assert (cert.M0, cert.M1) == (report.M0, report.M1)
+    assert cert.fit.exponent == report.tail_exponent_fit
+
+
+def test_certification_tail_follows_declared_tail():
+    # the exponential family passes only when its tail is declared
+    # exponential; declared algebraic, it fails the power-law fit
+    v = 0.5
+    grid = cd.build_grid(50.0, 1025, v)
+    F = cd.exponential_grid_function(v, grid)
+    params = cd.ModelParams(v, 1.0 - v)
+    checks = {name: ok for name, ok, _ in certification_checks(F, params).checks}
+    assert checks["tail"]
+    declared = cd.GridFunction(grid, F.values, tail_exponent=params.tau_inf)
+    checks = {name: ok for name, ok, _ in certification_checks(declared, params).checks}
+    assert not checks["tail"]
+
+
+def test_certification_unfittable_tail_fails_without_raising():
+    # a far tail that underflows to zero cannot be fitted in log-log scale;
+    # declared algebraic, that fails the tail check
+    v = 0.5
+    grid = cd.build_grid(1e4, 257, v)
+    params = cd.ModelParams(v, 1.0 - v)
+    F = cd.exponential_grid_function(v, grid)
+    assert F.values[-1] == 0.0
+    declared = cd.GridFunction(grid, F.values, tail_exponent=params.tau_inf)
+    cert = certification_checks(declared, params)
+    assert cert.fit is None and not cert.ok
+    name, ok, detail = cert.checks[4]
+    assert name == "tail" and not ok and "no power-law fit" in detail
+
+
+@pytest.mark.parametrize("zmax", [1e4, 1e6])
+def test_certification_underflowed_exponential_tail_passes(zmax):
+    # the exponential family underflows to exactly 0 above z ~ 1.5e3 at
+    # v = 0.5; declared exponential, an unfittable window is no power law
+    v = 0.5
+    grid = cd.build_grid(zmax, 1025, v)
+    F = cd.exponential_grid_function(v, grid)
+    assert math.isinf(F.tail_exponent) and F.values[-1] == 0.0
+    cert = certification_checks(F, cd.ModelParams(v, 1.0 - v))
+    checks = {name: ok for name, ok, _ in cert.checks}
+    assert cert.fit is None and checks["tail"]
 
 
 def test_convolution_mass_bound(solved, default_params):

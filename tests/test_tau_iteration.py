@@ -15,10 +15,8 @@ def setup():
     return params, grid, seed, constants
 
 
-def _const_tau(grid, value, slope0, cap=None):
-    return cd.TauFunction(
-        grid, np.full(grid.n, value), slope0=slope0, limit_inf=value, cap=cap
-    )
+def _const_tau(grid, value, slope0):
+    return cd.TauFunction(grid, np.full(grid.n, value), slope0=slope0, limit_inf=value)
 
 
 def test_operator_positivity_and_zero_at_origin(setup):
