@@ -226,7 +226,6 @@ class TauFunction:
             )
         if not np.all(np.isfinite(self.values)):
             raise ParameterDomainError("tau values must be finite")
-        self._cum: dict[bool, np.ndarray] = {}
 
     def integrand_scaled(self) -> np.ndarray:
         """tau(s)/s * ds/dw sampled on the grid, with the s = 0 value
@@ -492,9 +491,6 @@ def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndar
     quadrature weight nonnegative and is the one the monotone fixed-point
     sweep must use.
     """
-    cached = tau._cum.get(corrected)
-    if cached is not None:
-        return cached
     grid = tau.grid
     g = tau.integrand_scaled()
     dw = grid.dw
@@ -504,5 +500,4 @@ def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndar
     if corrected and grid.n >= 5:
         dg = _derivative_uniform(g, dw)
         out -= dw * dw / 12.0 * (dg - dg[0])
-    tau._cum[corrected] = out
     return out

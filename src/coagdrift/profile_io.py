@@ -70,15 +70,7 @@ class ProfileRecord:
 
     def grid_function(self) -> GridFunction:
         grid = Grid(nodes=self.z, v=self.v)
-        _check_graded(grid)
         return GridFunction(grid, self.F, tail_exponent=self.tail_exponent)
-
-
-def _check_graded(grid: Grid) -> None:
-    w = grid.w_nodes
-    dws = np.diff(w)
-    if np.max(np.abs(dws - dws[0])) > 1e-9 * dws[0]:
-        raise ProfileFormatError("z column is not uniform in log(1 + (1-v) z)")
 
 
 def _fmt(x: float) -> str:
@@ -112,12 +104,46 @@ def write_profile(path: str, record: ProfileRecord) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _check_header(values: dict[str, float]) -> None:
+    """Header values the checks of ``verify`` rely on."""
+    if not (0.0 < values["v"] < 1.0) or not (0.0 < values["m0"] < 1.0):
+        raise ProfileFormatError("header parameters out of domain")
+    for key in ("alpha", "tau_inf"):
+        if not math.isfinite(values[key]):
+            raise ProfileFormatError(f"header {key} must be finite")
+    if not (math.isnan(values["tau_star"]) or 0.0 < values["tau_star"] < math.inf):
+        raise ProfileFormatError("tau_star must be positive or nan")
+    if not values["tail_exponent"] > 2.0:
+        raise ProfileFormatError(
+            "tail_exponent must exceed 2 (or be inf) for finite M0 and M1"
+        )
+    for key in ("tol_inner", "tol_outer", "tol_residual"):
+        if not 0.0 < values[key] < math.inf:
+            raise ProfileFormatError(f"header {key} must be positive and finite")
+
+
+def _check_columns(v: float, data: np.ndarray) -> None:
+    """Finite samples on a graded z column (uniform in log(1 + (1-v) z))."""
+    if data.shape[0] < 2:
+        raise ProfileFormatError("a profile needs at least 2 data rows")
+    if not np.all(np.isfinite(data)):
+        raise ProfileFormatError("data rows hold a non-finite value")
+    z = data[:, 0]
+    if z[0] != 0.0 or np.any(np.diff(z) <= 0.0):
+        raise ProfileFormatError("z column must increase strictly from 0")
+    dws = np.diff(np.log1p((1.0 - v) * z))
+    if np.max(np.abs(dws - dws[0])) > 1e-9 * dws[0]:
+        raise ProfileFormatError("z column is not uniform in log(1 + (1-v) z)")
+
+
 def read_profile(path: str) -> ProfileRecord:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as exc:
         raise ProfileFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ProfileFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines or lines[0].strip() != f"# {_MAGIC}":
         raise ProfileFormatError(f"{path} is not a profile file (bad magic line)")
 
@@ -149,6 +175,7 @@ def read_profile(path: str) -> ProfileRecord:
             raise ProfileFormatError(f"bad float for header key {key!r}") from exc
     if header.get("certified") not in ("true", "false"):
         raise ProfileFormatError("missing or bad 'certified' header")
+    _check_header(values)
 
     rows = [line for line in lines[body_start:] if line.strip()]
     if not rows:
@@ -162,21 +189,14 @@ def read_profile(path: str) -> ProfileRecord:
             data[r] = [float(p) for p in parts]
         except ValueError as exc:
             raise ProfileFormatError(f"row {r} holds a non-numeric value") from exc
-    z = np.ascontiguousarray(data[:, 0])
-    if z[0] != 0.0 or np.any(np.diff(z) <= 0.0):
-        raise ProfileFormatError("z column must increase strictly from 0")
-    if not (math.isnan(values["tau_star"]) or values["tau_star"] > 0.0):
-        raise ProfileFormatError("tau_star must be positive or nan")
-    record = ProfileRecord(
+    _check_columns(values["v"], data)
+    return ProfileRecord(
         certified=header["certified"] == "true",
-        z=z,
+        z=np.ascontiguousarray(data[:, 0]),
         F=np.ascontiguousarray(data[:, 1]),
         tau=np.ascontiguousarray(data[:, 2]),
         **values,
     )
-    if not (0.0 < record.v < 1.0) or not (0.0 < record.m0 < 1.0):
-        raise ProfileFormatError("header parameters out of domain")
-    return record
 
 
 def write_json(path: str, payload: dict) -> None:

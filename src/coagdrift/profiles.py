@@ -56,6 +56,9 @@ NON_POWER_LAW_DEVIATION = 0.05
 
 _MAX_DAMPING_HALVINGS = 4
 
+# The tail fit window: the top two decades of the grid.
+_TAIL_FIT_DECADES = 2.0
+
 
 @dataclass
 class SolveReport:
@@ -86,15 +89,14 @@ class OuterSolveOptions:
 
     The update norm is the sup over nodes of the iterate difference times
     (1+z)^(tau_inf - 1/2), which keeps the tail visible where the plain
-    sup-norm is blind.  Damping starts at ``damping`` and is halved (at most
-    four times) whenever the update norm rises.
+    sup-norm is blind.  Damping starts at 1 and is halved (at most four
+    times) whenever the update norm rises.
     """
 
     zmax: float = 1e6
     nodes: int = 2049
     tol: float = 1e-9
     max_outer: int = 80
-    damping: float = 1.0
     inner: InnerSolveOptions = field(default_factory=InnerSolveOptions)
     tol_residual: float = DEFAULT_RESIDUAL_TOL
     force: bool = False
@@ -102,8 +104,6 @@ class OuterSolveOptions:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ParameterDomainError("tol must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ParameterDomainError("damping must lie in (0, 1]")
         if self.max_outer < 1:
             raise ParameterDomainError("max_outer must be at least 1")
 
@@ -136,8 +136,18 @@ def auxiliary_solve(
     return reconstruct_profile(result.tau, params)
 
 
-def _fp_weight(grid: Grid, params: ModelParams) -> np.ndarray:
-    return (1.0 + grid.nodes) ** (params.tau_inf - 0.5)
+def _tail_weight(grid: Grid, exponent: float) -> np.ndarray:
+    """(1+z)^exponent at the nodes, inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return (1.0 + grid.nodes) ** exponent
+
+
+def _weighted_sup(values: np.ndarray, weight: np.ndarray) -> float:
+    """sup over nodes of |values| * weight, where a zero entry weighs 0 even
+    under an infinite weight, so finite values never give NaN."""
+    a = np.abs(values)
+    with np.errstate(over="ignore"):
+        return float(np.max(np.multiply(a, weight, out=np.zeros_like(a), where=a != 0.0)))
 
 
 def outer_solve(
@@ -160,10 +170,10 @@ def outer_solve(
         forced = True
 
     grid = build_grid(opts.zmax, opts.nodes, params.v)
-    weight = _fp_weight(grid, params)
+    weight = _tail_weight(grid, params.tau_inf - 0.5)
     G = seed_profile(params, grid)
 
-    theta = opts.damping
+    theta = 1.0
     halvings = 0
     prev_norm = math.inf
     inner_total = 0
@@ -176,9 +186,11 @@ def outer_solve(
         inner_total += result.iterations
         F = reconstruct_profile(result.tau, params)
         delta = F.values - G.values
-        update_norm = float(np.max(np.abs(delta) * weight))
+        update_norm = _weighted_sup(delta, weight)
         if update_norm <= opts.tol:
             converged = True
+            break
+        if not math.isfinite(update_norm):
             break
         if update_norm > prev_norm and halvings < _MAX_DAMPING_HALVINGS:
             theta *= 0.5
@@ -192,9 +204,15 @@ def outer_solve(
     report = _certify(F, params, opts, outer_iterations, inner_total,
                       update_norm, theta, forced, converged)
     if not converged:
+        if math.isfinite(update_norm):
+            msg = (f"outer iteration did not reach tol={opts.tol} in {opts.max_outer} "
+                   f"steps (last update norm {update_norm:.3e})")
+        else:
+            msg = (f"update norm {update_norm} at outer iteration {outer_iterations}: "
+                   f"the tail weight (1+z)^{params.tau_inf - 0.5:.6g} overflows on this "
+                   f"grid; lower zmax (now {opts.zmax:g})")
         raise ConvergenceError(
-            f"outer iteration did not reach tol={opts.tol} in {opts.max_outer} "
-            f"steps (last update norm {update_norm:.3e})",
+            msg,
             residual=update_norm,
             best=F,
             report=report,
@@ -355,8 +373,7 @@ def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:
 def weighted_residual_norm(residual: GridFunction, params: ModelParams) -> float:
     """Sup-norm of the residual weighted by (1+z)^tau_inf, the scale on
     which the algebraic tail lives."""
-    w = (1.0 + residual.grid.nodes) ** params.tau_inf
-    return float(np.max(np.abs(residual.values) * w))
+    return _weighted_sup(residual.values, _tail_weight(residual.grid, params.tau_inf))
 
 
 # ----------------------------------------------------------------------
@@ -376,14 +393,12 @@ class TailFit:
 _NONPOSITIVE_WINDOW = "fit window contains nonpositive samples"
 
 
-def tail_exponent_fit(F: GridFunction, window_decades: float = 2.0) -> TailFit:
-    """Fit log F = log c - p log z over the top ``window_decades`` decades
-    of the grid; returns the fitted exponent and the maximum log-space
-    deviation, which flags non-power-law behaviour."""
-    if window_decades <= 0.0:
-        raise ParameterDomainError("window must be positive")
+def tail_exponent_fit(F: GridFunction) -> TailFit:
+    """Fit log F = log c - p log z over the top two decades of the grid;
+    returns the fitted exponent and the maximum log-space deviation, which
+    flags non-power-law behaviour."""
     grid = F.grid
-    zlow = grid.zmax / 10.0**window_decades
+    zlow = grid.zmax / 10.0**_TAIL_FIT_DECADES
     sel = grid.nodes >= zlow
     sel[0] = False
     if int(np.count_nonzero(sel)) < 4:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 
 import coagdrift as cd
 from coagdrift.cli import main
+from coagdrift.errors import ProfileFormatError
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
 
 FAST_SOLVE = ["--nodes", "1025", "--zmax", "1e5"]
@@ -22,6 +26,19 @@ def solved_file(tmp_path_factory):
     code = main(solve_args(out))
     assert code == 0
     return out
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency: a fresh interpreter importing
+    # the command line loads no scipy module
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, coagdrift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_threshold_command(capsys):
@@ -126,6 +143,31 @@ def test_verify_malformed_file(tmp_path):
     assert main(["verify", str(tmp_path / "missing.csv")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [("tail_exponent", "nan"), ("tail_exponent", "2"),
+                                        ("tol_residual", "nan"), ("tol_residual", "-1"),
+                                        ("alpha", "inf")])
+def test_verify_rejects_bad_header_value(solved_file, tmp_path, capsys, key, value):
+    # values the checks cannot use are a malformed file (exit 2), not a
+    # numerical failure (3) or a failed check against a NaN bound (1)
+    lines = [f"# {key} = {value}" if line.startswith(f"# {key} =") else line
+             for line in solved_file.read_text().splitlines()]
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileFormatError):
+        read_profile(str(path))
+    assert main(["verify", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_verify_rejects_invalid_utf8(solved_file, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(solved_file.read_bytes().replace(b"# v =", b"# \x80v =", 1))
+    with pytest.raises(ProfileFormatError):
+        read_profile(str(path))
+    assert main(["verify", str(path)]) == 2
+    assert "UTF-8" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("extra", [("--nodes", "65"), ("--nodes", "5"), ("--zmax", "10")])
 def test_solve_coarse_grid_seed_is_normalized(tmp_path, capsys, extra):
     # the seed meets M0 = m0 under the package quadrature on any grid, so
@@ -147,15 +189,19 @@ def test_verify_fails_short_grid_tail(tmp_path, capsys):
     assert "tail     : FAIL" in capsys.readouterr().out
 
 
-def test_solve_large_v_ends_in_solver(tmp_path):
-    # at v = 0.99 the far tail underflows; the unfittable tail fails the
-    # check instead of raising a domain error
+def test_solve_large_v_ends_in_solver(tmp_path, capsys):
+    # at v = 0.99 the update weight (1+z)^(tau_inf-1/2) overflows at zmax
+    # 1e6; the outer loop stops at the first infinite update norm, names
+    # zmax, and no step warns
     m0 = 0.5 * cd.admissible_threshold(0.99)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["solve", "--v", "0.99", "--m0", repr(m0), "--nodes", "257",
                      "--out", str(tmp_path / "big.csv")])
-    assert code in (3, 4)
+    assert code == 3
+    assert "zmax" in capsys.readouterr().err
+    report = json.loads((tmp_path / "big.json").read_text())["report"]
+    assert report["outer_iterations"] == 1
 
 
 def test_solve_threshold_gate(tmp_path, capsys):

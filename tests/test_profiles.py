@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,14 +77,29 @@ def test_tail_fit_flags_exponential():
 
 
 def test_tail_fit_errors():
-    grid = cd.build_grid(10.0, 8, 0.5)
+    grid = cd.build_grid(1e4, 5, 0.5)  # 3 nodes in the top two decades
     F = cd.GridFunction(grid, (1.0 + grid.nodes) ** -3, tail_exponent=3.0)
-    with pytest.raises(cd.ParameterDomainError):
-        cd.tail_exponent_fit(F, window_decades=0.05)
+    with pytest.raises(cd.ParameterDomainError, match="fewer than 4 nodes"):
+        cd.tail_exponent_fit(F)
     grid2 = cd.build_grid(1e4, 257, 0.5)
     G = cd.exponential_grid_function(0.5, grid2)  # underflows inside window
     with pytest.raises(cd.ParameterDomainError):
         cd.tail_exponent_fit(G)
+
+
+def test_weighted_norm_zero_entry_under_overflowing_weight():
+    # at v = 0.99 the weight (1+z)^tau_inf overflows near zmax = 1e6: a
+    # zero residual entry weighs 0 there, a nonzero one makes the norm
+    # infinite, and neither warns
+    params = cd.ModelParams(0.99, 1e-35)
+    grid = cd.build_grid(1e6, 65, 0.99)
+    vals = np.zeros(grid.n)
+    vals[0] = 1e-3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cd.weighted_residual_norm(cd.GridFunction(grid, vals), params) == 1e-3
+        vals[-1] = 1e-300
+        assert cd.weighted_residual_norm(cd.GridFunction(grid, vals), params) == math.inf
 
 
 def test_auxiliary_solve_contract():
@@ -218,7 +234,5 @@ def test_outer_solve_threshold_gate():
 
 
 def test_solve_options_validation():
-    with pytest.raises(cd.ParameterDomainError):
-        cd.OuterSolveOptions(damping=0.0)
     with pytest.raises(cd.ParameterDomainError):
         cd.OuterSolveOptions(tol=-1.0)
