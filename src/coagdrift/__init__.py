@@ -33,8 +33,6 @@ from .grids import (
     TauFunction,
     build_grid,
     cumulative_log_integral,
-    full_convolution_quadrature,
-    half_convolution,
     half_convolution_at_nodes,
     moment,
 )
@@ -44,14 +42,12 @@ from .model import (
     admissible_threshold,
     derive_constants,
     exponential_profile,
-    supersolution_moment0,
     supersolution_value,
 )
 from .profiles import (
     OuterSolveOptions,
     SolveReport,
     TailFit,
-    auxiliary_solve,
     exponential_grid_function,
     outer_solve,
     recover_tau,

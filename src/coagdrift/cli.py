@@ -194,11 +194,10 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     record = read_profile(args.profile)
     F = record.grid_function()
-    if args.t0 <= 0.0 or args.t1 <= args.t0:
+    if args.t1 <= args.t0:
         raise ParameterDomainError("need t1 > t0 > 0")
     xmax = args.xmax if args.xmax is not None else default_domain_cutoff(F, args.t1)
     state = init_from_profile(F, args.t0, args.cells, xmax, strict=not args.allow_truncation)
-    snapshot_times = tuple(float(s) for s in args.snapshots.split(",")) if args.snapshots else ()
     z_window = args.z_window if args.z_window is not None else min(10.0, xmax / args.t1)
 
     outdir = args.out or _outdir()
@@ -212,7 +211,7 @@ def cmd_simulate(args) -> int:
             cfl=args.cfl,
             profile=F,
             z_window=z_window,
-            snapshot_times=snapshot_times,
+            snapshot_times=args.snapshots,
             record_every=args.record_every,
         )
     except SchemeFailureError as exc:
@@ -254,11 +253,10 @@ def _sweep_worker(payload: dict) -> tuple[float, int, str]:
 
 
 def cmd_sweep(args) -> int:
-    m0_list = [float(x) for x in args.m0_list.split(",") if x.strip()]
-    if not m0_list:
+    if not args.m0_list:
         raise ParameterDomainError("empty m0 list")
     jobs = []
-    for m0 in m0_list:
+    for m0 in args.m0_list:
         payload = dict(vars(args))
         payload.pop("func", None)
         payload.pop("m0_list", None)
@@ -286,13 +284,44 @@ def cmd_sweep(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    """Flag type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """Flag type: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> tuple[float, ...]:
+    """Flag type: comma-separated numbers, empty items skipped."""
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zmax", type=float, default=1e6, help="grid cutoff (default 1e6)")
     parser.add_argument("--nodes", type=int, default=2049, help="grid nodes (default 2049)")
-    parser.add_argument("--tol-inner", dest="tol_inner", type=float, default=1e-10)
-    parser.add_argument("--tol-outer", dest="tol_outer", type=float, default=1e-9)
-    parser.add_argument("--tol-residual", dest="tol_residual", type=float, default=1e-5,
-                        help="certification bound on the weighted residual norm")
+    parser.add_argument("--tol-inner", dest="tol_inner", type=_positive_float, default=1e-10)
+    parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=1e-9)
+    parser.add_argument("--tol-residual", dest="tol_residual", type=_positive_float,
+                        default=1e-5, help="certification bound on the weighted residual norm")
     parser.add_argument("--max-iter", dest="max_iter", type=int, default=80,
                         help="outer iteration cap")
     parser.add_argument("--force", action="store_true",
@@ -327,26 +356,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="evolve a profile with the time-dependent model")
     p.add_argument("--profile", required=True)
-    p.add_argument("--t0", type=float, default=1.0)
-    p.add_argument("--t1", type=float, default=2.0)
+    p.add_argument("--t0", type=_positive_float, default=1.0)
+    p.add_argument("--t1", type=_positive_float, default=2.0)
     p.add_argument("--cells", type=int, default=4096)
-    p.add_argument("--xmax", type=float, default=None,
+    p.add_argument("--xmax", type=_positive_float, default=None,
                    help="domain cutoff (default: 99.9%% volume coverage at t1)")
     p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--snapshots", default="", help="comma list of snapshot times")
+    p.add_argument("--snapshots", type=_float_list, default=(),
+                   help="comma list of snapshot times")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--allow-truncation", action="store_true",
                    help="downgrade the 99.9%% coverage check to a warning")
-    p.add_argument("--z-window", dest="z_window", type=float, default=None)
-    p.add_argument("--record-every", dest="record_every", type=int, default=1)
+    p.add_argument("--z-window", dest="z_window", type=_positive_float, default=None)
+    p.add_argument("--record-every", dest="record_every", type=_positive_int, default=1)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", help="solve several m0 values in parallel")
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--m0-list", dest="m0_list", required=True)
+    p.add_argument("--m0-list", dest="m0_list", type=_float_list, required=True)
     _add_solve_flags(p)
     p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: one per m0, at most the CPU count)")
     p.set_defaults(func=cmd_sweep)
 
@@ -361,12 +391,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ProfileFormatError, ParameterDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SchemeFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     except CoagDriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -44,13 +44,9 @@ __all__ = [
     "TauFunction",
     "build_grid",
     "moment",
-    "half_convolution",
     "half_convolution_at_nodes",
-    "full_convolution_quadrature",
     "cumulative_log_integral",
 ]
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ----------------------------------------------------------------------
@@ -82,10 +78,6 @@ class Grid:
     @property
     def zmax(self) -> float:
         return float(self.nodes[-1])
-
-    @property
-    def w_nodes(self) -> np.ndarray:
-        return np.log1p((1.0 - self.v) * self.nodes)
 
     @property
     def dw(self) -> float:
@@ -310,7 +302,8 @@ class _HalfRangePlan:
     pairs: pair p covers the next ``pair_count[p]`` points, all in the
     segment of node ``pair_row[p]`` and bracketed by interval ``pair_a[p]``.
     Operators gather the A data once per pair and interpolate per point with
-    the stored fractions ``x_lam_z`` (in z) and ``x_lam_w`` (in w).
+    the stored fractions ``x_lam_z`` (in z) and ``x_lam_w`` (in w), through
+    ``pair_exp`` (pairs to points) and ``row_sums`` (points to nodes).
     """
 
     starts: np.ndarray
@@ -328,6 +321,28 @@ class _HalfRangePlan:
     @property
     def size(self) -> int:
         return self.weights.size
+
+    def pair_exp(self, base, slope, lam, loglin=None) -> np.ndarray:
+        """exp(base_p + lam_k slope_a) at every point k of every pair p, as a
+        new array, with a = ``pair_a[p]`` the pair's grid interval: ``base``
+        holds one value per pair, ``slope`` and ``loglin`` one per interval.
+        Intervals where ``loglin`` is False keep the linear value.  Taking
+        slope per interval leaves ``base`` the only pair-length array alive
+        next to the points."""
+        out = np.repeat(slope[self.pair_a], self.pair_count)
+        out *= lam
+        out += np.repeat(base, self.pair_count)
+        if loglin is None:
+            return np.exp(out, out=out)
+        return np.exp(out, out=out, where=np.repeat(loglin[self.pair_a], self.pair_count))
+
+    def row_sums(self, contrib) -> np.ndarray:
+        """Twice the sum of the point values of each row, at every node (0 at
+        z_0, which has no row)."""
+        out = np.empty(self.starts.size + 1)
+        out[0] = 0.0
+        out[1:] = 2.0 * np.add.reduceat(contrib, self.starts)
+        return out
 
 
 # Points per block of rows while building a plan.  The build's transient
@@ -419,63 +434,27 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     For F = G this is the full convolution int_0^z F(z-y) F(y) dy by
     symmetry, and it is the form used everywhere a convolution of identical
     arguments occurs.  F(z_j - y) is interpolated as in
-    ``GridFunction.interp_at_brackets``: per plan pair the base log F(z_a)
-    and the increment log F(z_{a+1}) - log F(z_a) are gathered once, and
-    each point adds its z fraction of the increment before one exp.  Pairs
-    with a nonpositive endpoint interpolate the values linearly instead.
+    ``GridFunction.interp_at_brackets``: per grid interval a the base
+    log F(z_a) and the increment log F(z_{a+1}) - log F(z_a) are formed
+    once, and each point of a pair in interval a adds its z fraction of the
+    increment before one exp.  Intervals with a nonpositive endpoint
+    interpolate the values linearly instead.
     """
     if not _same_grid(F.grid, G.grid):
-        raise GridMismatchError("half_convolution requires both functions on one grid")
+        raise GridMismatchError(
+            "half_convolution_at_nodes requires both functions on one grid")
     plan = F.grid.half_range_plan()
-    va = F.values[plan.pair_a]
-    vb = F.values[plan.pair_a + 1]
+    va = F.values[:-1]
+    vb = F.values[1:]
     loglin = (va > 0.0) & (vb > 0.0)
     la = np.log(va, out=np.zeros_like(va), where=loglin)
     lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
-    contrib = np.repeat(slope, plan.pair_count)
-    contrib *= plan.x_lam_z
-    contrib += np.repeat(base, plan.pair_count)
-    np.exp(contrib, out=contrib, where=np.repeat(loglin, plan.pair_count))
+    contrib = plan.pair_exp(base[plan.pair_a], slope, plan.x_lam_z, loglin)
     contrib *= plan.weights
     contrib *= sample_on_plan(plan, G)
-    out = np.empty(F.grid.n)
-    out[0] = 0.0
-    out[1:] = 2.0 * np.add.reduceat(contrib, plan.starts)
-    return out
-
-
-def half_convolution(F: GridFunction, G: GridFunction, z: float) -> float:
-    """2 int_0^{z/2} F(z - y) G(y) dy at a single point z >= 0."""
-    if not _same_grid(F.grid, G.grid):
-        raise GridMismatchError("half_convolution requires both functions on one grid")
-    if z < 0.0:
-        raise ParameterDomainError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0
-    nodes = F.grid.nodes
-    half = 0.5 * z
-    k = int(np.searchsorted(nodes, half, side="left"))
-    y = np.concatenate([nodes[:k], [half]])
-    b = np.concatenate([G.values[:k], [G(half)]])
-    a = F(z - y)
-    return 2.0 * float(_trapz(a * b, y))
-
-
-def full_convolution_quadrature(F: GridFunction, z: float) -> float:
-    """Independent trapezoid of the full-range convolution
-    int_0^z F(z-y) F(y) dy, used to cross-check the half-range form."""
-    if z < 0.0:
-        raise ParameterDomainError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0
-    nodes = F.grid.nodes
-    k = int(np.searchsorted(nodes, z, side="left"))
-    y = np.concatenate([nodes[:k], [z]])
-    b = np.concatenate([F.values[:k], [F(z)]])
-    a = F(z - y)
-    return float(_trapz(a * b, y))
+    return plan.row_sums(contrib)
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "derive_constants",
     "exponential_profile",
     "supersolution_value",
-    "supersolution_moment0",
     "admissible_threshold",
 ]
 
@@ -105,12 +104,17 @@ def admissible_threshold(v: float) -> float:
     the standing smallness assumption m0 < v/2, which then binds instead;
     the result is always strictly below v/2 (the supremum v/2 itself is
     out of regime, so the largest representable value below it is used).
+    Where 2^a_0 lies beyond the float range (v above about 0.9990) the
+    bound underflows and the result is 0: every m0 is inadmissible.
     """
     if not (0.0 < v < 1.0):
         raise ParameterDomainError(f"v must lie in (0, 1), got {v}")
     a_0 = (2.0 - v) / (1.0 - v)
     peak = 1.0 / (math.e * math.log(2.0))
-    barrier_bound = (1.0 - v) * peak / (2.0 * 2.0**a_0)
+    try:
+        barrier_bound = (1.0 - v) * peak / (2.0 * 2.0**a_0)
+    except OverflowError:
+        return 0.0
     return min(barrier_bound, math.nextafter(0.5 * v, 0.0))
 
 
@@ -123,10 +127,14 @@ def _smallest_sigma(b_m0: float, a_0: float) -> float | None:
     fails (m0 above threshold).  The predicate carries a rounding-scale
     relative slack so m0 exactly at the threshold (a tangency) is accepted;
     the slack stays at the level the monotone iteration absorbs anyway.
+    A power 2^(a_0 + sigma) beyond the float range fails the predicate.
     """
 
     def holds(sigma: float) -> bool:
-        return b_m0 * 2.0 ** (a_0 + sigma) <= sigma * (1.0 + 1e-13)
+        try:
+            return b_m0 * 2.0 ** (a_0 + sigma) <= sigma * (1.0 + 1e-13)
+        except OverflowError:
+            return False
 
     hi = SIGMA_MAX
     if not holds(hi):
@@ -193,9 +201,3 @@ def supersolution_value(params: ModelParams, z):
         raise ParameterDomainError("z must be nonnegative")
     out = params.m0 * (1.0 + (1.0 - params.v) * z) ** (-alpha)
     return out if out.ndim else float(out)
-
-
-def supersolution_moment0(params: ModelParams) -> float:
-    """Closed-form zeroth moment m0/(1 - 2 m0) of the supersolution."""
-    params.require_fat_tail_regime()
-    return params.m0 / (1.0 - 2.0 * params.m0)

@@ -32,7 +32,6 @@ __all__ = [
     "TailFit",
     "exponential_grid_function",
     "seed_profile",
-    "auxiliary_solve",
     "outer_solve",
     "recover_tau",
     "residual_selfsimilar",
@@ -119,21 +118,12 @@ def seed_profile(params: ModelParams, grid: Grid) -> GridFunction:
     the package quadrature (on a coarse or short grid the quadrature of the
     exact profile misses m0 by more than the inner solve tolerates)."""
     vals = params.m0 * params.v * np.exp(-params.v * grid.nodes)
-    shape = GridFunction(grid, vals, tail_exponent=math.inf)
-    return GridFunction(grid, (params.m0 / moment(shape, 0)) * vals, tail_exponent=math.inf)
-
-
-def auxiliary_solve(
-    G: GridFunction,
-    params: ModelParams,
-    opts: InnerSolveOptions = InnerSolveOptions(),
-    *,
-    force: bool = False,
-) -> GridFunction:
-    """Solution map of the auxiliary problem with frozen datum G: the
-    monotone tau solve followed by reconstruction and normalization."""
-    result = inner_solve(G, params, opts, force=force)
-    return reconstruct_profile(result.tau, params)
+    m0_shape = moment(GridFunction(grid, vals, tail_exponent=math.inf), 0)
+    if not m0_shape > 0.0:
+        raise ParameterDomainError(
+            f"seed m0 v e^(-v z) underflows to zero at v={params.v:g}, m0={params.m0:g}"
+        )
+    return GridFunction(grid, (params.m0 / m0_shape) * vals, tail_exponent=math.inf)
 
 
 def _tail_weight(grid: Grid, exponent: float) -> np.ndarray:
@@ -269,10 +259,13 @@ def certification_checks(
     """Numerical acceptance checks of a computed profile: residual,
     moments, F(0), tail-exponent fit, monotonicity, and (inside the
     fat-tail regime) domination by the closed-form barrier.  The one
-    certification rule shared by ``outer_solve`` and ``verify``."""
+    certification rule shared by ``outer_solve`` and ``verify``.  Samples so
+    large that a moment overflows fail its check, silently: an infinite or
+    NaN moment passes no comparison."""
     rnorm = weighted_residual_norm(residual_selfsimilar(F, params), params)
-    m0_num = moment(F, 0)
-    m1_num = moment(F, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m0_num = moment(F, 0)
+        m1_num = moment(F, 1)
     try:
         fit, why = tail_exponent_fit(F), ""
     except ParameterDomainError as exc:
@@ -336,18 +329,16 @@ def recover_tau(F: GridFunction) -> TauFunction:
         raise ParameterDomainError(
             "residual undefined: nonpositive sample before the last positive one"
         )
+    if j0 < 2:
+        raise ParameterDomainError("residual undefined: profile is zero after z = 0")
     grid = F.grid
     dlog = np.zeros(grid.n)
-    if j0 >= 5:
-        dlog[:j0] = _derivative_uniform(np.log(vals[:j0]), grid.dw)
-    else:
-        dlog[:j0] = np.gradient(np.log(vals[:j0]), grid.dw)
+    dlog[:j0] = _derivative_uniform(np.log(vals[:j0]), grid.dw)
     z = grid.nodes
     tau_vals = np.zeros(grid.n)
     tau_vals[1:j0] = -z[1:j0] * (1.0 - grid.v) / (1.0 + (1.0 - grid.v) * z[1:j0]) * dlog[1:j0]
     slope0 = -(1.0 - grid.v) * dlog[0]
-    limit = float(tau_vals[j0 - 1]) if j0 > 1 else slope0
-    return TauFunction(grid, tau_vals, slope0=slope0, limit_inf=limit)
+    return TauFunction(grid, tau_vals, slope0=slope0, limit_inf=float(tau_vals[j0 - 1]))
 
 
 def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:
@@ -358,15 +349,20 @@ def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:
     where (F*F) is the symmetric half-range convolution (equal to the full
     one) and R(0) is the z -> 0 limit.  Zero residual characterizes
     solutions; the exponential family evaluates to quadrature noise.
+    Entries beyond the float range (an overflow, or inf - inf) saturate at
+    the largest float, so the residual of such a profile is large, not
+    undefined.
     """
     tau = recover_tau(F)
     grid = F.grid
     z = grid.nodes
-    conv = half_convolution_at_nodes(F, F)
-    lin = np.empty(grid.n)
-    lin[0] = tau.slope0 * F.values[0]
-    lin[1:] = ((1.0 - params.v) * z[1:] + 1.0) * tau.values[1:] * F.values[1:] / z[1:]
-    residual = lin - params.linear_coefficient * F.values - conv
+    with np.errstate(over="ignore", invalid="ignore"):
+        conv = half_convolution_at_nodes(F, F)
+        lin = np.empty(grid.n)
+        lin[0] = tau.slope0 * F.values[0]
+        lin[1:] = ((1.0 - params.v) * z[1:] + 1.0) * tau.values[1:] * F.values[1:] / z[1:]
+        residual = lin - params.linear_coefficient * F.values - conv
+    np.nan_to_num(residual, copy=False, nan=np.finfo(float).max)
     return GridFunction(grid, residual, tail_exponent=math.inf)
 
 

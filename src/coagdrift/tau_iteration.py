@@ -21,7 +21,7 @@ pointwise monotonicity checkable to rounding slack.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class InnerSolveResult:
     residual: float
     barrier: float
     certified: bool
-    history: list[np.ndarray] | None = field(default=None, repr=False)
 
 
 def _sweep(grid, plan, weighted_g, cum, linear_coeff, v):
@@ -94,20 +93,17 @@ def _sweep(grid, plan, weighted_g, cum, linear_coeff, v):
     ``cum`` is the plain (uncorrected) cumulative log-integral table of the
     current tau.  The kernel exp(I(z_j) - I(z_j - y)) interpolates the table
     linearly in w: for a point in interval a with w fraction lam its
-    exponent is (c_j - c_a) - lam (c_{a+1} - c_a), where both differences
-    are gathered once per plan pair and the point only adds its fraction.
+    exponent is (c_j - c_a) + lam (c_a - c_{a+1}), where the first
+    difference is formed once per plan pair, the second once per interval,
+    and the point only adds its fraction.
     The exponent equals c_j - ((1 - lam) c_a + lam c_{a+1}), the same convex
     combination as a per-point interpolation, so order in tau is preserved.
     """
-    a = plan.pair_a
-    contrib = np.repeat(cum[a + 1] - cum[a], plan.pair_count)
-    contrib *= plan.x_lam_w
-    np.subtract(np.repeat(cum[plan.pair_row] - cum[a], plan.pair_count), contrib, out=contrib)
-    np.exp(contrib, out=contrib)
+    base = cum[plan.pair_row]
+    base -= cum[plan.pair_a]  # in place: one pair-length array, not two
+    contrib = plan.pair_exp(base, cum[:-1] - cum[1:], plan.x_lam_w)
     contrib *= weighted_g
-    h = np.empty(grid.n)
-    h[0] = 0.0
-    h[1:] = 2.0 * np.add.reduceat(contrib, plan.starts)
+    h = plan.row_sums(contrib)
     z = grid.nodes
     out = np.empty(grid.n)
     out[0] = 0.0
@@ -145,7 +141,6 @@ def inner_solve(
     opts: InnerSolveOptions = InnerSolveOptions(),
     *,
     force: bool = False,
-    keep_history: bool = False,
 ) -> InnerSolveResult:
     """Monotone iteration from the constant barrier down to the fixed point.
 
@@ -191,13 +186,18 @@ def inner_solve(
         slope0=linear_coeff,
         limit_inf=cap,
     )
-    history: list[np.ndarray] | None = [tau.values.copy()] if keep_history else None
 
     residual = np.inf
     warned = False
     for iteration in range(1, opts.max_iter + 1):
         cum = cumulative_log_integral(tau, corrected=False)
-        new_vals, _ = _sweep(grid, plan, weighted_g, cum, linear_coeff, params.v)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_vals, _ = _sweep(grid, plan, weighted_g, cum, linear_coeff, params.v)
+        if not np.all(np.isfinite(new_vals)):
+            raise NumericalConsistencyError(
+                f"sweep {iteration} left the float range: the kernel exp(I(z) - I(z-y)) "
+                f"under the barrier {cap:.6g} overflows on this {grid.n}-node grid"
+            )
         low = float(np.min(new_vals))
         rise = float(np.max(new_vals - tau.values))
         if low < -slack or rise > slack:
@@ -218,8 +218,6 @@ def inner_solve(
             slope0=linear_coeff,
             limit_inf=params.tau_inf,
         )
-        if history is not None:
-            history.append(new_vals.copy())
         if residual <= opts.tol:
             return InnerSolveResult(
                 tau=tau,
@@ -227,7 +225,6 @@ def inner_solve(
                 residual=residual,
                 barrier=cap,
                 certified=certified,
-                history=history,
             )
     raise ConvergenceError(
         f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "

@@ -57,6 +57,40 @@ def test_threshold_command(capsys):
     assert main(["threshold", "--v", "1.5"]) == 2
 
 
+def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
+    # 2^a_0 overflows at v = 0.9991: m0_bar = 0, every m0 is inadmissible
+    assert main(["threshold", "--v", "0.9991", "--m0", "1e-5"]) == 0
+    text = capsys.readouterr().out
+    assert "m0_bar = 0\n" in text and "inadmissible" in text
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--v", "0.9991", "--m0", "1e-5", "--nodes", "65",
+                 "--out", str(out)]) == 2
+    assert "--force" in capsys.readouterr().err
+    # the seed m0 v e^(-v z) underflows to zero
+    assert main(["solve", "--v", "1e-300", "--m0", "1e-301", "--nodes", "65",
+                 "--out", str(out)]) == 2
+    assert "underflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--profile", "p.csv", "--record-every", "0"], "--record-every"),
+    (["simulate", "--profile", "p.csv", "--snapshots", "a"], "--snapshots"),
+    (["simulate", "--profile", "p.csv", "--z-window", "nan"], "--z-window"),
+    (["simulate", "--profile", "p.csv", "--t1", "inf"], "--t1"),
+    (["simulate", "--profile", "p.csv", "--xmax", "nan"], "--xmax"),
+    (["sweep", "--v", "0.5", "--m0-list", "a"], "--m0-list"),
+    (["sweep", "--v", "0.5", "--m0-list", "0.005", "--jobs", "-1"], "--jobs"),
+    # a tolerance the profile file could not carry back to verify
+    (["solve", "--v", "0.5", "--m0", "0.005", "--tol-residual", "nan"], "--tol-residual"),
+])
+def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
 def test_solve_writes_profile_and_metadata(solved_file):
     meta = solved_file.with_suffix(".json")
     assert solved_file.exists() and meta.exists()
@@ -227,8 +261,10 @@ def test_solve_force_far_above_threshold(tmp_path):
     # near the conjectured edge the capped iteration need not converge; the
     # contract is only that certification is never claimed
     out = tmp_path / "wild.csv"
-    code = main(["solve", "--v", "0.5", "--m0", "0.4999", "--nodes", "257",
-                 "--zmax", "1e4", "--force", "--out", str(out)])
+    with pytest.warns(RuntimeWarning, match="monotone sweep violated"), \
+            pytest.warns(RuntimeWarning, match="above the admissibility threshold"):
+        code = main(["solve", "--v", "0.5", "--m0", "0.4999", "--nodes", "257",
+                     "--zmax", "1e4", "--force", "--out", str(out)])
     assert code in (3, 4)
 
 
@@ -260,12 +296,13 @@ def test_outdir_environment_variable(tmp_path, monkeypatch):
 
 def test_simulate_command(solved_file, tmp_path, capsys):
     outdir = tmp_path / "sim"
-    code = main([
-        "simulate", "--profile", str(solved_file), "--t0", "1", "--t1", "1.1",
-        "--cells", "512", "--xmax", "50", "--cfl", "0.5",
-        "--allow-truncation", "--snapshots", "1.05", "--out", str(outdir),
-        "--record-every", "10",
-    ])
+    with pytest.warns(RuntimeWarning, match="512 cells up to xmax=50.0 capture only"):
+        code = main([
+            "simulate", "--profile", str(solved_file), "--t0", "1", "--t1", "1.1",
+            "--cells", "512", "--xmax", "50", "--cfl", "0.5",
+            "--allow-truncation", "--snapshots", "1.05", "--out", str(outdir),
+            "--record-every", "10",
+        ])
     assert code == 0
     diag_path = outdir / "diagnostics.csv"
     assert diag_path.exists()

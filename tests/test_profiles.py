@@ -24,6 +24,31 @@ def test_recover_tau_rejects_interior_zeros():
     F = cd.GridFunction(grid, vals, tail_exponent=math.inf)
     with pytest.raises(cd.ParameterDomainError):
         cd.recover_tau(F)
+    # zero after z_0 leaves one sample, no derivative; two are enough
+    vals[1:] = 0.0
+    with pytest.raises(cd.ParameterDomainError, match="zero after z = 0"):
+        cd.recover_tau(cd.GridFunction(grid, vals, tail_exponent=math.inf))
+    vals[1] = 0.5
+    assert cd.recover_tau(cd.GridFunction(grid, vals, tail_exponent=math.inf)).values[1] > 0.0
+
+
+@pytest.mark.parametrize("j", [1, 300, 1024])
+@pytest.mark.parametrize("huge", [1e300, 1.7e308])
+def test_certification_huge_sample_fails_residual(j, huge):
+    # one finite sample near the float range: the residual (and, at the
+    # largest value, the moments) overflow, the residual saturates instead
+    # of turning NaN, and the checks fail with no RuntimeWarning
+    params = cd.ModelParams(0.5, 0.25)
+    grid = cd.build_grid(50.0, 1025, 0.5)
+    vals = cd.exponential_grid_function(0.5, grid).values
+    vals[j] = huge
+    F = cd.GridFunction(grid, vals, tail_exponent=math.inf)
+    cert = certification_checks(F, params)
+    checks = {name: ok for name, ok, _ in cert.checks}
+    assert not checks["residual"] and not checks["M0"]
+    assert cert.residual_norm > 1e290
+    residual = cd.residual_selfsimilar(F, params)
+    assert np.all(np.isfinite(residual.values))
 
 
 def test_residual_exponential_family():
@@ -103,10 +128,11 @@ def test_weighted_norm_zero_entry_under_overflowing_weight():
 
 
 def test_auxiliary_solve_contract():
+    # the auxiliary map: monotone tau solve, then reconstruction
     params = cd.ModelParams(0.5, 0.01)
     grid = cd.build_grid(1e5, 1025, 0.5)
     seed = cd.seed_profile(params, grid)
-    F = cd.auxiliary_solve(seed, params)
+    F = cd.reconstruct_profile(cd.inner_solve(seed, params).tau, params)
     assert cd.moment(F, 0) == pytest.approx(params.m0, rel=1e-13)
     assert 0.0098 <= F.values[0] <= 0.01  # m0 - 2 m0^2 <= F(0) <= m0
     barrier = cd.supersolution_value(params, grid.nodes)
@@ -132,7 +158,7 @@ def test_outer_solve_report(solved, default_params):
 def test_outer_solve_fixed_point_consistency(solved, default_params):
     # one more application of the solution map barely moves the profile
     F, report, _ = solved
-    F2 = cd.auxiliary_solve(F, default_params)
+    F2 = cd.reconstruct_profile(cd.inner_solve(F, default_params).tau, default_params)
     weight = (1.0 + F.grid.nodes) ** (default_params.tau_inf - 0.5)
     assert float(np.max(np.abs(F2.values - F.values) * weight)) <= 5e-9
 

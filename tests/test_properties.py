@@ -2,6 +2,7 @@
 hypothesis is absent."""
 
 import math
+import warnings
 
 import pytest
 
@@ -43,10 +44,16 @@ _LINE_EDIT = st.tuples(st.just("line"), st.sampled_from(("drop", "dup", "swap", 
                        st.integers(0, 2**20), st.integers(0, 2**20), st.binary(max_size=24))
 _HEADER_EDIT = st.tuples(st.just("header"), st.sampled_from(_HEADER_KEYS), _VALUES)
 _CELL_EDIT = st.tuples(st.just("cell"), st.integers(0, 2**20), st.integers(0, 2), _VALUES)
+# F of one row set to a finite value whose products overflow, and F set to
+# zero from some row to the end
+_HUGE_EDIT = st.tuples(st.just("huge"), st.integers(0, 2**20),
+                       st.sampled_from(("1e200", "1e300", "1.7976931348623157e308")))
+_ZERO_TAIL_EDIT = st.tuples(st.just("zero_tail"), st.integers(0, 2**20))
 
 
 def _mutate(data: bytes, edits) -> bytes:
-    """Apply byte, line, header and cell edits to a profile file."""
+    """Apply byte, line, header, cell, huge-sample and zero-tail edits to a
+    profile file."""
     for edit in edits:
         kind = edit[0]
         if kind == "byte":
@@ -71,7 +78,7 @@ def _mutate(data: bytes, edits) -> bytes:
             prefix = f"# {key} =".encode()
             lines = [f"# {key} = {value}".encode("utf-8", "surrogatepass")
                      if line.startswith(prefix) else line for line in lines]
-        else:
+        elif kind == "cell":
             _, row, col, value = edit
             rows = [i for i, line in enumerate(lines) if line.count(b",") == 2]
             if rows:
@@ -79,6 +86,17 @@ def _mutate(data: bytes, edits) -> bytes:
                 cells = lines[i].split(b",")
                 cells[col] = value.encode("utf-8", "surrogatepass")
                 lines[i] = b",".join(cells)
+        else:
+            rows = [i for i, line in enumerate(lines)
+                    if line.count(b",") == 2 and not line.startswith(b"z,")]
+            if rows:
+                k = edit[1] % len(rows)
+                targets = rows[k:k + 1] if kind == "huge" else rows[k:]
+                value = edit[2].encode() if kind == "huge" else b"0"
+                for i in targets:
+                    cells = lines[i].split(b",")
+                    cells[1] = value
+                    lines[i] = b",".join(cells)
         data = b"\n".join(lines)
     return data
 
@@ -105,13 +123,16 @@ def profile_bytes(tmp_path_factory):
     return solved.read_bytes(), closed_form.read_bytes()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(base=st.integers(0, 1),
-       edits=st.lists(st.one_of(_BYTE_EDIT, _LINE_EDIT, _HEADER_EDIT, _CELL_EDIT),
+       edits=st.lists(st.one_of(_BYTE_EDIT, _LINE_EDIT, _HEADER_EDIT, _CELL_EDIT,
+                                _HUGE_EDIT, _ZERO_TAIL_EDIT),
                       min_size=1, max_size=3))
 def test_mutated_profile_is_read_or_rejected(tmp_path_factory, profile_bytes, base, edits):
     # a mutated file either reads back or raises ProfileFormatError, and
-    # verify answers it with 0 (pass), 1 (a check fails) or 2 (malformed)
+    # verify answers it with 0 (pass), 1 (a check fails) or 2 (malformed),
+    # with no RuntimeWarning
     path = tmp_path_factory.mktemp("mut") / "p.csv"
     path.write_bytes(_mutate(profile_bytes[base], edits))
     try:
@@ -119,3 +140,95 @@ def test_mutated_profile_is_read_or_rejected(tmp_path_factory, profile_bytes, ba
     except ProfileFormatError:
         pass
     assert main(["verify", str(path)]) in (0, 1, 2)
+
+
+# Values of each command-line flag, as (usual, unusual): the unusual ones
+# are zero, negative, non-finite, out-of-range and non-numeric text, drawn
+# one time in five.  Sizes stay small (--nodes <= 257, --cells <= 2048),
+# and the outer cap is always given.
+_BAD = ("nan", "inf", "-inf", "-1", "0", "x", "")
+_FLAG_VALUES = {
+    "--v": (("0.5", "0.3", "0.7", "0.99"), ("0.9991", "0.99902", "1e-300", "1", *_BAD)),
+    "--m0": (("0.005", "0.001", "0.02"), ("0.4999", "1e-301", "1e-320", "1", *_BAD)),
+    "--nodes": (("65", "257"), ("2", "3", "5", "-1", "0", "x")),
+    "--zmax": (("1e4", "1e6", "50"), ("1", "1e300", *_BAD)),
+    "--tol-inner": (("1e-10", "1e-3"), _BAD),
+    "--tol-outer": (("1e-9", "1e-2"), _BAD),
+    "--tol-residual": (("1e-5", "1"), _BAD),
+    "--max-iter": (("1", "3"), ("0", "-1", "x")),
+    "--t0": (("1", "0.5"), ("2", *_BAD)),
+    "--t1": (("1.05", "1.1"), ("2", *_BAD)),
+    "--cells": (("16", "512", "2048"), ("1", "0", "-3", "x")),
+    "--xmax": (("50", "5"), ("1e-3", "1e300", *_BAD)),
+    "--cfl": (("0.5", "1"), ("1.5", *_BAD)),
+    "--snapshots": (("1.05", "1.05,1.05", "-1,1.05"), ("a", *_BAD)),
+    "--z-window": (("1", "10"), ("1e300", *_BAD)),
+    "--record-every": (("1", "10"), ("0", "-1", "x")),
+}
+_OPTIONAL = {
+    "threshold": ("--m0",),
+    "solve": ("--zmax", "--tol-inner", "--tol-outer", "--tol-residual", "--force"),
+    "simulate": ("--t0", "--t1", "--xmax", "--cfl", "--snapshots", "--z-window",
+                 "--record-every", "--allow-truncation"),
+}
+_REQUIRED = {
+    "threshold": ("--v",),
+    "solve": ("--v", "--m0", "--nodes", "--max-iter"),
+    "simulate": ("--cells",),
+}
+# RuntimeWarnings the package issues on purpose; any other one (numpy
+# floating-point errors) fails the property.
+_STATED_WARNINGS = r"m0 above the admissibility|monotone sweep violated|\d+ cells up to"
+
+
+@st.composite
+def _argv(draw, files):
+    command = draw(st.sampled_from(("threshold", "solve", "verify", "simulate")))
+    argv = [command]
+    if command in ("verify", "simulate"):
+        path = draw(st.sampled_from(files))
+        argv += [path] if command == "verify" else ["--profile", path]
+    if command == "verify":
+        return argv
+    flags = list(_REQUIRED[command]) + [
+        flag for flag in _OPTIONAL[command] if draw(st.booleans())]
+    for flag in flags:
+        if flag in ("--force", "--allow-truncation"):
+            argv.append(flag)
+        else:
+            usual, unusual = _FLAG_VALUES[flag]
+            argv += [flag, draw(st.sampled_from(unusual if draw(st.integers(0, 4)) == 0
+                                                else usual))]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory, profile_bytes):
+    """Profile paths the CLI property reads (the solved and the exponential
+    profile, a missing file and a directory) and an output directory."""
+    base = tmp_path_factory.mktemp("argv")
+    paths = []
+    for name, data in zip(("solved.csv", "exp.csv"), profile_bytes):
+        (base / name).write_bytes(data)
+        paths.append(str(base / name))
+    return (*paths, str(base / "missing.csv"), str(base)), base
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract(cli_files, data):
+    # main answers every argument vector with an exit code 0-4, or argparse
+    # rejects it with exit 2; it raises nothing else, and no numpy
+    # floating-point warning escapes
+    files, outdir = cli_files
+    argv = data.draw(_argv(files))
+    if argv[0] in ("solve", "simulate"):
+        argv += ["--out", str(outdir / ("p.csv" if argv[0] == "solve" else "sim"))]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _STATED_WARNINGS, RuntimeWarning)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = None
+            assert exc.code == 2, argv
+    assert code is None or code in (0, 1, 2, 3, 4), argv

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import coagdrift as cd
+from oracles import barrier_sweeps
 
 
 @pytest.fixture(scope="module")
@@ -78,14 +80,15 @@ def test_operator_grid_mismatch(setup):
 
 def test_inner_solve_monotone_decrease(setup):
     params, grid, seed, constants = setup
-    result = cd.inner_solve(seed, params, keep_history=True)
+    result = cd.inner_solve(seed, params)
     assert result.certified
     slack = 1e-13 * constants.tau_star
-    hist = result.history
-    assert len(hist) == result.iterations + 1
-    for prev, nxt in zip(hist, hist[1:]):
-        assert np.all(nxt <= prev + slack)
-        assert np.all(nxt >= -slack)
+    steps, last = barrier_sweeps(seed, params, constants.tau_star, cd.InnerSolveOptions())
+    assert len(steps) == result.iterations
+    assert np.array_equal(last, result.tau.values)
+    for prev, image in steps:
+        assert np.all(image <= prev + slack)
+        assert np.all(image >= -slack)
     assert np.all(result.tau.values <= constants.tau_star)
     assert np.all(result.tau.values >= 0.0)
     assert result.residual <= 1e-10
@@ -198,3 +201,16 @@ def test_sweep_matches_per_point(setup, tau_case, zero_tail):
     assert got_tau[0] == 0.0 and got_h[0] == 0.0
     np.testing.assert_allclose(got_h[1:], want_h[1:], rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(got_tau[1:], want_tau[1:], rtol=1e-14, atol=0.0)
+
+
+def test_inner_solve_kernel_overflow_is_typed():
+    # a barrier near 1024 on a 3-node grid, and the forced cap 2 tau_inf =
+    # 2224 at v = 0.9991, overflow exp(I(z) - I(z-y)) in the first sweep;
+    # the solve stops with a consistency error instead of a NaN tau
+    for v, m0, force in ((0.99902, 1e-320, False), (0.9991, 0.4, True)):
+        params = cd.ModelParams(v, m0)
+        seed = cd.seed_profile(params, cd.build_grid(1e6, 3, v))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "m0 above the admissibility", RuntimeWarning)
+            with pytest.raises(cd.NumericalConsistencyError, match="left the float range"):
+                cd.inner_solve(seed, params, force=force)
