@@ -386,6 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "simulate":
+        outside = [t for t in args.snapshots if not args.t0 <= t <= args.t1]
+        if outside:
+            parser.error(f"argument --snapshots: times {', '.join(map(repr, outside))} "
+                         f"lie outside [t0, t1] = [{args.t0!r}, {args.t1!r}]")
     try:
         return args.func(args)
     except (ProfileFormatError, ParameterDomainError) as exc:

@@ -237,16 +237,21 @@ def simulate(
     rows (t, m0, m1, u, self_similar_error) sampled every ``record_every``
     accepted steps (the error column is NaN when no reference profile is
     given), snapshots maps each requested time to the state at that time
-    (steps are clipped to land on them exactly).
+    (steps are clipped to land on them exactly).  Snapshot times must lie
+    in [state.t, t_end].
     """
     if t_end < state.t:
         raise ParameterDomainError("t_end must not precede the state time")
     if not (0.0 < cfl <= 1.0):
         raise ParameterDomainError("cfl must lie in (0, 1]")
     requested = {float(ts) for ts in snapshot_times}
-    events = sorted(ts for ts in requested if state.t < ts <= t_end)
+    outside = sorted(ts for ts in requested if not state.t <= ts <= t_end)
+    if outside:
+        raise ParameterDomainError(
+            f"snapshot times {outside} lie outside [{state.t:g}, {t_end:g}]")
+    events = sorted(ts for ts in requested if ts > state.t)
     events.append(t_end)
-    snapshots = {ts: state for ts in requested if ts <= state.t}
+    snapshots = {ts: state for ts in requested if ts == state.t}
 
     def _row(s: EvolutionState) -> tuple:
         err = (

@@ -20,9 +20,13 @@ The half-range quadrature at all nodes is precomputed once per grid as a
 plan of O(N^2) points.  Consecutive points of one row z_j whose argument
 z_j - y falls in the same grid interval form a pair; the plan keeps per point
 only the trapezoid weight, the sample index and the two interpolation
-fractions, and per pair the row, the interval and the run length.  Operators
-gather node data once per pair and spend one exp per point.  The plan is
-built in blocks of rows, so the build needs little memory beyond the plan.
+fractions (the w fraction as an offset from the pair's first one), and per
+pair the row, the interval, the run length and that first w fraction.  The
+convolution gathers node data once per pair and spends one exp per point.
+The tau sweep integrates over each pair's points with the pair's two-node
+Gauss rule, built once per datum, and so spends at most two exp per pair.
+The plan is built in blocks of rows, so the build needs little memory
+beyond the plan.
 """
 
 from __future__ import annotations
@@ -300,10 +304,12 @@ class _HalfRangePlan:
     Within a segment x = z_j - y decreases, so the points whose x falls in
     one grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
     pairs: pair p covers the next ``pair_count[p]`` points, all in the
-    segment of node ``pair_row[p]`` and bracketed by interval ``pair_a[p]``.
-    Operators gather the A data once per pair and interpolate per point with
-    the stored fractions ``x_lam_z`` (in z) and ``x_lam_w`` (in w), through
-    ``pair_exp`` (pairs to points) and ``row_sums`` (points to nodes).
+    segment of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
+    The z fraction of x in its interval is ``x_lam_z``; the w fraction is
+    ``pair_lam_w[p] + x_dlam_w``, the pair's first fraction plus the point's
+    offset from it.  The convolution interpolates per point through
+    ``pair_exp`` (pairs to points) and ``row_sums`` (points to nodes); the
+    sweep integrates per pair through ``pair_moments`` and ``gauss_rule``.
     """
 
     starts: np.ndarray
@@ -311,10 +317,11 @@ class _HalfRangePlan:
     weights: np.ndarray
     y_node_idx: np.ndarray
     x_lam_z: np.ndarray
-    x_lam_w: np.ndarray
+    x_dlam_w: np.ndarray
     pair_row: np.ndarray
     pair_a: np.ndarray
     pair_count: np.ndarray
+    pair_lam_w: np.ndarray
     half_idx: np.ndarray
     half_lam_z: np.ndarray
 
@@ -322,7 +329,7 @@ class _HalfRangePlan:
     def size(self) -> int:
         return self.weights.size
 
-    def pair_exp(self, base, slope, lam, loglin=None) -> np.ndarray:
+    def pair_exp(self, base, slope, lam, loglin) -> np.ndarray:
         """exp(base_p + lam_k slope_a) at every point k of every pair p, as a
         new array, with a = ``pair_a[p]`` the pair's grid interval: ``base``
         holds one value per pair, ``slope`` and ``loglin`` one per interval.
@@ -332,8 +339,6 @@ class _HalfRangePlan:
         out = np.repeat(slope[self.pair_a], self.pair_count)
         out *= lam
         out += np.repeat(base, self.pair_count)
-        if loglin is None:
-            return np.exp(out, out=out)
         return np.exp(out, out=out, where=np.repeat(loglin[self.pair_a], self.pair_count))
 
     def row_sums(self, contrib) -> np.ndarray:
@@ -343,6 +348,99 @@ class _HalfRangePlan:
         out[0] = 0.0
         out[1:] = 2.0 * np.add.reduceat(contrib, self.starts)
         return out
+
+    def pair_moments(self, omega) -> np.ndarray:
+        """Moments 0-3 of each pair's measure sum_k omega_k delta(lam_k) on
+        the w fractions lam_k of its points, taken about the pair's first
+        fraction, as an array of shape (4, pairs).  ``omega`` is overwritten:
+        it carries the running product."""
+        starts = np.zeros(self.pair_count.size, dtype=np.int64)
+        np.cumsum(self.pair_count[:-1], out=starts[1:])
+        return _moments(self.x_dlam_w, omega, starts)
+
+    def gauss_rule(self, moments) -> "_PairRule":
+        """The two-node Gauss rule of each pair's measure, from its
+        ``pair_moments`` (overwritten).  Pairs of zero mass are left out, so
+        they contribute 0 whatever the integrand."""
+        nodes, weights = _two_node_rule(self.pair_lam_w, moments)
+        live = np.any(weights > 0.0, axis=0)
+        if live.all():
+            live = slice(None)  # views, no copies
+        return _PairRule(
+            row=self.pair_row[live],
+            a=self.pair_a[live],
+            nodes=nodes[:, live],
+            weights=weights[:, live],
+        )
+
+
+def _moments(dlam, omega, starts) -> np.ndarray:
+    """Moments 0-3 of the measures sum_k omega_k delta(dlam_k), one per
+    run of points from each of ``starts`` to the next, as an array of shape
+    (4, runs).  ``omega`` is overwritten by the running product."""
+    moments = np.empty((4, starts.size))
+    np.add.reduceat(omega, starts, out=moments[0])
+    for k in (1, 2, 3):
+        omega *= dlam
+        np.add.reduceat(omega, starts, out=moments[k])
+    return moments
+
+
+# A pair measure whose variance is at most this fraction of its second
+# moment about the first point is one atom up to rounding; its Gauss rule
+# is the one node at the mean (two nodes would land anywhere, even outside
+# [0, 1]).
+_ONE_NODE_VARIANCE = 1e-14
+
+
+def _two_node_rule(lam0, moments):
+    """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
+    rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
+    are ``moments[:, p]`` (overwritten).
+
+    With the central moments c2, c3 and q = c3/c2 the nodes are
+    mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
+    polynomial, and the weights m0 x2/(x2 - x1) and -m0 x1/(x2 - x1) solve
+    the moment-0 and -1 equations.  For a nonnegative measure the nodes lie
+    in the hull of its support and the weights are nonnegative and sum to
+    the mass, so the rule is a convex combination; rounding is clipped
+    back to [0, 1].  A measure of at most two atoms is reproduced: two atoms
+    give back themselves, one atom (or a variance at rounding level) the
+    single node at the mean with the whole mass, and a zero mass zero
+    weights.
+    """
+    m0 = moments[0]
+    moments[1:] /= np.where(m0 > 0.0, m0, 1.0)  # a zero mass stays a zero measure
+    mean, s2, s3 = moments[1:]
+    c2 = s2 - mean * mean
+    c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
+    two = c2 > _ONE_NODE_VARIANCE * s2
+    # a one-node measure runs the two-node formulas with c2 = 1 and then
+    # takes the node at the mean with the whole mass instead
+    c2 = np.where(two, c2, 1.0)
+    q = c3 / c2
+    r = np.sqrt(q * q + 4.0 * c2)
+    nodes = np.stack((q - r, q + r))
+    nodes *= 0.5
+    scale = m0 / (nodes[1] - nodes[0])
+    weights = np.stack((np.where(two, nodes[1] * scale, m0),
+                        np.where(two, -nodes[0] * scale, 0.0)))
+    nodes *= two
+    nodes += lam0 + mean
+    return np.clip(nodes, 0.0, 1.0, out=nodes), weights
+
+
+@dataclass(eq=False)
+class _PairRule:
+    """Two-node Gauss rules of the plan pairs of positive mass, built by
+    ``_HalfRangePlan.gauss_rule``: pair p lies in the row of node ``row[p]``
+    and in grid interval ``a[p]``, and its measure is replaced by the
+    ``weights[:, p]`` at the w fractions ``nodes[:, p]``."""
+
+    row: np.ndarray
+    a: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 # Points per block of rows while building a plan.  The build's transient
@@ -370,8 +468,8 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
     weights = np.empty(total)
     y_node_idx = np.empty(total, dtype=np.int64)
     x_lam_z = np.empty(total)
-    x_lam_w = np.empty(total)
-    pair_row, pair_a, pair_count = [], [], []
+    x_dlam_w = np.empty(total)
+    pair_row, pair_a, pair_count, pair_lam_w = [], [], [], []
     r0 = 0
     while r0 < n - 1:
         r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PLAN_BLOCK_POINTS, side="right")))
@@ -385,7 +483,7 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         row = np.repeat(np.arange(r0 + 1, r1 + 1), counts[r0:r1])
         y = z[pos]
         y[last] = half[r0:r1]
-        idx, x_lam_z[out], x_lam_w[out] = grid.bracket(z[row] - y)
+        idx, x_lam_z[out], lam_w = grid.bracket(z[row] - y)
 
         w = node_w[pos]
         tail = half[r0:r1] - z[k - 1]
@@ -399,9 +497,12 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         np.not_equal(idx[1:], idx[:-1], out=opens[1:])
         opens[seg] = True  # every row start, so a pair never crosses a row
         first = np.flatnonzero(opens)
+        count = np.diff(first, append=size)
         pair_row.append(row[first])
         pair_a.append(idx[first])
-        pair_count.append(np.diff(first, append=size))
+        pair_count.append(count)
+        pair_lam_w.append(lam_w[first])
+        x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
         r0 = r1
 
     half_idx, half_lam_z, _ = grid.bracket(half)
@@ -411,10 +512,11 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         weights=weights,
         y_node_idx=y_node_idx,
         x_lam_z=x_lam_z,
-        x_lam_w=x_lam_w,
+        x_dlam_w=x_dlam_w,
         pair_row=np.concatenate(pair_row),
         pair_a=np.concatenate(pair_a),
         pair_count=np.concatenate(pair_count),
+        pair_lam_w=np.concatenate(pair_lam_w),
         half_idx=half_idx,
         half_lam_z=half_lam_z,
     )

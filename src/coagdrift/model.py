@@ -127,14 +127,17 @@ def _smallest_sigma(b_m0: float, a_0: float) -> float | None:
     fails (m0 above threshold).  The predicate carries a rounding-scale
     relative slack so m0 exactly at the threshold (a tangency) is accepted;
     the slack stays at the level the monotone iteration absorbs anyway.
-    A power 2^(a_0 + sigma) beyond the float range fails the predicate.
+    Where the power 2^(a_0 + sigma) lies beyond the float range (a_0 near
+    1024, with b_m0 small enough to compensate) the predicate is compared
+    in log2 form instead.
     """
 
     def holds(sigma: float) -> bool:
+        bound = sigma * (1.0 + 1e-13)
         try:
-            return b_m0 * 2.0 ** (a_0 + sigma) <= sigma * (1.0 + 1e-13)
+            return b_m0 * 2.0 ** (a_0 + sigma) <= bound
         except OverflowError:
-            return False
+            return math.log2(b_m0) + a_0 + sigma <= math.log2(bound)
 
     hi = SIGMA_MAX
     if not holds(hi):

@@ -14,7 +14,8 @@ The map is order preserving in tau and admits the constant barrier
 tau_star = tau_inf + sigma_star whenever m0 stays below the admissibility
 threshold, so the sweep started at the barrier decreases pointwise and
 converges.  Every quadrature weight on this path is nonnegative (plain
-trapezoid, convex-combination interpolation), which is what makes the
+trapezoid, convex-combination interpolation, and within each plan pair a
+two-node Gauss rule of a nonnegative measure), which is what makes the
 pointwise monotonicity checkable to rounding slack.
 """
 
@@ -87,23 +88,42 @@ class InnerSolveResult:
     certified: bool
 
 
-def _sweep(grid, plan, weighted_g, cum, linear_coeff, v):
+def _pair_rule(G: GridFunction):
+    """The Gauss rules of the half-range plan pairs for datum G, fixed for a
+    whole inner solve: each pair's measure carries the point weights
+    trapezoid weight * G(y)."""
+    plan = G.grid.half_range_plan()
+    omega = sample_on_plan(plan, G)
+    omega *= plan.weights
+    moments = plan.pair_moments(omega)
+    del omega  # the rule is built per pair; free the points first
+    return plan.gauss_rule(moments)
+
+
+def _sweep(grid, rule, cum, linear_coeff, v):
     """One application of the tau update, vectorized over all nodes.
 
     ``cum`` is the plain (uncorrected) cumulative log-integral table of the
     current tau.  The kernel exp(I(z_j) - I(z_j - y)) interpolates the table
-    linearly in w: for a point in interval a with w fraction lam its
-    exponent is (c_j - c_a) + lam (c_a - c_{a+1}), where the first
-    difference is formed once per plan pair, the second once per interval,
-    and the point only adds its fraction.
-    The exponent equals c_j - ((1 - lam) c_a + lam c_{a+1}), the same convex
-    combination as a per-point interpolation, so order in tau is preserved.
+    linearly in w, so within a plan pair in interval a its exponent is
+    (c_j - c_a) + lam (c_a - c_{a+1}) at the w fraction lam, and the pair's
+    sum over its points is the integral of that exponential against the
+    pair's measure on [0, 1].  ``rule`` replaces each measure by its
+    two-node Gauss rule: per pair the two differences are formed once and
+    each node costs one exp.  Every node is a convex fraction lam in [0, 1]
+    with a nonnegative weight, and its exponent equals
+    c_j - ((1 - lam) c_a + lam c_{a+1}), a convex combination of
+    differences that grow with tau, so order in tau is preserved.
     """
-    base = cum[plan.pair_row]
-    base -= cum[plan.pair_a]  # in place: one pair-length array, not two
-    contrib = plan.pair_exp(base, cum[:-1] - cum[1:], plan.x_lam_w)
-    contrib *= weighted_g
-    h = plan.row_sums(contrib)
+    slope = cum[rule.a]
+    base = cum[rule.row]
+    base -= slope
+    slope -= cum[1:][rule.a]  # in place: c_a - c_{a+1}
+    terms = rule.nodes * slope
+    terms += base
+    np.exp(terms, out=terms)
+    terms *= rule.weights
+    h = 2.0 * np.bincount(rule.row, weights=terms[0] + terms[1], minlength=grid.n)
     z = grid.nodes
     out = np.empty(grid.n)
     out[0] = 0.0
@@ -123,10 +143,8 @@ def apply_tau_operator(
     if not (G.grid is tau.grid or np.array_equal(G.grid.nodes, tau.grid.nodes)):
         raise GridMismatchError("datum and tau must share a grid")
     grid = G.grid
-    plan = grid.half_range_plan()
-    weighted_g = plan.weights * sample_on_plan(plan, G)
     cum = cumulative_log_integral(tau, corrected=False)
-    vals, _ = _sweep(grid, plan, weighted_g, cum, params.linear_coefficient, params.v)
+    vals, _ = _sweep(grid, _pair_rule(G), cum, params.linear_coefficient, params.v)
     return TauFunction(
         grid=grid,
         values=vals,
@@ -175,8 +193,7 @@ def inner_solve(
         )
 
     grid = G.grid
-    plan = grid.half_range_plan()
-    weighted_g = plan.weights * sample_on_plan(plan, G)
+    rule = _pair_rule(G)
     slack = MONOTONICITY_SLACK * cap
     linear_coeff = params.linear_coefficient
 
@@ -192,7 +209,7 @@ def inner_solve(
     for iteration in range(1, opts.max_iter + 1):
         cum = cumulative_log_integral(tau, corrected=False)
         with np.errstate(over="ignore", invalid="ignore"):
-            new_vals, _ = _sweep(grid, plan, weighted_g, cum, linear_coeff, params.v)
+            new_vals, _ = _sweep(grid, rule, cum, linear_coeff, params.v)
         if not np.all(np.isfinite(new_vals)):
             raise NumericalConsistencyError(
                 f"sweep {iteration} left the float range: the kernel exp(I(z) - I(z-y)) "

@@ -1,8 +1,10 @@
-"""Oracles of the plan-based operators, sharing no code with the plan.
+"""Oracles of the plan-based operators, sharing no code with the plan, and
+a stand-in for the process pool of ``sweep``.
 
 The single-point convolution quadratures check ``half_convolution_at_nodes``:
 each builds its own y sub-grid and interpolates F through ``GridFunction``.
-``barrier_sweeps`` checks ``inner_solve`` step by step.
+``barrier_sweeps`` checks ``inner_solve`` step by step.  ``RecordingPool``
+replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
 """
 
 import numpy as np
@@ -57,3 +59,22 @@ def barrier_sweeps(G, params, cap, opts):
         if residual <= opts.tol:
             break
     return steps, tau.values
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and answers
+    every job in-process without solving, so no process is started."""
+
+    created: list = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [(job["m0"], 0, job["out"]) for job in jobs]

@@ -12,6 +12,7 @@ import coagdrift as cd
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
+from oracles import RecordingPool
 
 FAST_SOLVE = ["--nodes", "1025", "--zmax", "1e5"]
 
@@ -83,6 +84,9 @@ def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
     (["sweep", "--v", "0.5", "--m0-list", "0.005", "--jobs", "-1"], "--jobs"),
     # a tolerance the profile file could not carry back to verify
     (["solve", "--v", "0.5", "--m0", "0.005", "--tol-residual", "nan"], "--tol-residual"),
+    # snapshot times outside [t0, t1] = [1, 2], and outside [1, 1.5]
+    (["simulate", "--profile", "p.csv", "--snapshots=-1,1.01,5"], "--snapshots"),
+    (["simulate", "--profile", "p.csv", "--t1", "1.5", "--snapshots", "1.6"], "--snapshots"),
 ])
 def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -345,25 +349,6 @@ def test_sweep_command(tmp_path):
         assert (outdir / f"profile_v0.5_m0{m0}.json").exists()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and answers
-    every job in-process without solving, so no process is started."""
-
-    created: list = []
-
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, jobs):
-        return [(job["m0"], 0, job["out"]) for job in jobs]
-
-
 @pytest.mark.parametrize("cpus, extra, want", [
     (2, (), 2),            # five m0 values, capped at the CPU count
     (8, (), 5),            # never more workers than m0 values
@@ -373,12 +358,12 @@ class _RecordingPool:
 def test_sweep_pool_size(monkeypatch, tmp_path, cpus, extra, want):
     from coagdrift import cli
 
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code = main([
         "sweep", "--v", "0.5", "--m0-list", "0.001,0.002,0.003,0.004,0.005",
         "--out-dir", str(tmp_path), *extra,
     ])
     assert code == 0
-    assert _RecordingPool.created == [want]
+    assert RecordingPool.created == [want]

@@ -144,6 +144,12 @@ def test_simulate_snapshots_and_diagnostics(exp_profile):
     )
     assert state.t == pytest.approx(1.1)
     assert 1.05 in snaps and snaps[1.05].t == pytest.approx(1.05)
+    start = cd.init_from_profile(exp_profile, 1.0, 512, 60.0)
+    _, _, snaps = cd.simulate(start, 1.01, snapshot_times=(1.0, 1.01))
+    assert snaps[1.0] is start and snaps[1.01].t == 1.01
+    for outside in ((0.5,), (1.05, 1.2)):
+        with pytest.raises(cd.ParameterDomainError, match="outside"):
+            cd.simulate(start, 1.1, snapshot_times=outside)
     diag = np.array(diag)
     assert diag.shape[1] == 5
     assert np.all(np.diff(diag[:, 0]) > 0.0)

@@ -233,8 +233,13 @@ def test_half_range_plan_matches_row_loop(n):
     grid = cd.build_grid(1e6, n, 0.5)
     ref = _reference_plan(grid)
     plan = grid.half_range_plan()
-    for name in ("starts", "counts", "weights", "y_node_idx", "x_lam_z", "x_lam_w"):
+    for name in ("starts", "counts", "weights", "y_node_idx", "x_lam_z"):
         assert np.array_equal(getattr(plan, name), ref[name]), name
+    # the w fraction is stored as the pair's first one plus an offset
+    first = np.concatenate([[0], np.cumsum(plan.pair_count)[:-1]])
+    assert np.array_equal(plan.pair_lam_w, ref["x_lam_w"][first])
+    assert np.array_equal(plan.x_dlam_w,
+                          ref["x_lam_w"] - np.repeat(ref["x_lam_w"][first], plan.pair_count))
 
 
 def test_half_range_plan_covers_short_segments():

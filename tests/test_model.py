@@ -89,6 +89,15 @@ def test_admissible_threshold_shape():
     assert np.all(all_bars < all_vs / 2.0)      # always below v/2
     assert cd.admissible_threshold(0.999) < 1e-90   # a_0 -> inf kills it
     assert cd.admissible_threshold(0.9991) == 0.0   # 2^a_0 beyond the float range
+    # at a_0 = 1022.97 the bound is still positive, and every m0 up to it
+    # has a barrier although 2^(a_0 + 1/ln 2) overflows in the sigma search
+    bar = cd.admissible_threshold(0.9990215)
+    assert 2.9e-312 < bar < 3.0e-312
+    for m0 in (1.47e-312, bar):
+        constants = cd.derive_constants(cd.ModelParams(0.9990215, m0))
+        assert 0.0 < constants.sigma_star <= 1.0 / math.log(2.0)
+        assert constants.tau_star + math.log2(constants.b_m0) \
+            <= math.log2(constants.sigma_star) + 1e-9
     with pytest.raises(cd.ParameterDomainError):
         cd.admissible_threshold(1.5)
 
