@@ -315,6 +315,14 @@ def _float_list(text: str) -> tuple[float, ...]:
             f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _m0_list(text: str) -> tuple[float, ...]:
+    """Flag type: comma-separated masses, each a finite number in (0, 1)."""
+    values = _float_list(text)
+    if not all(0.0 < m0 < 1.0 for m0 in values):
+        raise argparse.ArgumentTypeError(f"expected numbers in (0, 1), got {text!r}")
+    return values
+
+
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--zmax", type=float, default=1e6, help="grid cutoff (default 1e6)")
     parser.add_argument("--nodes", type=int, default=2049, help="grid nodes (default 2049)")
@@ -373,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="solve several m0 values in parallel")
     p.add_argument("--v", type=float, required=True)
-    p.add_argument("--m0-list", dest="m0_list", type=_float_list, required=True)
+    p.add_argument("--m0-list", dest="m0_list", type=_m0_list, required=True)
     _add_solve_flags(p)
     p.add_argument("--out-dir", dest="out_dir", default=None)
     p.add_argument("--jobs", type=_positive_int, default=None,

@@ -19,14 +19,12 @@ Quadrature conventions:
 The half-range quadrature at all nodes is precomputed once per grid as a
 plan of O(N^2) points.  Consecutive points of one row z_j whose argument
 z_j - y falls in the same grid interval form a pair; the plan keeps per point
-only the trapezoid weight, the sample index and the two interpolation
-fractions (the w fraction as an offset from the pair's first one), and per
-pair the row, the interval, the run length and that first w fraction.  The
-convolution gathers node data once per pair and spends one exp per point.
-The tau sweep integrates over each pair's points with the pair's two-node
-Gauss rule, built once per datum, and so spends at most two exp per pair.
-The plan is built in blocks of rows, so the build needs little memory
-beyond the plan.
+only the two interpolation fractions (the w fraction as an offset from the
+pair's first one), and per pair the row, the interval, the run length and
+that first w fraction.  A point's sample index and trapezoid weight follow
+from its row.  The build, the convolution (one exp per point) and the
+Gauss rules of the tau sweep (then at most two exp per pair) walk the plan
+in cache-sized blocks of rows, so they form no other plan-length array.
 """
 
 from __future__ import annotations
@@ -297,25 +295,29 @@ class _HalfRangePlan:
     """Precomputed quadrature layout for 2 int_0^{z_j/2} A(z_j - y) B(y) dy
     at every node z_j, j >= 1.
 
-    The y sub-grid of segment j is (z_0, ..., z_{k_j - 1}, z_j/2); the flat
-    per-point arrays concatenate all segments.  ``y_node_idx`` is -1 at the
-    half endpoint, where the B factor needs interpolation.
+    Row j - 1 holds the y sub-grid (z_0, ..., z_{k_j - 1}, z_j/2) of node
+    z_j, so a point's sample index is its offset in its row, and B is
+    interpolated only at the half endpoint.  Its trapezoid weight is the
+    node's ``node_w``, except at the row's last node and half endpoint,
+    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row);
+    ``point_values`` derives both for a block of rows.
 
-    Within a segment x = z_j - y decreases, so the points whose x falls in
-    one grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
+    Within a row x = z_j - y decreases, so the points whose x falls in one
+    grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
     pairs: pair p covers the next ``pair_count[p]`` points, all in the
-    segment of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
+    row of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
     The z fraction of x in its interval is ``x_lam_z``; the w fraction is
     ``pair_lam_w[p] + x_dlam_w``, the pair's first fraction plus the point's
-    offset from it.  The convolution interpolates per point through
-    ``pair_exp`` (pairs to points) and ``row_sums`` (points to nodes); the
-    sweep integrates per pair through ``pair_moments`` and ``gauss_rule``.
+    offset from it.  These two fractions are all the plan stores per point;
+    every pass over the points walks ``blocks``, so its temporaries stay
+    block-sized.
     """
 
     starts: np.ndarray
     counts: np.ndarray
-    weights: np.ndarray
-    y_node_idx: np.ndarray
+    node_w: np.ndarray
+    last_w: np.ndarray
+    half_w: np.ndarray
     x_lam_z: np.ndarray
     x_dlam_w: np.ndarray
     pair_row: np.ndarray
@@ -327,190 +329,95 @@ class _HalfRangePlan:
 
     @property
     def size(self) -> int:
-        return self.weights.size
+        return self.x_lam_z.size
 
-    def pair_exp(self, base, slope, lam, loglin) -> np.ndarray:
-        """exp(base_p + lam_k slope_a) at every point k of every pair p, as a
-        new array, with a = ``pair_a[p]`` the pair's grid interval: ``base``
-        holds one value per pair, ``slope`` and ``loglin`` one per interval.
-        Intervals where ``loglin`` is False keep the linear value.  Taking
-        slope per interval leaves ``base`` the only pair-length array alive
-        next to the points."""
-        out = np.repeat(slope[self.pair_a], self.pair_count)
-        out *= lam
-        out += np.repeat(base, self.pair_count)
-        return np.exp(out, out=out, where=np.repeat(loglin[self.pair_a], self.pair_count))
+    def blocks(self):
+        """(rows, pairs, points) slices of each block of ``_row_blocks``:
+        its rows, the pairs in them and their points."""
+        p0 = 0
+        for rows, points in _row_blocks(self.counts):
+            p1 = int(np.searchsorted(self.pair_row, rows.stop, side="right"))
+            yield rows, slice(p0, p1), points
+            p0 = p1
 
-    def row_sums(self, contrib) -> np.ndarray:
-        """Twice the sum of the point values of each row, at every node (0 at
-        z_0, which has no row)."""
-        out = np.empty(self.starts.size + 1)
-        out[0] = 0.0
-        out[1:] = 2.0 * np.add.reduceat(contrib, self.starts)
-        return out
-
-    def pair_moments(self, omega) -> np.ndarray:
-        """Moments 0-3 of each pair's measure sum_k omega_k delta(lam_k) on
-        the w fractions lam_k of its points, taken about the pair's first
-        fraction, as an array of shape (4, pairs).  ``omega`` is overwritten:
-        it carries the running product."""
-        starts = np.zeros(self.pair_count.size, dtype=np.int64)
-        np.cumsum(self.pair_count[:-1], out=starts[1:])
-        return _moments(self.x_dlam_w, omega, starts)
-
-    def gauss_rule(self, moments) -> "_PairRule":
-        """The two-node Gauss rule of each pair's measure, from its
-        ``pair_moments`` (overwritten).  Pairs of zero mass are left out, so
-        they contribute 0 whatever the integrand."""
-        nodes, weights = _two_node_rule(self.pair_lam_w, moments)
-        live = np.any(weights > 0.0, axis=0)
-        if live.all():
-            live = slice(None)  # views, no copies
-        return _PairRule(
-            row=self.pair_row[live],
-            a=self.pair_a[live],
-            nodes=nodes[:, live],
-            weights=weights[:, live],
-        )
+    def point_values(self, rows: slice, node, last, half) -> np.ndarray:
+        """``_row_points`` of the rows ``rows``: ``node`` holds one value per
+        grid node and ``last`` and ``half`` one per plan row (a row of c
+        points ends with node c - 2), along their last axis."""
+        return _row_points(self.counts[rows], node, last[..., rows], half[..., rows])
 
 
-def _moments(dlam, omega, starts) -> np.ndarray:
-    """Moments 0-3 of the measures sum_k omega_k delta(dlam_k), one per
-    run of points from each of ``starts`` to the next, as an array of shape
-    (4, runs).  ``omega`` is overwritten by the running product."""
-    moments = np.empty((4, starts.size))
-    np.add.reduceat(omega, starts, out=moments[0])
-    for k in (1, 2, 3):
-        omega *= dlam
-        np.add.reduceat(omega, starts, out=moments[k])
-    return moments
+def _row_points(counts, node, last, half) -> np.ndarray:
+    """Values at every point of consecutive rows of ``counts`` points.  The
+    i-th point of a row lies at node z_i and takes ``node[..., i]``, except
+    that each row's last node takes its ``last`` and its half endpoint its
+    ``half``.  From ``node_w``, ``last_w`` and ``half_w`` this gives the
+    trapezoid weights; from a grid function's samples, the function."""
+    end = np.cumsum(counts) - 1  # the half endpoints
+    out = np.take(node, np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts), axis=-1)
+    out[..., end - 1] = last
+    out[..., end] = half
+    return out
 
 
-# A pair measure whose variance is at most this fraction of its second
-# moment about the first point is one atom up to rounding; its Gauss rule
-# is the one node at the mean (two nodes would land anywhere, even outside
-# [0, 1]).
-_ONE_NODE_VARIANCE = 1e-14
+# Points per block of rows in the plan build and in every pass over the
+# points.  A block's dozen temporaries take about 3 MB, near a 2 MB L2
+# cache; blocks of 2^15 to 2^17 points time within 10% of each other.
+_PLAN_BLOCK_POINTS = 1 << 15
 
 
-def _two_node_rule(lam0, moments):
-    """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
-    rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
-    are ``moments[:, p]`` (overwritten).
-
-    With the central moments c2, c3 and q = c3/c2 the nodes are
-    mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
-    polynomial, and the weights m0 x2/(x2 - x1) and -m0 x1/(x2 - x1) solve
-    the moment-0 and -1 equations.  For a nonnegative measure the nodes lie
-    in the hull of its support and the weights are nonnegative and sum to
-    the mass, so the rule is a convex combination; rounding is clipped
-    back to [0, 1].  A measure of at most two atoms is reproduced: two atoms
-    give back themselves, one atom (or a variance at rounding level) the
-    single node at the mean with the whole mass, and a zero mass zero
-    weights.
-    """
-    m0 = moments[0]
-    moments[1:] /= np.where(m0 > 0.0, m0, 1.0)  # a zero mass stays a zero measure
-    mean, s2, s3 = moments[1:]
-    c2 = s2 - mean * mean
-    c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
-    two = c2 > _ONE_NODE_VARIANCE * s2
-    # a one-node measure runs the two-node formulas with c2 = 1 and then
-    # takes the node at the mean with the whole mass instead
-    c2 = np.where(two, c2, 1.0)
-    q = c3 / c2
-    r = np.sqrt(q * q + 4.0 * c2)
-    nodes = np.stack((q - r, q + r))
-    nodes *= 0.5
-    scale = m0 / (nodes[1] - nodes[0])
-    weights = np.stack((np.where(two, nodes[1] * scale, m0),
-                        np.where(two, -nodes[0] * scale, 0.0)))
-    nodes *= two
-    nodes += lam0 + mean
-    return np.clip(nodes, 0.0, 1.0, out=nodes), weights
-
-
-@dataclass(eq=False)
-class _PairRule:
-    """Two-node Gauss rules of the plan pairs of positive mass, built by
-    ``_HalfRangePlan.gauss_rule``: pair p lies in the row of node ``row[p]``
-    and in grid interval ``a[p]``, and its measure is replaced by the
-    ``weights[:, p]`` at the w fractions ``nodes[:, p]``."""
-
-    row: np.ndarray
-    a: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
-
-
-# Points per block of rows while building a plan.  The build's transient
-# memory is a dozen arrays of this length (about 13 MB), small next to the
-# plan itself at any grid size where the build is costly.
-_PLAN_BLOCK_POINTS = 1 << 17
+def _row_blocks(counts):
+    """(rows, points) slices of consecutive blocks of whole rows, of at most
+    ``_PLAN_BLOCK_POINTS`` points each; a longer row is a block of its own."""
+    ends = np.cumsum(counts)
+    r0 = 0
+    while r0 < counts.size:
+        start = int(ends[r0] - counts[r0])
+        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _PLAN_BLOCK_POINTS, side="right")))
+        yield slice(r0, r1), slice(start, int(ends[r1 - 1]))
+        r0 = r1
 
 
 def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
     z = grid.nodes
-    n = grid.n
     half = 0.5 * z[1:]
     ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
     counts = ks + 1
-    starts = np.zeros(n - 1, dtype=np.int64)
+    starts = np.zeros(grid.n - 1, dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
-    ends = starts + counts
-    total = int(ends[-1])
+    total = int(starts[-1] + counts[-1])
 
-    # trapezoid weight of each node between its two gaps; in a segment only
+    # trapezoid weight of each node between its two gaps; in a row only
     # the last node and the half endpoint see the gap up to z_j/2 instead
     gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
-    node_w = 0.5 * (gap[:-1] + gap[1:])
+    tail = half - z[ks - 1]
 
-    weights = np.empty(total)
-    y_node_idx = np.empty(total, dtype=np.int64)
     x_lam_z = np.empty(total)
     x_dlam_w = np.empty(total)
     pair_row, pair_a, pair_count, pair_lam_w = [], [], [], []
-    r0 = 0
-    while r0 < n - 1:
-        r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PLAN_BLOCK_POINTS, side="right")))
-        base, size = int(starts[r0]), int(ends[r1 - 1] - starts[r0])
-        k = ks[r0:r1]
-        seg = starts[r0:r1] - base
-        last = seg + k  # local positions of the half endpoints
-        out = slice(base, base + size)
-
-        pos = np.arange(size) - np.repeat(seg, counts[r0:r1])
-        row = np.repeat(np.arange(r0 + 1, r1 + 1), counts[r0:r1])
-        y = z[pos]
-        y[last] = half[r0:r1]
+    for rows, out in _row_blocks(counts):
+        y = _row_points(counts[rows], z, z[ks[rows] - 1], half[rows])
+        row = np.repeat(np.arange(rows.start + 1, rows.stop + 1), counts[rows])
         idx, x_lam_z[out], lam_w = grid.bracket(z[row] - y)
 
-        w = node_w[pos]
-        tail = half[r0:r1] - z[k - 1]
-        w[last - 1] = 0.5 * (gap[k - 1] + tail)
-        w[last] = 0.5 * tail
-        weights[out] = w
-        pos[last] = -1
-        y_node_idx[out] = pos
-
-        opens = np.empty(size, dtype=bool)  # a point that starts a pair
+        opens = np.empty(y.size, dtype=bool)  # a point that starts a pair
         np.not_equal(idx[1:], idx[:-1], out=opens[1:])
-        opens[seg] = True  # every row start, so a pair never crosses a row
+        opens[np.cumsum(counts[rows]) - counts[rows]] = True  # no pair crosses a row
         first = np.flatnonzero(opens)
-        count = np.diff(first, append=size)
+        count = np.diff(first, append=y.size)
         pair_row.append(row[first])
         pair_a.append(idx[first])
         pair_count.append(count)
         pair_lam_w.append(lam_w[first])
         x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
-        r0 = r1
 
     half_idx, half_lam_z, _ = grid.bracket(half)
     return _HalfRangePlan(
         starts=starts,
         counts=counts,
-        weights=weights,
-        y_node_idx=y_node_idx,
+        node_w=0.5 * (gap[:-1] + gap[1:]),
+        last_w=0.5 * (gap[ks - 1] + tail),
+        half_w=0.5 * tail,
         x_lam_z=x_lam_z,
         x_dlam_w=x_dlam_w,
         pair_row=np.concatenate(pair_row),
@@ -520,14 +427,6 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         half_idx=half_idx,
         half_lam_z=half_lam_z,
     )
-
-
-def sample_on_plan(plan: _HalfRangePlan, B: GridFunction) -> np.ndarray:
-    """Values of B at every y node of the plan (grid samples are exact, the
-    half endpoints are interpolated)."""
-    out = B.values[plan.y_node_idx]
-    out[plan.starts + plan.counts - 1] = B.interp_at_brackets(plan.half_idx, plan.half_lam_z)
-    return out
 
 
 def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
@@ -540,7 +439,8 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     log F(z_a) and the increment log F(z_{a+1}) - log F(z_a) are formed
     once, and each point of a pair in interval a adds its z fraction of the
     increment before one exp.  Intervals with a nonpositive endpoint
-    interpolate the values linearly instead.
+    interpolate the values linearly instead.  The points are expanded,
+    weighted, sampled and summed per row one plan block at a time.
     """
     if not _same_grid(F.grid, G.grid):
         raise GridMismatchError(
@@ -553,10 +453,24 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
-    contrib = plan.pair_exp(base[plan.pair_a], slope, plan.x_lam_z, loglin)
-    contrib *= plan.weights
-    contrib *= sample_on_plan(plan, G)
-    return plan.row_sums(contrib)
+    # trapezoid weights and samples of G, gathered for the points together
+    node = np.stack((plan.node_w, G.values))
+    last = np.stack((plan.last_w, G.values[plan.counts - 2]))
+    half = np.stack((plan.half_w, G.interp_at_brackets(plan.half_idx, plan.half_lam_z)))
+    out = np.zeros(F.grid.n)
+    for rows, pairs, points in plan.blocks():
+        a = plan.pair_a[pairs]
+        count = plan.pair_count[pairs]
+        contrib = np.repeat(slope[a], count)
+        contrib *= plan.x_lam_z[points]
+        contrib += np.repeat(base[a], count)
+        np.exp(contrib, out=contrib, where=np.repeat(loglin[a], count))
+        w, g = plan.point_values(rows, node, last, half)
+        contrib *= w
+        contrib *= g
+        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, plan.starts[rows] - points.start)
+    out *= 2.0
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .grids import (
     TauFunction,
     cumulative_log_integral,
     moment,
-    sample_on_plan,
 )
 from .model import ModelParams, derive_constants
 
@@ -88,16 +87,94 @@ class InnerSolveResult:
     certified: bool
 
 
-def _pair_rule(G: GridFunction):
+def _moments(dlam, omega, starts) -> np.ndarray:
+    """Moments 0-3 of the measures sum_k omega_k delta(dlam_k), one per
+    run of points from each of ``starts`` to the next, as an array of shape
+    (4, runs).  ``omega`` is overwritten by the running product."""
+    moments = np.empty((4, starts.size))
+    np.add.reduceat(omega, starts, out=moments[0])
+    for k in (1, 2, 3):
+        omega *= dlam
+        np.add.reduceat(omega, starts, out=moments[k])
+    return moments
+
+
+# A pair measure whose variance is at most this fraction of its second
+# moment about the first point is one atom up to rounding; its Gauss rule
+# is the one node at the mean (two nodes would land anywhere, even outside
+# [0, 1]).
+_ONE_NODE_VARIANCE = 1e-14
+
+
+def _two_node_rule(lam0, moments):
+    """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
+    rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
+    are ``moments[:, p]`` (overwritten).
+
+    With the central moments c2, c3 and q = c3/c2 the nodes are
+    mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
+    polynomial, and the weights m0 x2/(x2 - x1) and -m0 x1/(x2 - x1) solve
+    the moment-0 and -1 equations.  For a nonnegative measure the nodes lie
+    in the hull of its support and the weights are nonnegative and sum to
+    the mass, so the rule is a convex combination; rounding is clipped
+    back to [0, 1].  A measure of at most two atoms is reproduced: two atoms
+    give back themselves, one atom (or a variance at rounding level) the
+    single node at the mean with the whole mass, and a zero mass zero
+    weights.
+    """
+    m0 = moments[0]
+    moments[1:] /= np.where(m0 > 0.0, m0, 1.0)  # a zero mass stays a zero measure
+    mean, s2, s3 = moments[1:]
+    c2 = s2 - mean * mean
+    c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
+    two = c2 > _ONE_NODE_VARIANCE * s2
+    # a one-node measure runs the two-node formulas with c2 = 1 and then
+    # takes the node at the mean with the whole mass instead
+    c2 = np.where(two, c2, 1.0)
+    q = c3 / c2
+    r = np.sqrt(q * q + 4.0 * c2)
+    nodes = np.stack((q - r, q + r))
+    nodes *= 0.5
+    scale = m0 / (nodes[1] - nodes[0])
+    weights = np.stack((np.where(two, nodes[1] * scale, m0),
+                        np.where(two, -nodes[0] * scale, 0.0)))
+    nodes *= two
+    nodes += lam0 + mean
+    return np.clip(nodes, 0.0, 1.0, out=nodes), weights
+
+
+@dataclass(eq=False)
+class _PairRule:
+    """Two-node Gauss rules of the plan pairs of positive mass (``_pair_rule``):
+    pair p lies in the row of node ``row[p]`` and grid interval ``a[p]``; its
+    measure becomes the ``weights[:, p]`` at the w fractions ``nodes[:, p]``."""
+
+    row: np.ndarray
+    a: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+
+def _pair_rule(G: GridFunction) -> _PairRule:
     """The Gauss rules of the half-range plan pairs for datum G, fixed for a
     whole inner solve: each pair's measure carries the point weights
-    trapezoid weight * G(y)."""
+    trapezoid weight * G(y), whose moments 0-3 are taken one plan block at
+    a time.  Pairs of zero mass are left out: they contribute 0."""
     plan = G.grid.half_range_plan()
-    omega = sample_on_plan(plan, G)
-    omega *= plan.weights
-    moments = plan.pair_moments(omega)
-    del omega  # the rule is built per pair; free the points first
-    return plan.gauss_rule(moments)
+    node = plan.node_w * G.values
+    last = plan.last_w * G.values[plan.counts - 2]
+    half = plan.half_w * G.interp_at_brackets(plan.half_idx, plan.half_lam_z)
+    nodes = np.empty((2, plan.pair_count.size))
+    weights = np.empty_like(nodes)
+    for rows, pairs, points in plan.blocks():
+        omega = plan.point_values(rows, node, last, half)
+        count = plan.pair_count[pairs]
+        moments = _moments(plan.x_dlam_w[points], omega, np.cumsum(count) - count)
+        nodes[:, pairs], weights[:, pairs] = _two_node_rule(plan.pair_lam_w[pairs], moments)
+    live = np.any(weights > 0.0, axis=0)
+    if live.all():
+        live = slice(None)  # views, no copies
+    return _PairRule(plan.pair_row[live], plan.pair_a[live], nodes[:, live], weights[:, live])
 
 
 def _sweep(grid, rule, cum, linear_coeff, v):

@@ -3,7 +3,9 @@ a stand-in for the process pool of ``sweep``.
 
 The single-point convolution quadratures check ``half_convolution_at_nodes``:
 each builds its own y sub-grid and interpolates F through ``GridFunction``.
-``barrier_sweeps`` checks ``inner_solve`` step by step.  ``RecordingPool``
+``barrier_sweeps`` checks ``inner_solve`` step by step.  ``reference_plan``
+rebuilds the half-range plan one row at a time, with per-point weights and
+sample indices.  ``RecordingPool``
 replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
 """
 
@@ -59,6 +61,43 @@ def barrier_sweeps(G, params, cap, opts):
         if residual <= opts.tol:
             break
     return steps, tau.values
+
+
+def reference_plan(grid):
+    """The half-range plan built one row at a time, as flat per-point arrays:
+    trapezoid weights, sample indices (-1 at the half endpoint, where G is
+    interpolated) and the brackets of x = z_j - y."""
+    z = grid.nodes
+    half = 0.5 * z[1:]
+    ks = np.searchsorted(z, half, side="left")
+    starts = np.concatenate([[0], np.cumsum(ks + 1)[:-1]])
+    weights, y_node_idx, x_flat = [], [], []
+    for j in range(1, grid.n):
+        k = ks[j - 1]
+        y = np.concatenate([z[:k], [half[j - 1]]])
+        dy = np.diff(y)
+        w = np.empty(k + 1)
+        w[0] = 0.5 * dy[0]
+        w[-1] = 0.5 * dy[-1]
+        if k > 1:
+            w[1:-1] = 0.5 * (dy[1:] + dy[:-1])
+        weights.append(w)
+        y_node_idx.append(np.append(np.arange(k), -1))
+        x_flat.append(z[j] - y)
+    x_idx, x_lam_z, x_lam_w = grid.bracket(np.concatenate(x_flat))
+    return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
+                y_node_idx=np.concatenate(y_node_idx), x_idx=x_idx,
+                x_lam_z=x_lam_z, x_lam_w=x_lam_w)
+
+
+def reference_samples(ref, G):
+    """G at every point of the reference plan ``ref``: the grid sample at a
+    node, the interpolant at a half endpoint."""
+    node = ref["y_node_idx"] >= 0
+    out = np.empty(node.size)
+    out[node] = G.values[ref["y_node_idx"][node]]
+    out[~node] = G(0.5 * G.grid.nodes[1:])
+    return out
 
 
 class RecordingPool:

@@ -87,12 +87,20 @@ def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
     # snapshot times outside [t0, t1] = [1, 2], and outside [1, 1.5]
     (["simulate", "--profile", "p.csv", "--snapshots=-1,1.01,5"], "--snapshots"),
     (["simulate", "--profile", "p.csv", "--t1", "1.5", "--snapshots", "1.6"], "--snapshots"),
+    # an m0 outside (0, 1) after a valid one: no worker starts
+    (["sweep", "--v", "0.5", "--m0-list", "0.005,nan", "--jobs", "1"], "--m0-list"),
+    (["sweep", "--v", "0.5", "--m0-list", "0.005,1.5"], "--m0-list"),
 ])
-def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys):
+def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys, monkeypatch):
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+    assert RecordingPool.created == []
 
 
 def test_solve_writes_profile_and_metadata(solved_file):

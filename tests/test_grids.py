@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from oracles import full_convolution_quadrature, half_convolution
+from oracles import (full_convolution_quadrature, half_convolution, reference_plan,
+                     reference_samples)
 
 
 def exp_pair(grid, v, c1=1.0, c2=1.0, rates=(1.0, 2.0)):
@@ -200,41 +201,24 @@ def test_log_integral_additivity_on_nodes():
 # half-range plan: pair layout against the per-row reference
 # ----------------------------------------------------------------------
 
-def _reference_plan(grid):
-    """The plan built one row at a time, with per-point bracket indices."""
-    z = grid.nodes
-    half = 0.5 * z[1:]
-    ks = np.searchsorted(z, half, side="left")
-    starts = np.concatenate([[0], np.cumsum(ks + 1)[:-1]])
-    weights, y_node_idx, x_flat = [], [], []
-    for j in range(1, grid.n):
-        k = ks[j - 1]
-        y = np.concatenate([z[:k], [half[j - 1]]])
-        dy = np.diff(y)
-        w = np.empty(k + 1)
-        w[0] = 0.5 * dy[0]
-        w[-1] = 0.5 * dy[-1]
-        if k > 1:
-            w[1:-1] = 0.5 * (dy[1:] + dy[:-1])
-        weights.append(w)
-        y_node_idx.append(np.append(np.arange(k), -1))
-        x_flat.append(z[j] - y)
-    x_idx, x_lam_z, x_lam_w = grid.bracket(np.concatenate(x_flat))
-    return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
-                y_node_idx=np.concatenate(y_node_idx), x_idx=x_idx,
-                x_lam_z=x_lam_z, x_lam_w=x_lam_w)
-
-
 PLAN_SIZES = (2, 3, 5, 65, 2049)
 
 
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_matches_row_loop(n):
     grid = cd.build_grid(1e6, n, 0.5)
-    ref = _reference_plan(grid)
+    ref = reference_plan(grid)
     plan = grid.half_range_plan()
-    for name in ("starts", "counts", "weights", "y_node_idx", "x_lam_z"):
+    for name in ("starts", "counts", "x_lam_z"):
         assert np.array_equal(getattr(plan, name), ref[name]), name
+    # weights and sample indices are derived per block from the row layout
+    weights, y_node_idx = [], []
+    for rows, _, _ in plan.blocks():
+        weights.append(plan.point_values(rows, plan.node_w, plan.last_w, plan.half_w))
+        y_node_idx.append(plan.point_values(rows, np.arange(n), plan.counts - 2,
+                                            np.full(n - 1, -1)))
+    assert np.array_equal(np.concatenate(weights), ref["weights"])
+    assert np.array_equal(np.concatenate(y_node_idx), ref["y_node_idx"])
     # the w fraction is stored as the pair's first one plus an offset
     first = np.concatenate([[0], np.cumsum(plan.pair_count)[:-1]])
     assert np.array_equal(plan.pair_lam_w, ref["x_lam_w"][first])
@@ -244,14 +228,14 @@ def test_half_range_plan_matches_row_loop(n):
 
 def test_half_range_plan_covers_short_segments():
     # segments with a single node below z_j/2 (k = 1) occur in the sizes above
-    ks = [_reference_plan(cd.build_grid(1e6, n, 0.5))["counts"] - 1 for n in PLAN_SIZES]
+    ks = [reference_plan(cd.build_grid(1e6, n, 0.5))["counts"] - 1 for n in PLAN_SIZES]
     assert np.any(np.concatenate(ks) == 1)
 
 
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_pairs_tile_rows(n):
     grid = cd.build_grid(1e6, n, 0.5)
-    ref = _reference_plan(grid)
+    ref = reference_plan(grid)
     plan = grid.half_range_plan()
     # the pairs tile [0, size) once, in order
     assert np.all(plan.pair_count >= 1)
@@ -270,29 +254,82 @@ def test_half_range_plan_pairs_tile_rows(n):
     assert np.all(plan.pair_a[1:][same_row] != plan.pair_a[:-1][same_row])
 
 
+def _plan_data(grid):
+    """A positive F and a datum G whose far tail is exactly zero, so that G
+    leaves plan pairs of zero mass."""
+    F = cd.GridFunction(grid, cd.supersolution_value(cd.ModelParams(0.5, 0.005), grid.nodes),
+                        tail_exponent=3.0)
+    G = cd.GridFunction(grid, np.where(grid.nodes > 1e3, 0.0, F.values))
+    return F, G
+
+
 @pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
 def test_half_range_plan_blocked_build(monkeypatch, n, block):
     from coagdrift import grids
+    from coagdrift.tau_iteration import _pair_rule
 
-    whole = grids._build_half_range_plan(cd.build_grid(1e6, n, 0.5))
+    def build_and_pass():
+        grid = cd.build_grid(1e6, n, 0.5)
+        F, G = _plan_data(grid)
+        plan = grid.half_range_plan()
+        return plan, _pair_rule(G), cd.half_convolution_at_nodes(F, G)
+
+    whole, whole_rule, whole_conv = build_and_pass()
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
     assert whole.size > 3 * block  # several blocks
-    blocked = grids._build_half_range_plan(cd.build_grid(1e6, n, 0.5))
+    assert whole.counts.max() > block or block > 7  # and rows longer than one
+    blocked, rule, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
+    assert whole_rule.row.size < whole.pair_row.size  # the zero tail left pairs out
+    for name, value in vars(whole_rule).items():
+        assert np.array_equal(getattr(rule, name), value), name
+    assert np.array_equal(conv, whole_conv)
+    # the blocks tile rows, pairs and points in order, each pair in its rows
+    blocks = list(blocked.blocks())
+    assert len(blocks) > 3
+    for (rows, pairs, points), nxt in zip(blocks, blocks[1:] + [None]):
+        assert blocked.counts[rows].sum() == blocked.pair_count[pairs].sum() == points.stop - points.start
+        assert np.all((blocked.pair_row[pairs] > rows.start) & (blocked.pair_row[pairs] <= rows.stop))
+        if nxt is not None:
+            assert (rows.stop, pairs.stop, points.stop) == (nxt[0].start, nxt[1].start, nxt[2].start)
+    assert (rows.stop, pairs.stop, points.stop) == (n - 1, blocked.pair_row.size, blocked.size)
+
+
+@pytest.mark.parametrize("call, bound", [("convolution", 0.5), ("pair_rule", 1.25)])
+def test_plan_passes_stream_in_blocks(call, bound):
+    # the passes over the points hold block-sized temporaries, not arrays
+    # as long as the plan: traced peak in units of one point-length float
+    # array, on a built plan of the README pair (measured: convolution
+    # 0.12, pair rule 0.89; 2.11 and 1.63 when whole point arrays were
+    # formed)
+    import tracemalloc
+
+    from coagdrift.tau_iteration import _pair_rule
+
+    params = cd.ModelParams(0.5, 0.005)
+    seed = cd.seed_profile(params, cd.build_grid(1e6, 2049, 0.5))
+    plan = seed.grid.half_range_plan()
+    tracemalloc.start()
+    try:
+        if call == "convolution":
+            cd.half_convolution_at_nodes(seed, seed)
+        else:
+            _pair_rule(seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * plan.size) < bound
 
 
 def _reference_half_convolution(F, G):
     """Per-point interpolation of F (the GridFunction rule) on the
     reference plan."""
-    ref = _reference_plan(F.grid)
+    ref = reference_plan(F.grid)
     a = F.interp_at_brackets(ref["x_idx"], ref["x_lam_z"])
-    node = ref["y_node_idx"] >= 0
-    b = np.empty(a.size)
-    b[node] = G.values[ref["y_node_idx"][node]]
-    b[~node] = G(0.5 * F.grid.nodes[1:])
     out = np.zeros(F.grid.n)
-    out[1:] = 2.0 * np.add.reduceat(ref["weights"] * a * b, ref["starts"])
+    out[1:] = 2.0 * np.add.reduceat(ref["weights"] * a * reference_samples(ref, G),
+                                    ref["starts"])
     return out
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from oracles import barrier_sweeps
+from oracles import barrier_sweeps, reference_plan, reference_samples
 
 
 @pytest.fixture(scope="module")
@@ -153,23 +153,16 @@ def test_forced_inner_solve_above_threshold():
     assert np.all(result.tau.values >= 0.0)
 
 
-def _reference_brackets(grid):
-    """Per-point brackets of x = z_j - y over every plan segment, row by row."""
-    z = grid.nodes
-    xs = []
-    for j in range(1, grid.n):
-        k = int(np.searchsorted(z, 0.5 * z[j], side="left"))
-        xs.append(z[j] - np.append(z[:k], 0.5 * z[j]))
-    return grid.bracket(np.concatenate(xs))
-
-
-def _reference_sweep(grid, plan, weighted_g, cum, linear_coeff, v):
-    """The tau update with the log-integral interpolated point by point."""
-    x_idx, _, x_lam_w = _reference_brackets(grid)
+def _reference_sweep(grid, G, cum, linear_coeff, v):
+    """The tau update with the log-integral interpolated point by point, on
+    the reference plan's points and weights."""
+    ref = reference_plan(grid)
+    g = reference_samples(ref, G)
+    x_idx, x_lam_w = ref["x_idx"], ref["x_lam_w"]
     ix = cum[x_idx] * (1.0 - x_lam_w) + cum[x_idx + 1] * x_lam_w
-    iz = np.repeat(cum[1:], plan.counts)
+    iz = np.repeat(cum[1:], ref["counts"])
     h = np.zeros(grid.n)
-    h[1:] = 2.0 * np.add.reduceat(weighted_g * np.exp(iz - ix), plan.starts)
+    h[1:] = 2.0 * np.add.reduceat(ref["weights"] * g * np.exp(iz - ix), ref["starts"])
     z = grid.nodes
     out = np.zeros(grid.n)
     out[1:] = z[1:] / ((1.0 - v) * z[1:] + 1.0) * (linear_coeff + h[1:])
@@ -179,7 +172,6 @@ def _reference_sweep(grid, plan, weighted_g, cum, linear_coeff, v):
 @pytest.mark.parametrize("tau_case", ["barrier", "converged"])
 @pytest.mark.parametrize("zero_tail", [False, True])
 def test_sweep_matches_per_point(setup, tau_case, zero_tail):
-    from coagdrift.grids import sample_on_plan
     from coagdrift.tau_iteration import _pair_rule, _sweep
 
     params, grid, seed, constants = setup
@@ -192,12 +184,9 @@ def test_sweep_matches_per_point(setup, tau_case, zero_tail):
         tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
     else:
         tau = cd.inner_solve(seed, params).tau
-    plan = grid.half_range_plan()
-    weighted_g = plan.weights * sample_on_plan(plan, G)
     cum = cd.cumulative_log_integral(tau, corrected=False)
     got_tau, got_h = _sweep(grid, _pair_rule(G), cum, params.linear_coefficient, params.v)
-    want_tau, want_h = _reference_sweep(grid, plan, weighted_g, cum,
-                                        params.linear_coefficient, params.v)
+    want_tau, want_h = _reference_sweep(grid, G, cum, params.linear_coefficient, params.v)
     assert got_tau[0] == 0.0 and got_h[0] == 0.0
     # the two-node rule per pair against every point: measured on this
     # 1025-node grid, h is off by at most 3.5e-10 relative (at z ~ 25, where
