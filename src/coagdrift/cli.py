@@ -23,7 +23,7 @@ from .errors import (
     ThresholdExceededError,
 )
 from .evolution import default_domain_cutoff, init_from_profile, self_similar_error, simulate
-from .model import ModelParams, admissible_threshold, derive_constants
+from .model import ModelParams, admissible_threshold, derive_constants, iteration_barrier
 from .profile_io import ProfileRecord, atomic_write_text, read_profile, write_json, write_profile
 from .profiles import OuterSolveOptions, certification_checks, outer_solve, recover_tau
 from .tau_iteration import InnerSolveOptions
@@ -39,9 +39,14 @@ def _outdir() -> str:
     return os.environ.get("COAGDRIFT_OUTDIR", ".")
 
 
+def _profile_path(directory: str, v: float, m0: float) -> str:
+    """Default profile CSV of (v, m0) in ``directory``; both numbers are
+    written in full (``repr``), so distinct inputs never share a file."""
+    return os.path.join(directory, f"profile_v{v!r}_m0{m0!r}.csv")
+
+
 def _default_paths(args) -> tuple[str, str]:
-    stem = f"profile_v{args.v:g}_m0{args.m0:g}"
-    out = args.out or os.path.join(_outdir(), stem + ".csv")
+    out = args.out or _profile_path(_outdir(), args.v, args.m0)
     meta = args.meta or os.path.splitext(out)[0] + ".json"
     return out, meta
 
@@ -83,27 +88,26 @@ def _solve_options(args) -> OuterSolveOptions:
     )
 
 
-def _record_from_solve(params, opts, F, tau, certified) -> ProfileRecord:
-    try:
-        constants = derive_constants(params)
-        alpha, tau_star = constants.alpha, constants.tau_star
-    except (ThresholdExceededError, ParameterDomainError):
-        alpha, tau_star = (2 - params.v - 2 * params.m0) / (1 - params.v), math.nan
-    return ProfileRecord(
+def _write_solution(params, opts, F, report, out: str, meta: str) -> None:
+    """Write profile F with its recovered tau to ``out`` and the report to
+    ``meta``; tau_star is NaN where the barrier is not certified."""
+    tau_star, certified = iteration_barrier(params, force=True)
+    write_profile(out, ProfileRecord(
         v=params.v,
         m0=params.m0,
-        alpha=alpha,
-        tau_star=tau_star,
+        alpha=params.alpha,
+        tau_star=tau_star if certified else math.nan,
         tau_inf=params.tau_inf,
         tail_exponent=F.tail_exponent,
         tol_inner=opts.inner.tol,
         tol_outer=opts.tol,
         tol_residual=opts.tol_residual,
-        certified=certified,
+        certified=report.certified,
         z=F.grid.nodes,
         F=F.values,
-        tau=tau,
-    )
+        tau=recover_tau(F).values,
+    ))
+    write_json(meta, _metadata(params, opts, report))
 
 
 def _gnuplot_script(csv_path: str) -> str:
@@ -119,35 +123,25 @@ def _gnuplot_script(csv_path: str) -> str:
 def cmd_solve(args) -> int:
     params = ModelParams(v=args.v, m0=args.m0)
     opts = _solve_options(args)
-    if not args.force:
-        try:
-            derive_constants(params)
-        except ThresholdExceededError as exc:
-            print(
-                f"m0 = {args.m0:g} exceeds the admissible threshold "
-                f"m0_bar = {exc.m0_bar:.17g} at v = {args.v:g}; "
-                "pass --force for an exploratory, uncertified run",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-
     out, meta = _default_paths(args)
     try:
         F, report = outer_solve(params, opts)
+    except ThresholdExceededError as exc:
+        print(
+            f"m0 = {args.m0:g} exceeds the admissible threshold "
+            f"m0_bar = {exc.m0_bar:.17g} at v = {args.v:g}; "
+            "pass --force for an exploratory, uncertified run",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     except ConvergenceError as exc:
         print(f"solve did not converge: {exc}", file=sys.stderr)
         if exc.best is not None and exc.report is not None:
-            tau = recover_tau(exc.best).values
-            record = _record_from_solve(params, opts, exc.best, tau, certified=False)
-            write_profile(out, record)
-            write_json(meta, _metadata(params, opts, exc.report))
+            _write_solution(params, opts, exc.best, exc.report, out, meta)
             print(f"best iterate written to {out}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-    tau_vals = recover_tau(F).values
-    record = _record_from_solve(params, opts, F, tau_vals, certified=report.certified)
-    write_profile(out, record)
-    write_json(meta, _metadata(params, opts, report))
+    _write_solution(params, opts, F, report, out, meta)
     if args.gnuplot:
         atomic_write_text(os.path.splitext(out)[0] + ".gnuplot", _gnuplot_script(out))
     print(f"profile  -> {out}")
@@ -247,9 +241,7 @@ def cmd_simulate(args) -> int:
 
 def _sweep_worker(payload: dict) -> tuple[float, int, str]:
     ns = argparse.Namespace(**payload)
-    code = cmd_solve(ns)
-    out, _ = _default_paths(ns)
-    return ns.m0, code, out
+    return ns.m0, _run(cmd_solve, ns), ns.out
 
 
 def cmd_sweep(args) -> int:
@@ -262,8 +254,7 @@ def cmd_sweep(args) -> int:
         payload.pop("m0_list", None)
         payload.pop("jobs", None)
         payload["m0"] = m0
-        stem = f"profile_v{args.v:g}_m0{m0:g}"
-        payload["out"] = os.path.join(args.out_dir or _outdir(), stem + ".csv")
+        payload["out"] = _profile_path(args.out_dir or _outdir(), args.v, m0)
         payload["meta"] = None
         jobs.append(payload)
 
@@ -272,7 +263,7 @@ def cmd_sweep(args) -> int:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         for m0, code, out in pool.map(_sweep_worker, jobs):
             results.append((m0, code, out))
-            print(f"m0={m0:g}: exit {code}  ({out})")
+            print(f"m0={m0!r}: exit {code}  ({out})")
     codes = {code for _, code, _ in results}
     for severity in (EXIT_USAGE, EXIT_NUMERICAL, EXIT_UNCERTIFIED):
         if severity in codes:
@@ -399,8 +390,13 @@ def main(argv: list[str] | None = None) -> int:
         if outside:
             parser.error(f"argument --snapshots: times {', '.join(map(repr, outside))} "
                          f"lie outside [t0, t1] = [{args.t0!r}, {args.t1!r}]")
+    return _run(args.func, args)
+
+
+def _run(command, args) -> int:
+    """Exit code of ``command(args)``, a package error mapped to its code."""
     try:
-        return args.func(args)
+        return command(args)
     except (ProfileFormatError, ParameterDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

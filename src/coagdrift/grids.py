@@ -286,6 +286,15 @@ def moment(F: GridFunction, k: int) -> float:
     return body + tail
 
 
+def _with_mass(F: GridFunction, m0: float) -> GridFunction:
+    """F scaled so that its zeroth moment is m0 under the package quadrature."""
+    mass = moment(F, 0)
+    if not mass > 0.0:
+        raise ParameterDomainError(
+            f"profile mass underflows to zero at v={F.grid.v:g}, m0={m0:g}")
+    return GridFunction(F.grid, (m0 / mass) * F.values, tail_exponent=F.tail_exponent)
+
+
 # ----------------------------------------------------------------------
 # half-range convolution
 # ----------------------------------------------------------------------
@@ -299,8 +308,8 @@ class _HalfRangePlan:
     z_j, so a point's sample index is its offset in its row, and B is
     interpolated only at the half endpoint.  Its trapezoid weight is the
     node's ``node_w``, except at the row's last node and half endpoint,
-    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row);
-    ``point_values`` derives both for a block of rows.
+    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  Past the
+    build only ``blocks`` reads this row layout.
 
     Within a row x = z_j - y decreases, so the points whose x falls in one
     grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
@@ -324,39 +333,36 @@ class _HalfRangePlan:
     pair_a: np.ndarray
     pair_count: np.ndarray
     pair_lam_w: np.ndarray
-    half_idx: np.ndarray
-    half_lam_z: np.ndarray
 
     @property
     def size(self) -> int:
         return self.x_lam_z.size
 
-    def blocks(self):
-        """(rows, pairs, points) slices of each block of ``_row_blocks``:
-        its rows, the pairs in them and their points."""
+    def blocks(self, G: GridFunction):
+        """(rows, pairs, points, omega) of each block of ``_row_blocks``: its
+        rows, the pairs in them, their points, and omega, the trapezoid
+        weight times G(y) at each of the points.  The products are formed
+        once per node and per row, then gathered per block."""
+        node = self.node_w * G.values
+        last = self.last_w * G.values[self.counts - 2]
+        half = self.half_w * G(0.5 * G.grid.nodes[1:])
         p0 = 0
         for rows, points in _row_blocks(self.counts):
             p1 = int(np.searchsorted(self.pair_row, rows.stop, side="right"))
-            yield rows, slice(p0, p1), points
+            yield rows, slice(p0, p1), points, _row_points(self.counts[rows], node,
+                                                          last[rows], half[rows])
             p0 = p1
-
-    def point_values(self, rows: slice, node, last, half) -> np.ndarray:
-        """``_row_points`` of the rows ``rows``: ``node`` holds one value per
-        grid node and ``last`` and ``half`` one per plan row (a row of c
-        points ends with node c - 2), along their last axis."""
-        return _row_points(self.counts[rows], node, last[..., rows], half[..., rows])
 
 
 def _row_points(counts, node, last, half) -> np.ndarray:
     """Values at every point of consecutive rows of ``counts`` points.  The
-    i-th point of a row lies at node z_i and takes ``node[..., i]``, except
-    that each row's last node takes its ``last`` and its half endpoint its
-    ``half``.  From ``node_w``, ``last_w`` and ``half_w`` this gives the
-    trapezoid weights; from a grid function's samples, the function."""
+    i-th point of a row lies at node z_i and takes ``node[i]``, except that
+    each row's last node takes its ``last`` and its half endpoint its
+    ``half``."""
     end = np.cumsum(counts) - 1  # the half endpoints
-    out = np.take(node, np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts), axis=-1)
-    out[..., end - 1] = last
-    out[..., end] = half
+    out = node[np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts)]
+    out[end - 1] = last
+    out[end] = half
     return out
 
 
@@ -411,7 +417,6 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         pair_lam_w.append(lam_w[first])
         x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
 
-    half_idx, half_lam_z, _ = grid.bracket(half)
     return _HalfRangePlan(
         starts=starts,
         counts=counts,
@@ -424,8 +429,6 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         pair_a=np.concatenate(pair_a),
         pair_count=np.concatenate(pair_count),
         pair_lam_w=np.concatenate(pair_lam_w),
-        half_idx=half_idx,
-        half_lam_z=half_lam_z,
     )
 
 
@@ -440,7 +443,8 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     once, and each point of a pair in interval a adds its z fraction of the
     increment before one exp.  Intervals with a nonpositive endpoint
     interpolate the values linearly instead.  The points are expanded,
-    weighted, sampled and summed per row one plan block at a time.
+    weighted by ``plan.blocks(G)``'s omega and summed per row one plan
+    block at a time.
     """
     if not _same_grid(F.grid, G.grid):
         raise GridMismatchError(
@@ -453,21 +457,15 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
-    # trapezoid weights and samples of G, gathered for the points together
-    node = np.stack((plan.node_w, G.values))
-    last = np.stack((plan.last_w, G.values[plan.counts - 2]))
-    half = np.stack((plan.half_w, G.interp_at_brackets(plan.half_idx, plan.half_lam_z)))
     out = np.zeros(F.grid.n)
-    for rows, pairs, points in plan.blocks():
+    for rows, pairs, points, omega in plan.blocks(G):
         a = plan.pair_a[pairs]
         count = plan.pair_count[pairs]
         contrib = np.repeat(slope[a], count)
         contrib *= plan.x_lam_z[points]
         contrib += np.repeat(base[a], count)
         np.exp(contrib, out=contrib, where=np.repeat(loglin[a], count))
-        w, g = plan.point_values(rows, node, last, half)
-        contrib *= w
-        contrib *= g
+        contrib *= omega
         out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, plan.starts[rows] - points.start)
     out *= 2.0
     return out

@@ -26,10 +26,15 @@ from .errors import ParameterDomainError, ThresholdExceededError
 SIGMA_MAX = 1.0 / math.log(2.0)
 SIGMA_BISECTION_TOL = 1e-12
 
+# Barrier of exploratory runs above the admissibility threshold, where
+# tau_star does not exist; twice the limiting tail exponent.
+OVERRIDE_CAP_FACTOR = 2.0
+
 __all__ = [
     "ModelParams",
     "DerivedConstants",
     "derive_constants",
+    "iteration_barrier",
     "exponential_profile",
     "supersolution_value",
     "admissible_threshold",
@@ -61,6 +66,11 @@ class ModelParams:
     def tau_inf(self) -> float:
         """Limiting tail exponent (2 - v)/(1 - v) of the fat-tail family."""
         return (2.0 - self.v) / (1.0 - self.v)
+
+    @property
+    def alpha(self) -> float:
+        """Decay exponent (2 - v - 2*m0)/(1 - v) of the supersolution."""
+        return self.linear_coefficient / (1.0 - self.v)
 
     @property
     def linear_coefficient(self) -> float:
@@ -156,8 +166,7 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     """Compute all derived constants; fails if the barrier does not exist."""
     params.require_fat_tail_regime()
     v, m0 = params.v, params.m0
-    alpha = (2.0 - v - 2.0 * m0) / (1.0 - v)
-    a_0 = (2.0 - v) / (1.0 - v)
+    a_0 = params.tau_inf
     b_m0 = 2.0 * m0 / (1.0 - v)
     m0_bar = admissible_threshold(v)
     sigma = _smallest_sigma(b_m0, a_0)
@@ -167,13 +176,27 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
             m0_bar=m0_bar,
         )
     return DerivedConstants(
-        alpha=alpha,
+        alpha=params.alpha,
         tau_inf=a_0,
         b_m0=b_m0,
         sigma_star=sigma,
         tau_star=a_0 + sigma,
         m0_bar=m0_bar,
     )
+
+
+def iteration_barrier(params: ModelParams, force: bool = False) -> tuple[float, bool]:
+    """Constant barrier the monotone iteration starts from, and whether it
+    is certified: (tau_star, True) where it exists.  Otherwise, above the
+    admissibility threshold or outside m0 < v/2, the error of
+    :func:`derive_constants` is raised, or with ``force`` the uncertified
+    cap OVERRIDE_CAP_FACTOR * tau_inf is returned with False."""
+    try:
+        return derive_constants(params).tau_star, True
+    except (ThresholdExceededError, ParameterDomainError):
+        if not force:
+            raise
+        return OVERRIDE_CAP_FACTOR * params.tau_inf, False
 
 
 def exponential_profile(v: float, z):
@@ -198,9 +221,8 @@ def supersolution_value(params: ModelParams, z):
     dominates every nonnegative solution with F(0) <= m0.
     """
     params.require_fat_tail_regime()
-    alpha = (2.0 - params.v - 2.0 * params.m0) / (1.0 - params.v)
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0):
         raise ParameterDomainError("z must be nonnegative")
-    out = params.m0 * (1.0 + (1.0 - params.v) * z) ** (-alpha)
+    out = params.m0 * (1.0 + (1.0 - params.v) * z) ** (-params.alpha)
     return out if out.ndim else float(out)

@@ -8,21 +8,18 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    ParameterDomainError,
-    ThresholdExceededError,
-)
+from .errors import ConvergenceError, ParameterDomainError
 from .grids import (
     Grid,
     GridFunction,
     TauFunction,
     _derivative_uniform,
+    _with_mass,
     build_grid,
     half_convolution_at_nodes,
     moment,
 )
-from .model import ModelParams, derive_constants, exponential_profile, supersolution_value
+from .model import ModelParams, exponential_profile, iteration_barrier, supersolution_value
 from .tau_iteration import InnerSolveOptions, inner_solve, reconstruct_profile
 
 __all__ = [
@@ -118,12 +115,7 @@ def seed_profile(params: ModelParams, grid: Grid) -> GridFunction:
     the package quadrature (on a coarse or short grid the quadrature of the
     exact profile misses m0 by more than the inner solve tolerates)."""
     vals = params.m0 * params.v * np.exp(-params.v * grid.nodes)
-    m0_shape = moment(GridFunction(grid, vals, tail_exponent=math.inf), 0)
-    if not m0_shape > 0.0:
-        raise ParameterDomainError(
-            f"seed m0 v e^(-v z) underflows to zero at v={params.v:g}, m0={params.m0:g}"
-        )
-    return GridFunction(grid, (params.m0 / m0_shape) * vals, tail_exponent=math.inf)
+    return _with_mass(GridFunction(grid, vals, tail_exponent=math.inf), params.m0)
 
 
 def _tail_weight(grid: Grid, exponent: float) -> np.ndarray:
@@ -151,14 +143,7 @@ def outer_solve(
     ``opts.force`` is set, and a forced run is only certified if the
     residual test passes.
     """
-    forced = False
-    try:
-        derive_constants(params)
-    except (ThresholdExceededError, ParameterDomainError):
-        if not opts.force:
-            raise
-        forced = True
-
+    forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
     weight = _tail_weight(grid, params.tau_inf - 0.5)
     G = seed_profile(params, grid)
@@ -186,10 +171,8 @@ def outer_solve(
             theta *= 0.5
             halvings += 1
         prev_norm = update_norm
-        new_vals = G.values + theta * delta
-        mixed = GridFunction(grid, new_vals, tail_exponent=params.tau_inf)
-        scale = params.m0 / moment(mixed, 0)
-        G = GridFunction(grid, scale * new_vals, tail_exponent=params.tau_inf)
+        mixed = GridFunction(grid, G.values + theta * delta, tail_exponent=params.tau_inf)
+        G = _with_mass(mixed, params.m0)
 
     report = _certify(F, params, opts, outer_iterations, inner_total,
                       update_norm, theta, forced, converged)

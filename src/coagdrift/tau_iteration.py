@@ -32,15 +32,15 @@ from .errors import (
     GridMismatchError,
     NumericalConsistencyError,
     ParameterDomainError,
-    ThresholdExceededError,
 )
 from .grids import (
     GridFunction,
     TauFunction,
+    _with_mass,
     cumulative_log_integral,
     moment,
 )
-from .model import ModelParams, derive_constants
+from .model import ModelParams, iteration_barrier
 
 __all__ = [
     "InnerSolveOptions",
@@ -54,10 +54,6 @@ __all__ = [
 # monotonicity assertions; trapezoid sums and exponentials commit this much
 # noise but no more.
 MONOTONICITY_SLACK = 1e-13
-
-# Barrier used in exploratory runs above the admissibility threshold, where
-# tau_star does not exist; twice the limiting tail exponent.
-OVERRIDE_CAP_FACTOR = 2.0
 
 _M0_MATCH_RTOL = 1e-6
 
@@ -161,13 +157,9 @@ def _pair_rule(G: GridFunction) -> _PairRule:
     trapezoid weight * G(y), whose moments 0-3 are taken one plan block at
     a time.  Pairs of zero mass are left out: they contribute 0."""
     plan = G.grid.half_range_plan()
-    node = plan.node_w * G.values
-    last = plan.last_w * G.values[plan.counts - 2]
-    half = plan.half_w * G.interp_at_brackets(plan.half_idx, plan.half_lam_z)
     nodes = np.empty((2, plan.pair_count.size))
     weights = np.empty_like(nodes)
-    for rows, pairs, points in plan.blocks():
-        omega = plan.point_values(rows, node, last, half)
+    for _, pairs, points, omega in plan.blocks(G):
         count = plan.pair_count[pairs]
         moments = _moments(plan.x_dlam_w[points], omega, np.cumsum(count) - count)
         nodes[:, pairs], weights[:, pairs] = _two_node_rule(plan.pair_lam_w[pairs], moments)
@@ -208,6 +200,20 @@ def _sweep(grid, rule, cum, linear_coeff, v):
     return out, h
 
 
+def _step(grid, rule, tau: TauFunction, params: ModelParams) -> np.ndarray:
+    """The values of one application of the fixed-point map to tau with the
+    pair rule ``rule``; a kernel that overflows is a consistency error."""
+    cum = cumulative_log_integral(tau, corrected=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _ = _sweep(grid, rule, cum, params.linear_coefficient, params.v)
+    if not np.all(np.isfinite(vals)):
+        raise NumericalConsistencyError(
+            f"a sweep left the float range: the kernel exp(I(z) - I(z-y)) under "
+            f"tau <= {float(np.max(tau.values)):.6g} overflows on this {grid.n}-node grid"
+        )
+    return vals
+
+
 def apply_tau_operator(
     G: GridFunction, tau: TauFunction, params: ModelParams
 ) -> TauFunction:
@@ -219,12 +225,9 @@ def apply_tau_operator(
     """
     if not (G.grid is tau.grid or np.array_equal(G.grid.nodes, tau.grid.nodes)):
         raise GridMismatchError("datum and tau must share a grid")
-    grid = G.grid
-    cum = cumulative_log_integral(tau, corrected=False)
-    vals, _ = _sweep(grid, _pair_rule(G), cum, params.linear_coefficient, params.v)
     return TauFunction(
-        grid=grid,
-        values=vals,
+        grid=G.grid,
+        values=_step(G.grid, _pair_rule(G), tau, params),
         slope0=params.linear_coefficient,
         limit_inf=params.tau_inf,
     )
@@ -252,16 +255,8 @@ def inner_solve(
         raise ParameterDomainError(
             f"datum has M0 = {m0_actual}, expected m0 = {params.m0}"
         )
-    certified = True
-    try:
-        constants = derive_constants(params)
-        cap = constants.tau_star
-    except (ThresholdExceededError, ParameterDomainError):
-        # above the admissibility threshold (or even outside m0 < v/2)
-        if not force:
-            raise
-        certified = False
-        cap = OVERRIDE_CAP_FACTOR * params.tau_inf
+    cap, certified = iteration_barrier(params, force)
+    if not certified:
         warnings.warn(
             "m0 above the admissibility threshold: iterating from an "
             "uncertified cap, monotonicity checks downgraded to warnings",
@@ -284,14 +279,7 @@ def inner_solve(
     residual = np.inf
     warned = False
     for iteration in range(1, opts.max_iter + 1):
-        cum = cumulative_log_integral(tau, corrected=False)
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_vals, _ = _sweep(grid, rule, cum, linear_coeff, params.v)
-        if not np.all(np.isfinite(new_vals)):
-            raise NumericalConsistencyError(
-                f"sweep {iteration} left the float range: the kernel exp(I(z) - I(z-y)) "
-                f"under the barrier {cap:.6g} overflows on this {grid.n}-node grid"
-            )
+        new_vals = _step(grid, rule, tau, params)
         low = float(np.min(new_vals))
         rise = float(np.max(new_vals - tau.values))
         if low < -slack or rise > slack:
@@ -342,10 +330,4 @@ def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:
     if np.min(tau.values) < 0.0:
         raise ParameterDomainError("tau must be nonnegative")
     shape_vals = np.exp(-cumulative_log_integral(tau, corrected=True))
-    shape = GridFunction(tau.grid, shape_vals, tail_exponent=tau.limit_inf)
-    m0_shape = moment(shape, 0)
-    return GridFunction(
-        tau.grid,
-        (params.m0 / m0_shape) * shape_vals,
-        tail_exponent=tau.limit_inf,
-    )
+    return _with_mass(GridFunction(tau.grid, shape_vals, tail_exponent=tau.limit_inf), params.m0)

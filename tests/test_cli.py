@@ -375,3 +375,40 @@ def test_sweep_pool_size(monkeypatch, tmp_path, cpus, extra, want):
     ])
     assert code == 0
     assert RecordingPool.created == [want]
+
+
+class InProcessPool(RecordingPool):
+    """A RecordingPool that runs every job in this process."""
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+def test_sweep_reports_each_failing_job(monkeypatch, tmp_path, capsys):
+    # a job that ends in a package error reports its exit code like any
+    # other instead of aborting the sweep; the sweep returns the worst code
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code = main(["sweep", "--v", "0.5", "--m0-list", "0.004,0.005", "--nodes", "5",
+                 "--jobs", "1", "--out-dir", str(tmp_path)])
+    assert code == 3
+    out = capsys.readouterr().out
+    for m0 in ("0.004", "0.005"):
+        assert f"m0={m0}: exit 3  ({tmp_path / f'profile_v0.5_m0{m0}.csv'})" in out
+
+
+def test_sweep_distinct_m0_get_distinct_files(monkeypatch, tmp_path, capsys):
+    # m0 values equal to six significant digits keep their own files and
+    # report lines
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["sweep", "--v", "0.5", "--m0-list", "0.01658011,0.01658012",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"m0={m0}: exit 0  ({tmp_path / f'profile_v0.5_m0{m0}.csv'})"
+        for m0 in ("0.01658011", "0.01658012")
+    ]

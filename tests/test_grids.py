@@ -211,14 +211,14 @@ def test_half_range_plan_matches_row_loop(n):
     plan = grid.half_range_plan()
     for name in ("starts", "counts", "x_lam_z"):
         assert np.array_equal(getattr(plan, name), ref[name]), name
-    # weights and sample indices are derived per block from the row layout
-    weights, y_node_idx = [], []
-    for rows, _, _ in plan.blocks():
-        weights.append(plan.point_values(rows, plan.node_w, plan.last_w, plan.half_w))
-        y_node_idx.append(plan.point_values(rows, np.arange(n), plan.counts - 2,
-                                            np.full(n - 1, -1)))
-    assert np.array_equal(np.concatenate(weights), ref["weights"])
-    assert np.array_equal(np.concatenate(y_node_idx), ref["y_node_idx"])
+    # the point weights trapezoid weight * G(y) are derived per block from
+    # the row layout: G = 1 gives the weights, distinct samples of G the
+    # sample indices too
+    one = cd.GridFunction(grid, np.ones(n))
+    G = cd.GridFunction(grid, np.exp(-np.arange(n) / n))
+    assert np.array_equal(np.concatenate([o for *_, o in plan.blocks(one)]), ref["weights"])
+    assert np.array_equal(np.concatenate([o for *_, o in plan.blocks(G)]),
+                          ref["weights"] * reference_samples(ref, G))
     # the w fraction is stored as the pair's first one plus an offset
     first = np.concatenate([[0], np.cumsum(plan.pair_count)[:-1]])
     assert np.array_equal(plan.pair_lam_w, ref["x_lam_w"][first])
@@ -286,10 +286,12 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
     # the blocks tile rows, pairs and points in order, each pair in its rows
-    blocks = list(blocked.blocks())
+    _, G = _plan_data(cd.build_grid(1e6, n, 0.5))
+    blocks = list(blocked.blocks(G))
     assert len(blocks) > 3
-    for (rows, pairs, points), nxt in zip(blocks, blocks[1:] + [None]):
+    for (rows, pairs, points, omega), nxt in zip(blocks, blocks[1:] + [None]):
         assert blocked.counts[rows].sum() == blocked.pair_count[pairs].sum() == points.stop - points.start
+        assert omega.size == points.stop - points.start
         assert np.all((blocked.pair_row[pairs] > rows.start) & (blocked.pair_row[pairs] <= rows.stop))
         if nxt is not None:
             assert (rows.stop, pairs.stop, points.stop) == (nxt[0].start, nxt[1].start, nxt[2].start)

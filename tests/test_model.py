@@ -125,6 +125,36 @@ def test_threshold_boundary_accepted():
         cd.derive_constants(cd.ModelParams(0.5, m0_bar * (1.0 + 1e-9)))
 
 
+def test_iteration_barrier_policy():
+    from coagdrift.model import iteration_barrier
+
+    # below the threshold: the certified barrier tau_star, forced or not
+    params = cd.ModelParams(0.5, 0.01)
+    for force in (False, True):
+        cap, certified = iteration_barrier(params, force)
+        assert cap == cd.derive_constants(params).tau_star and certified is True
+    # above it: the uncertified cap 2 tau_inf with force, else the threshold error
+    params = cd.ModelParams(0.5, 0.02)
+    assert iteration_barrier(params, True) == (2.0 * params.tau_inf, False)
+    with pytest.raises(cd.ThresholdExceededError) as err:
+        iteration_barrier(params)
+    assert err.value.m0_bar == pytest.approx(M0_BAR_05, abs=1e-9)
+    # outside m0 < v/2 the same cap with force, else the domain error
+    params = cd.ModelParams(0.5, 0.3)
+    assert iteration_barrier(params, True) == (2.0 * params.tau_inf, False)
+    with pytest.raises(cd.ParameterDomainError, match="m0 < v/2") as err:
+        iteration_barrier(params)
+    assert not isinstance(err.value, cd.ThresholdExceededError)
+
+
+@pytest.mark.parametrize("v, m0", [(0.5, 0.01), (0.2984823698131839, 0.017280088697511634),
+                                   (0.699172594407286, 0.0019909511577147214), (0.1, 1e-300)])
+def test_alpha_property_matches_derived_constants(v, m0):
+    params = cd.ModelParams(v, m0)
+    assert params.alpha == cd.derive_constants(params).alpha
+    assert params.alpha == (2.0 - v - 2.0 * m0) / (1.0 - v)
+
+
 def test_exponential_profile_values():
     assert cd.exponential_profile(0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
     z = np.array([0.0, 1.0, 2.0])

@@ -209,6 +209,15 @@ def test_inner_solve_kernel_overflow_is_typed():
             warnings.filterwarnings("ignore", "m0 above the admissibility", RuntimeWarning)
             with pytest.raises(cd.NumericalConsistencyError, match="left the float range"):
                 cd.inner_solve(seed, params, force=force)
+    # one application of the map at the barrier of the first case overflows
+    # the same way, typed and without a RuntimeWarning
+    params = cd.ModelParams(0.99902, 1e-312)
+    grid = cd.build_grid(10.0, 3, params.v)
+    tau = _const_tau(grid, cd.derive_constants(params).tau_star, params.linear_coefficient)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(cd.NumericalConsistencyError, match="left the float range"):
+            cd.apply_tau_operator(cd.seed_profile(params, grid), tau, params)
     # up to z = 1e6 the datum of m0 = 1e-320 underflows to zero at every
     # point whose kernel overflows; pairs of zero mass are left out of the
     # sweep, so the solve ends below the barrier
