@@ -12,6 +12,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
@@ -210,9 +211,7 @@ def cmd_simulate(args) -> int:
         )
     except SchemeFailureError as exc:
         failure = exc
-        state = getattr(exc, "state", state)
-        diagnostics = getattr(exc, "diagnostics", [])
-        snapshots = getattr(exc, "snapshots", {})
+        state, diagnostics, snapshots = exc.state, exc.diagnostics, exc.snapshots
         print(f"scheme failure at t={state.t}: {exc}", file=sys.stderr)
 
     lines = ["t,m0,m1,u,self_similar_error"]
@@ -394,7 +393,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(command, args) -> int:
-    """Exit code of ``command(args)``, a package error mapped to its code."""
+    """Exit code of ``command(args)``, a package error mapped to its code;
+    a warning that the filters let through prints as one ``warning:`` line."""
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return command(args)
     except (ProfileFormatError, ParameterDomainError) as exc:
@@ -403,6 +405,8 @@ def _run(command, args) -> int:
     except CoagDriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

@@ -55,7 +55,15 @@ class NumericalConsistencyError(CoagDriftError, RuntimeError):
 
 
 class SchemeFailureError(CoagDriftError, RuntimeError):
-    """The explicit time stepper produced an invalid state."""
+    """The explicit time stepper produced an invalid state.  ``simulate``
+    fills in ``state``, the last good state, and the ``diagnostics`` and
+    ``snapshots`` recorded up to it."""
+
+    def __init__(self, message: str, state=None, diagnostics=(), snapshots=None):
+        super().__init__(message)
+        self.state = state
+        self.diagnostics = list(diagnostics)
+        self.snapshots = snapshots or {}
 
 
 class StepSizeError(SchemeFailureError):

@@ -264,28 +264,25 @@ def simulate(
 
     diagnostics = [_row(state)]
     steps = 0
-    for target in events:
-        while state.t < target:
-            if steps >= _MAX_STEPS:
-                raise SchemeFailureError(f"exceeded {_MAX_STEPS} steps")
-            m0 = state.m0()
-            speed = float(np.max(np.abs(m0 / state.m1_target * state.edges - 1.0)))
-            dt = min(target - state.t, cfl * state.dx / speed)
-            if m0 > 0.0:
-                dt = min(dt, 0.25 / m0)
-            try:
+    try:
+        for target in events:
+            while state.t < target:
+                if steps >= _MAX_STEPS:
+                    raise SchemeFailureError(f"exceeded {_MAX_STEPS} steps")
+                m0 = state.m0()
+                speed = float(np.max(np.abs(m0 / state.m1_target * state.edges - 1.0)))
+                dt = min(target - state.t, cfl * state.dx / speed)
+                if m0 > 0.0:
+                    dt = min(dt, 0.25 / m0)
                 state = step(state, dt)
-            except SchemeFailureError as exc:
-                # attach the last-good state so callers can preserve it
-                exc.state = state
-                exc.diagnostics = diagnostics
-                exc.snapshots = snapshots
-                raise
-            steps += 1
-            if steps % record_every == 0:
-                diagnostics.append(_row(state))
-        if target in requested:
-            snapshots[target] = state
+                steps += 1
+                if steps % record_every == 0:
+                    diagnostics.append(_row(state))
+            if target in requested:
+                snapshots[target] = state
+    except SchemeFailureError as exc:
+        exc.state, exc.diagnostics, exc.snapshots = state, diagnostics, snapshots
+        raise
     if diagnostics[-1][0] != state.t:
         diagnostics.append(_row(state))
     return state, diagnostics, snapshots

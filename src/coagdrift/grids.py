@@ -23,8 +23,8 @@ only the two interpolation fractions (the w fraction as an offset from the
 pair's first one), and per pair the row, the interval, the run length and
 that first w fraction.  A point's sample index and trapezoid weight follow
 from its row.  The build, the convolution (one exp per point) and the
-Gauss rules of the tau sweep (then at most two exp per pair) walk the plan
-in cache-sized blocks of rows, so they form no other plan-length array.
+Gauss rules of the tau sweep's kernel sums (at most two exp per pair) walk
+the plan in cache-sized blocks of rows and form no other plan-length array.
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 
 
 # ----------------------------------------------------------------------
-# half-range convolution
+# half-range plan: the convolution and the pair rules of the tau sweep
 # ----------------------------------------------------------------------
 
 @dataclass(eq=False)
@@ -309,7 +309,7 @@ class _HalfRangePlan:
     interpolated only at the half endpoint.  Its trapezoid weight is the
     node's ``node_w``, except at the row's last node and half endpoint,
     whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  Past the
-    build only ``blocks`` reads this row layout.
+    build only ``blocks`` and the convolution's row sums read ``counts``.
 
     Within a row x = z_j - y decreases, so the points whose x falls in one
     grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
@@ -318,11 +318,10 @@ class _HalfRangePlan:
     The z fraction of x in its interval is ``x_lam_z``; the w fraction is
     ``pair_lam_w[p] + x_dlam_w``, the pair's first fraction plus the point's
     offset from it.  These two fractions are all the plan stores per point;
-    every pass over the points walks ``blocks``, so its temporaries stay
-    block-sized.
+    both passes over the points (the convolution and ``pair_rule``) walk
+    ``blocks``, so their temporaries stay block-sized.
     """
 
-    starts: np.ndarray
     counts: np.ndarray
     node_w: np.ndarray
     last_w: np.ndarray
@@ -352,6 +351,22 @@ class _HalfRangePlan:
             yield rows, slice(p0, p1), points, _row_points(self.counts[rows], node,
                                                           last[rows], half[rows])
             p0 = p1
+
+    def pair_rule(self, G: GridFunction) -> "_PairRule":
+        """The Gauss rules of the pairs for datum G, fixed for a whole inner
+        solve: each pair's measure carries the point weights trapezoid
+        weight * G(y), whose moments 0-3 are taken one block at a time.
+        Pairs of zero mass are left out: they contribute 0."""
+        nodes = np.empty((2, self.pair_count.size))
+        weights = np.empty_like(nodes)
+        for _, pairs, points, omega in self.blocks(G):
+            count = self.pair_count[pairs]
+            moments = _moments(self.x_dlam_w[points], omega, np.cumsum(count) - count)
+            nodes[:, pairs], weights[:, pairs] = _two_node_rule(self.pair_lam_w[pairs], moments)
+        live = np.any(weights > 0.0, axis=0)
+        if live.all():
+            live = slice(None)  # views, no copies
+        return _PairRule(self.pair_row[live], self.pair_a[live], nodes[:, live], weights[:, live])
 
 
 def _row_points(counts, node, last, half) -> np.ndarray:
@@ -389,9 +404,7 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
     half = 0.5 * z[1:]
     ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
     counts = ks + 1
-    starts = np.zeros(grid.n - 1, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    total = int(starts[-1] + counts[-1])
+    total = int(counts.sum())
 
     # trapezoid weight of each node between its two gaps; in a row only
     # the last node and the half endpoint see the gap up to z_j/2 instead
@@ -418,7 +431,6 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
         x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
 
     return _HalfRangePlan(
-        starts=starts,
         counts=counts,
         node_w=0.5 * (gap[:-1] + gap[1:]),
         last_w=0.5 * (gap[ks - 1] + tail),
@@ -466,9 +478,100 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
         contrib += np.repeat(base[a], count)
         np.exp(contrib, out=contrib, where=np.repeat(loglin[a], count))
         contrib *= omega
-        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, plan.starts[rows] - points.start)
+        first = np.cumsum(plan.counts[rows]) - plan.counts[rows]  # of each row, in the block
+        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, first)
     out *= 2.0
     return out
+
+
+def _moments(dlam, omega, starts) -> np.ndarray:
+    """Moments 0-3 of the measures sum_k omega_k delta(dlam_k), one per
+    run of points from each of ``starts`` to the next, as an array of shape
+    (4, runs).  ``omega`` is overwritten by the running product."""
+    moments = np.empty((4, starts.size))
+    np.add.reduceat(omega, starts, out=moments[0])
+    for k in (1, 2, 3):
+        omega *= dlam
+        np.add.reduceat(omega, starts, out=moments[k])
+    return moments
+
+
+# A pair measure whose variance is at most this fraction of its second
+# moment about the first point is one atom up to rounding; its Gauss rule
+# is the one node at the mean (two nodes would land anywhere, even outside
+# [0, 1]).
+_ONE_NODE_VARIANCE = 1e-14
+
+
+def _two_node_rule(lam0, moments):
+    """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
+    rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
+    are ``moments[:, p]`` (overwritten).
+
+    With the central moments c2, c3 and q = c3/c2 the nodes are
+    mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
+    polynomial, and the weights m0 x2/(x2 - x1) and -m0 x1/(x2 - x1) solve
+    the moment-0 and -1 equations.  For a nonnegative measure the nodes lie
+    in the hull of its support and the weights are nonnegative and sum to
+    the mass, so the rule is a convex combination; rounding is clipped
+    back to [0, 1].  A measure of at most two atoms is reproduced: two atoms
+    give back themselves, one atom (or a variance at rounding level) the
+    single node at the mean with the whole mass, and a zero mass zero
+    weights.
+    """
+    m0 = moments[0]
+    moments[1:] /= np.where(m0 > 0.0, m0, 1.0)  # a zero mass stays a zero measure
+    mean, s2, s3 = moments[1:]
+    c2 = s2 - mean * mean
+    c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
+    two = c2 > _ONE_NODE_VARIANCE * s2
+    # a one-node measure runs the two-node formulas with c2 = 1 and then
+    # takes the node at the mean with the whole mass instead
+    c2 = np.where(two, c2, 1.0)
+    q = c3 / c2
+    r = np.sqrt(q * q + 4.0 * c2)
+    nodes = np.stack((q - r, q + r))
+    nodes *= 0.5
+    scale = m0 / (nodes[1] - nodes[0])
+    weights = np.stack((np.where(two, nodes[1] * scale, m0),
+                        np.where(two, -nodes[0] * scale, 0.0)))
+    nodes *= two
+    nodes += lam0 + mean
+    return np.clip(nodes, 0.0, 1.0, out=nodes), weights
+
+
+@dataclass(eq=False)
+class _PairRule:
+    """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``):
+    pair p lies in the row of node ``row[p]`` and grid interval ``a[p]``; its
+    measure becomes the ``weights[:, p]`` at the w fractions ``nodes[:, p]``."""
+
+    row: np.ndarray
+    a: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    def kernel_sums(self, cum) -> np.ndarray:
+        """h(z_j) = 2 int_0^{z_j/2} G(y) exp(I(z_j) - I(z_j - y)) dy at every
+        node, from the plain cumulative log-integral table ``cum`` of tau.
+
+        The kernel interpolates the table linearly in w, so within a pair in
+        interval a its exponent is (c_j - c_a) + lam (c_a - c_{a+1}) at the w
+        fraction lam: per pair the two differences are formed once and each
+        of the two nodes costs one exp.  Every node is a convex fraction lam
+        in [0, 1] with a nonnegative weight, and its exponent equals
+        c_j - ((1 - lam) c_a + lam c_{a+1}), a convex combination of
+        differences that grow with tau, so h preserves order in tau.
+        """
+        slope = cum[self.a]
+        base = cum[self.row]
+        base -= slope
+        slope -= cum[1:][self.a]  # in place: c_a - c_{a+1}
+        terms = self.nodes * slope
+        terms += base
+        np.exp(terms, out=terms)
+        terms *= self.weights
+        return 2.0 * np.bincount(self.row, weights=terms[0] + terms[1], minlength=cum.size)
 
 
 # ----------------------------------------------------------------------

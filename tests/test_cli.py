@@ -328,6 +328,41 @@ def test_simulate_command(solved_file, tmp_path, capsys):
     assert (outdir / "snapshot_t1.1.csv").exists()
 
 
+def test_simulate_step_cap_keeps_the_run(solved_file, tmp_path, monkeypatch, capsys):
+    # a run stopped by the step cap is a scheme failure like any other: its
+    # diagnostics and its last good state are written, not the initial state
+    from coagdrift import evolution
+
+    monkeypatch.setattr(evolution, "_MAX_STEPS", 3)
+    with pytest.warns(RuntimeWarning, match="512 cells"):
+        code = main(["simulate", "--profile", str(solved_file), "--t1", "1.05",
+                     "--cells", "512", "--allow-truncation", "--out", str(tmp_path)])
+    assert code == 3
+    assert "exceeded 3 steps" in capsys.readouterr().err
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4  # t0 and three steps
+    t_last = float(rows[-1].split(",")[0])
+    assert t_last > 1.0
+    assert [p.name for p in tmp_path.glob("snapshot_t*.csv")] == [f"snapshot_t{t_last:g}.csv"]
+
+
+def test_cli_warning_prints_one_line(tmp_path):
+    # the command line shows a warning as one "warning:" line, without the
+    # source location that would change with the install path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cd.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="")
+    env.pop("COAGDRIFT_OUTDIR", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "coagdrift.cli", "solve", "--v", "0.5", "--m0", "0.02",
+         "--force", "--nodes", "257", "--zmax", "1e4"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "warning: m0 above the admissibility threshold"), proc.stderr
+    assert ".py:" not in proc.stderr
+
+
 def test_simulate_rejects_coarse_cells(solved_file, tmp_path, capsys):
     # 512 cells over the default cutoff carry only 93% of the profile's
     # first moment; the truncation check rejects the run and names the cells

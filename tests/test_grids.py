@@ -209,7 +209,7 @@ def test_half_range_plan_matches_row_loop(n):
     grid = cd.build_grid(1e6, n, 0.5)
     ref = reference_plan(grid)
     plan = grid.half_range_plan()
-    for name in ("starts", "counts", "x_lam_z"):
+    for name in ("counts", "x_lam_z"):
         assert np.array_equal(getattr(plan, name), ref[name]), name
     # the point weights trapezoid weight * G(y) are derived per block from
     # the row layout: G = 1 gives the weights, distinct samples of G the
@@ -242,7 +242,7 @@ def test_half_range_plan_pairs_tile_rows(n):
     offsets = np.concatenate([[0], np.cumsum(plan.pair_count)])
     assert offsets[-1] == plan.size
     # no pair crosses a row: it lies inside the segment of its node
-    seg_start = plan.starts[plan.pair_row - 1]
+    seg_start = (np.cumsum(plan.counts) - plan.counts)[plan.pair_row - 1]
     seg_end = seg_start + plan.counts[plan.pair_row - 1]
     assert np.all(plan.pair_row >= 1) and np.all(plan.pair_row <= n - 1)
     assert np.all(np.diff(plan.pair_row) >= 0)
@@ -266,13 +266,12 @@ def _plan_data(grid):
 @pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
 def test_half_range_plan_blocked_build(monkeypatch, n, block):
     from coagdrift import grids
-    from coagdrift.tau_iteration import _pair_rule
 
     def build_and_pass():
         grid = cd.build_grid(1e6, n, 0.5)
         F, G = _plan_data(grid)
         plan = grid.half_range_plan()
-        return plan, _pair_rule(G), cd.half_convolution_at_nodes(F, G)
+        return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(F, G)
 
     whole, whole_rule, whole_conv = build_and_pass()
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
@@ -307,8 +306,6 @@ def test_plan_passes_stream_in_blocks(call, bound):
     # formed)
     import tracemalloc
 
-    from coagdrift.tau_iteration import _pair_rule
-
     params = cd.ModelParams(0.5, 0.005)
     seed = cd.seed_profile(params, cd.build_grid(1e6, 2049, 0.5))
     plan = seed.grid.half_range_plan()
@@ -317,7 +314,7 @@ def test_plan_passes_stream_in_blocks(call, bound):
         if call == "convolution":
             cd.half_convolution_at_nodes(seed, seed)
         else:
-            _pair_rule(seed)
+            plan.pair_rule(seed)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -11,7 +11,7 @@ import coagdrift as cd
 from coagdrift import cli
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
-from coagdrift.tau_iteration import _moments, _two_node_rule
+from coagdrift.grids import _moments, _two_node_rule
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
 from oracles import RecordingPool
 

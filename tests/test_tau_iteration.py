@@ -76,6 +76,12 @@ def test_operator_grid_mismatch(setup):
     tau = _const_tau(other, constants.tau_star, params.linear_coefficient)
     with pytest.raises(cd.GridMismatchError):
         cd.apply_tau_operator(seed, tau, params)
+    # the same nodes under another v: the log-integral of tau would take
+    # that grid's dw
+    tau = _const_tau(cd.Grid(nodes=grid.nodes, v=0.3), constants.tau_star,
+                     params.linear_coefficient)
+    with pytest.raises(cd.GridMismatchError):
+        cd.apply_tau_operator(seed, tau, params)
 
 
 def test_inner_solve_monotone_decrease(setup):
@@ -172,7 +178,7 @@ def _reference_sweep(grid, G, cum, linear_coeff, v):
 @pytest.mark.parametrize("tau_case", ["barrier", "converged"])
 @pytest.mark.parametrize("zero_tail", [False, True])
 def test_sweep_matches_per_point(setup, tau_case, zero_tail):
-    from coagdrift.tau_iteration import _pair_rule, _sweep
+    from coagdrift.tau_iteration import _step
 
     params, grid, seed, constants = setup
     G = seed
@@ -185,7 +191,8 @@ def test_sweep_matches_per_point(setup, tau_case, zero_tail):
     else:
         tau = cd.inner_solve(seed, params).tau
     cum = cd.cumulative_log_integral(tau, corrected=False)
-    got_tau, got_h = _sweep(grid, _pair_rule(G), cum, params.linear_coefficient, params.v)
+    rule = grid.half_range_plan().pair_rule(G)
+    got_tau, got_h = _step(rule, tau, params), rule.kernel_sums(cum)
     want_tau, want_h = _reference_sweep(grid, G, cum, params.linear_coefficient, params.v)
     assert got_tau[0] == 0.0 and got_h[0] == 0.0
     # the two-node rule per pair against every point: measured on this
