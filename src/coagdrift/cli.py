@@ -1,9 +1,11 @@
 """Command-line interface: solve, verify, threshold, simulate, sweep.
 
 Exit codes are a stable contract: 0 success, 2 usage/domain/malformed input,
-3 numerical non-convergence or scheme failure, 4 uncertified forced output.
-``verify`` additionally exits 1 when a recomputed check fails.  The
-environment variable COAGDRIFT_OUTDIR supplies the default output directory.
+3 numerical non-convergence, scheme failure, or a RuntimeWarning that the
+warning filters raise as an error (``PYTHONWARNINGS=error::RuntimeWarning``),
+4 uncertified forced output.  ``verify`` additionally exits 1 when a
+recomputed check fails.  The environment variable COAGDRIFT_OUTDIR supplies
+the default output directory.
 """
 
 from __future__ import annotations
@@ -394,7 +396,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(command, args) -> int:
     """Exit code of ``command(args)``, a package error mapped to its code;
-    a warning that the filters let through prints as one ``warning:`` line."""
+    a warning that the filters let through prints as one ``warning:`` line,
+    one that they raise as an error as one ``error:`` line."""
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
@@ -404,6 +407,9 @@ def _run(command, args) -> int:
         return EXIT_USAGE
     except CoagDriftError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except RuntimeWarning as exc:
+        print(f"error: a warning was raised as an error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
         warnings.formatwarning = formatwarning

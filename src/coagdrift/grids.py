@@ -116,6 +116,20 @@ class Grid:
         return self._plan
 
 
+def _smallest_zmax(n: int, v: float) -> float:
+    """Smallest zmax whose n-node grid the moment quadrature survives.
+
+    A profile of mass below 1 on [0, zmax] with zmax < 1 has samples of
+    F dz/dw up to about 1/((1-v) zmax).  The endpoint correction of the
+    moments divides differences of such samples by 12 dw, and on a tiny grid
+    those differences are rounding: up to 128 ulps in the one-sided stencil
+    of ``_derivative_uniform``.  With dw = (1-v) zmax/(n-1) there, the
+    quotient stays below the largest float for zmax at least this bound.
+    """
+    eps, big = np.finfo(float).eps, np.finfo(float).max
+    return math.sqrt(128.0 * eps / 12.0 * (n - 1)) / math.sqrt(big) / (1.0 - v)
+
+
 def build_grid(zmax: float, n: int, v: float) -> Grid:
     """Grid with n nodes uniform in log(1 + (1-v) z), from 0 to zmax."""
     if not np.isfinite(zmax) or zmax <= 0.0:
@@ -124,6 +138,11 @@ def build_grid(zmax: float, n: int, v: float) -> Grid:
         raise ParameterDomainError(f"need at least 2 nodes, got {n}")
     if not (0.0 < v < 1.0):
         raise ParameterDomainError(f"v must lie in (0, 1), got {v}")
+    smallest = _smallest_zmax(n, v)
+    if zmax < smallest:
+        raise ParameterDomainError(
+            f"zmax = {zmax:g} is too small for {n} nodes at v = {v:g}: the moment "
+            f"quadrature would overflow; use zmax >= {smallest:.3g}")
     w = np.linspace(0.0, math.log1p((1.0 - v) * zmax), n)
     nodes = np.expm1(w) / (1.0 - v)
     nodes[0] = 0.0

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterDomainError
+from .errors import CoagDriftError, ConvergenceError, ParameterDomainError
 from .grids import (
     Grid,
     GridFunction,
@@ -52,13 +52,24 @@ NON_POWER_LAW_DEVIATION = 0.05
 
 _MAX_DAMPING_HALVINGS = 4
 
+# Smallest coarse grid that seeds the outer solve; below it the solve starts
+# from the exponential seed.  Timed cold, a 65-node coarse level makes the
+# 257-node solve up to 19% slower, a 129-node one the 513-node solve 1% slower
+# to 13% faster, and a 257-node one the 1025-node solve 10-22% faster.
+_MIN_COARSE_NODES = 129
+
 # The tail fit window: the top two decades of the grid.
 _TAIL_FIT_DECADES = 2.0
 
 
 @dataclass
 class SolveReport:
-    """Convergence and certification diagnostics of one solve."""
+    """Convergence and certification diagnostics of one solve.
+
+    The iteration counts are those of the solve's own grid; ``seed_nodes``
+    is the node count of the coarse solve that seeded it, 0 for the
+    exponential seed.
+    """
 
     outer_iterations: int
     inner_iterations_total: int
@@ -74,6 +85,7 @@ class SolveReport:
     certified: bool
     damping_final: float
     forced: bool
+    seed_nodes: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -132,22 +144,15 @@ def _weighted_sup(values: np.ndarray, weight: np.ndarray) -> float:
         return float(np.max(np.multiply(a, weight, out=np.zeros_like(a), where=a != 0.0)))
 
 
-def outer_solve(
-    params: ModelParams, opts: OuterSolveOptions = OuterSolveOptions()
-) -> tuple[GridFunction, SolveReport]:
-    """Damped Picard iteration of the auxiliary solution map to its fixed
-    point, with residual certification of the result.
+def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, forced: bool):
+    """Damped Picard iteration of the auxiliary solution map from the datum
+    G, on G's grid, for at most ``opts.max_outer`` steps.
 
-    Raises a convergence error carrying the best iterate when the cap is
-    hit.  Above the admissibility threshold the solve refuses to run unless
-    ``opts.force`` is set, and a forced run is only certified if the
-    residual test passes.
+    Returns the last iterate, the outer and inner iteration counts, the
+    last update norm, the damping and whether the norm reached ``opts.tol``.
     """
-    forced = not iteration_barrier(params, opts.force)[1]
-    grid = build_grid(opts.zmax, opts.nodes, params.v)
+    grid = G.grid
     weight = _tail_weight(grid, params.tau_inf - 0.5)
-    G = seed_profile(params, grid)
-
     theta = 1.0
     halvings = 0
     prev_norm = math.inf
@@ -173,9 +178,53 @@ def outer_solve(
         prev_norm = update_norm
         mixed = GridFunction(grid, G.values + theta * delta, tail_exponent=params.tau_inf)
         G = _with_mass(mixed, params.m0)
+    return F, outer_iterations, inner_total, update_norm, theta, converged
+
+
+def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
+    """Seed of the solve on ``grid`` and the node count it came from: the
+    converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
+    the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
+    Falls back to the exponential seed (0 nodes) where the coarse grid has
+    fewer than _MIN_COARSE_NODES nodes, or its solve fails to converge or
+    raises.  Nothing of the coarse grid, or its plan, outlives the call."""
+    n = (grid.n - 1) // 4 + 1
+    if n >= _MIN_COARSE_NODES:
+        try:
+            coarse = build_grid(opts.zmax, n, params.v)
+            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, False)
+            if converged:
+                seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
+                return _with_mass(seed, params.m0), n
+        except CoagDriftError:
+            pass
+    return seed_profile(params, grid), 0
+
+
+def outer_solve(
+    params: ModelParams, opts: OuterSolveOptions = OuterSolveOptions()
+) -> tuple[GridFunction, SolveReport]:
+    """Damped Picard iteration of the auxiliary solution map to its fixed
+    point, with residual certification of the result.
+
+    The iteration starts from the converged profile of a 4x coarser grid
+    (see ``_coarse_seed``); a forced run starts from the exponential seed.
+    Raises a convergence error carrying the best iterate when the cap is
+    hit.  Above the admissibility threshold the solve refuses to run unless
+    ``opts.force`` is set, and a forced run is only certified if the
+    residual test passes.
+    """
+    forced = not iteration_barrier(params, opts.force)[1]
+    grid = build_grid(opts.zmax, opts.nodes, params.v)
+    if forced:
+        G, seed_nodes = seed_profile(params, grid), 0
+    else:
+        G, seed_nodes = _coarse_seed(params, grid, opts)
+    F, outer_iterations, inner_total, update_norm, theta, converged = _picard(
+        params, G, opts, forced)
 
     report = _certify(F, params, opts, outer_iterations, inner_total,
-                      update_norm, theta, forced, converged)
+                      update_norm, theta, forced, converged, seed_nodes)
     if not converged:
         if math.isfinite(update_norm):
             msg = (f"outer iteration did not reach tol={opts.tol} in {opts.max_outer} "
@@ -270,7 +319,7 @@ def certification_checks(
 
 
 def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
-             theta, forced, converged) -> SolveReport:
+             theta, forced, converged, seed_nodes) -> SolveReport:
     cert = certification_checks(F, params, opts.tol_residual)
     fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
     return SolveReport(
@@ -288,6 +337,7 @@ def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
         certified=bool(converged and fp_residual <= opts.tol and cert.ok),
         damping_final=theta,
         forced=forced,
+        seed_nodes=seed_nodes,
     )
 
 

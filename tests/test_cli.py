@@ -363,6 +363,43 @@ def test_cli_warning_prints_one_line(tmp_path):
     assert ".py:" not in proc.stderr
 
 
+def test_solve_reports_its_seed(solved_file, tmp_path):
+    # the README solve at 1025 nodes is seeded by the 257-node solve; a
+    # forced run starts from the exponential seed
+    payload = json.loads(solved_file.with_suffix(".json").read_text())
+    assert payload["report"]["seed_nodes"] == 257
+    assert payload["report"]["outer_iterations"] <= 2
+    out = tmp_path / "forced.csv"
+    with pytest.warns(RuntimeWarning, match="admissibility threshold"):
+        main(solve_args(out, m0="0.02", extra=["--force"]))
+    assert json.loads(out.with_suffix(".json").read_text())["report"]["seed_nodes"] == 0
+
+
+def test_warning_raised_as_error_exits_3(tmp_path, capsys):
+    # a RuntimeWarning that the filters raise is one error line and exit 3,
+    # not a traceback and exit 1, the code of a failed verify check
+    argv = ["solve", "--v", "0.5", "--m0", "0.02", "--force", "--nodes", "257",
+            "--zmax", "1e4", "--out", str(tmp_path / "forced.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: a warning was raised as an error: m0 above the admissibility")
+    assert len(err.splitlines()) == 1
+
+
+def test_solve_rejects_tiny_zmax(tmp_path, capsys):
+    # a zmax whose grid would overflow the moment quadrature is refused by
+    # name before any quadrature runs, and no warning is shown
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        code = main(["solve", "--v", "0.5", "--m0", "0.005", "--nodes", "65",
+                     "--zmax", "1e-170", "--out", str(tmp_path / "tiny.csv")])
+    assert code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: zmax = 1e-170 is too small")
+
+
 def test_simulate_rejects_coarse_cells(solved_file, tmp_path, capsys):
     # 512 cells over the default cutoff carry only 93% of the profile's
     # first moment; the truncation check rejects the run and names the cells

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
+from coagdrift.grids import _smallest_zmax
 from oracles import (full_convolution_quadrature, half_convolution, reference_plan,
                      reference_samples)
 
@@ -36,6 +37,22 @@ def test_build_grid_errors():
         cd.build_grid(10.0, 1, 0.5)
     with pytest.raises(cd.ParameterDomainError):
         cd.build_grid(10.0, 100, 1.5)
+
+
+@pytest.mark.parametrize("n", [5, 65, 2049])
+@pytest.mark.parametrize("v", [0.05, 0.5, 0.95])
+def test_build_grid_smallest_zmax(n, v):
+    # at the bound, a profile of any mass below 1 gets its moments without
+    # overflow (RuntimeWarnings are errors here); below it the grid is
+    # refused by name
+    zmax = _smallest_zmax(n, v)
+    grid = cd.build_grid(zmax, n, v)
+    for m0 in (0.001, 0.99):
+        seed = cd.seed_profile(cd.ModelParams(v, m0), grid)
+        assert cd.moment(seed, 0) == pytest.approx(m0, rel=1e-14)
+        assert math.isfinite(cd.moment(seed, 1))
+    with pytest.raises(cd.ParameterDomainError, match="zmax"):
+        cd.build_grid(0.5 * zmax, n, v)
 
 
 def test_grid_function_validation():

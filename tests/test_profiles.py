@@ -1,10 +1,12 @@
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import coagdrift as cd
+from coagdrift import profiles
 from coagdrift.profiles import certification_checks
 
 
@@ -262,3 +264,105 @@ def test_outer_solve_threshold_gate():
 def test_solve_options_validation():
     with pytest.raises(cd.ParameterDomainError):
         cd.OuterSolveOptions(tol=-1.0)
+
+
+def _from_exponential_seed(params, opts, forced=False):
+    """The outer iteration on the grid of ``opts`` started at seed_profile:
+    (F, outer iterations, inner iterations, update norm, theta, converged)."""
+    grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
+    return profiles._picard(params, cd.seed_profile(params, grid), opts, forced)
+
+
+def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
+    # the README pair at 1025 nodes starts from the 257-node solution, needs
+    # at most two outer iterations, and certifies; the coarse grid, with its
+    # plan, is gone before the fine plan is built
+    grids = []
+    build = profiles.build_grid
+
+    def recording_build(*args):
+        grid = build(*args)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(profiles, "build_grid", recording_build)
+    alive_at_plan = []
+    plan = cd.Grid.half_range_plan
+
+    def recording_plan(grid):
+        if grid._plan is None:
+            alive_at_plan.append(sum(ref() is not None for ref in grids))
+        return plan(grid)
+
+    monkeypatch.setattr(cd.Grid, "half_range_plan", recording_plan)
+    F, report = cd.outer_solve(default_params, cd.OuterSolveOptions(zmax=1e5, nodes=1025))
+    assert report.seed_nodes == 257
+    assert report.outer_iterations <= 2
+    assert report.certified
+    assert [ref().n for ref in grids if ref() is not None] == [1025]
+    assert alive_at_plan == [2, 1]  # the coarse plan with both grids, the fine with one
+
+
+@pytest.mark.parametrize("v, m0, opts", [
+    # the coarse grid would hold 65 < 129 nodes
+    (0.5, 0.005, cd.OuterSolveOptions(zmax=1e5, nodes=257)),
+    # forced: a coarse level would repeat the forced-run warnings
+    (0.5, 0.02, cd.OuterSolveOptions(zmax=1e4, nodes=1025, force=True)),
+])
+def test_outer_solve_exponential_seed_paths(v, m0, opts):
+    params = cd.ModelParams(v, m0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        F, report = cd.outer_solve(params, opts)
+        ref, iterations, inner, norm, theta, converged = _from_exponential_seed(
+            params, opts, forced=opts.force)
+    assert report.seed_nodes == 0
+    assert np.array_equal(F.values, ref.values)
+    assert (report.outer_iterations, report.inner_iterations_total) == (iterations, inner)
+    assert (report.fp_residual, report.damping_final) == (norm, theta) and converged
+
+
+def test_outer_solve_unconverged_coarse_level_falls_back(default_params):
+    # one outer step leaves the coarse level unconverged: the fine solve
+    # takes the same single step from the exponential seed
+    opts = cd.OuterSolveOptions(zmax=1e5, nodes=1025, max_outer=1)
+    with pytest.raises(cd.ConvergenceError) as err:
+        cd.outer_solve(default_params, opts)
+    ref, iterations, *_ = _from_exponential_seed(default_params, opts)
+    assert np.array_equal(err.value.best.values, ref.values)
+    assert err.value.report.seed_nodes == 0 and iterations == 1
+
+
+def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeypatch):
+    opts = cd.OuterSolveOptions(zmax=1e5, nodes=1025)
+    ref, iterations, *_ = _from_exponential_seed(default_params, opts)
+    inner = profiles.inner_solve
+
+    def failing_on_coarse(error):
+        def inner_solve(G, *args, **kwargs):
+            if G.grid.n == 257:
+                raise error("coarse level fails")
+            return inner(G, *args, **kwargs)
+        return inner_solve
+
+    monkeypatch.setattr(profiles, "inner_solve", failing_on_coarse(cd.NumericalConsistencyError))
+    F, report = cd.outer_solve(default_params, opts)
+    assert report.seed_nodes == 0 and report.outer_iterations == iterations
+    assert np.array_equal(F.values, ref.values)
+    # an error from outside the package is not a fallback
+    monkeypatch.setattr(profiles, "inner_solve", failing_on_coarse(ArithmeticError))
+    with pytest.raises(ArithmeticError):
+        cd.outer_solve(default_params, opts)
+
+
+def test_outer_solve_large_v_falls_back_without_warning():
+    # at v = 0.99 the tail weight overflows on the coarse grid too: the
+    # coarse level ends unconverged, and the fine solve stops at its first
+    # infinite update norm, as from the exponential seed
+    params = cd.ModelParams(0.99, 0.5 * cd.admissible_threshold(0.99))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(cd.ConvergenceError, match="zmax") as err:
+            cd.outer_solve(params, cd.OuterSolveOptions(nodes=1025))
+    assert err.value.report.seed_nodes == 0
+    assert err.value.report.outer_iterations == 1

@@ -301,21 +301,24 @@ def cli_files(tmp_path_factory, profile_bytes):
     return (*paths, str(base / "missing.csv"), str(base)), base
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
-@given(data=st.data())
-def test_cli_exit_code_contract(cli_files, data):
-    # main answers every argument vector with an exit code 0-4, or argparse
-    # rejects it with exit 2; it raises nothing else, and no numpy
-    # floating-point warning escapes.  sweep hands its jobs to a recording
-    # pool, which answers them without starting a process or solving.
+def _exit_code_of_drawn_argv(cli_files, data, warnings_as_errors):
+    """Draw an argument vector, run ``main`` on it and check its exit code:
+    0-4, or argparse's 2.  Without ``warnings_as_errors`` no RuntimeWarning
+    but those the package states may be shown; with it, each is raised.
+    sweep hands its jobs to a recording pool, which answers them without
+    starting a process or solving."""
     files, outdir = cli_files
     argv = data.draw(_argv(files))
     if argv[0] in ("solve", "simulate"):
         argv += ["--out", str(outdir / ("p.csv" if argv[0] == "solve" else "sim"))]
     if argv[0] == "sweep":
         argv += ["--out-dir", str(outdir / "sweep")]
-    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
-        warnings.filterwarnings("ignore", _STATED_WARNINGS, RuntimeWarning)
+    with warnings.catch_warnings(record=True) as shown, pytest.MonkeyPatch.context() as patch:
+        if warnings_as_errors:
+            warnings.simplefilter("error", RuntimeWarning)
+        else:
+            warnings.simplefilter("always", RuntimeWarning)
+            warnings.filterwarnings("ignore", _STATED_WARNINGS, RuntimeWarning)
         patch.setattr(RecordingPool, "created", [])
         patch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         try:
@@ -324,3 +327,22 @@ def test_cli_exit_code_contract(cli_files, data):
             code = None
             assert exc.code == 2, argv
     assert code is None or code in (0, 1, 2, 3, 4), argv
+    assert not [str(w.message) for w in shown if w.category is RuntimeWarning], argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract(cli_files, data):
+    # main answers every argument vector with an exit code 0-4, or argparse
+    # rejects it with exit 2; it raises nothing else, and no numpy
+    # floating-point warning is shown
+    _exit_code_of_drawn_argv(cli_files, data, warnings_as_errors=False)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract_warnings_as_errors(cli_files, data):
+    # with every RuntimeWarning raised as an error, a warning inside a
+    # command (forced runs warn on purpose) ends in exit 3, not in a
+    # traceback or in exit 1, the code of a failed verify check
+    _exit_code_of_drawn_argv(cli_files, data, warnings_as_errors=True)
