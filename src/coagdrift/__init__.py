@@ -12,7 +12,6 @@ from .errors import (
     CoagDriftError,
     ConvergenceError,
     DivergentMomentError,
-    GridMismatchError,
     NumericalConsistencyError,
     ParameterDomainError,
     SchemeFailureError,
@@ -59,7 +58,6 @@ from .profiles import (
 from .tau_iteration import (
     InnerSolveOptions,
     InnerSolveResult,
-    apply_tau_operator,
     inner_solve,
     reconstruct_profile,
 )

@@ -316,13 +316,18 @@ def _m0_list(text: str) -> tuple[float, ...]:
 
 
 def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--zmax", type=float, default=1e6, help="grid cutoff (default 1e6)")
-    parser.add_argument("--nodes", type=int, default=2049, help="grid nodes (default 2049)")
-    parser.add_argument("--tol-inner", dest="tol_inner", type=_positive_float, default=1e-10)
-    parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=1e-9)
+    default = OuterSolveOptions()
+    parser.add_argument("--zmax", type=float, default=default.zmax,
+                        help="grid cutoff (default %(default)g)")
+    parser.add_argument("--nodes", type=int, default=default.nodes,
+                        help="grid nodes (default %(default)d)")
+    parser.add_argument("--tol-inner", dest="tol_inner", type=_positive_float,
+                        default=default.inner.tol)
+    parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=default.tol)
     parser.add_argument("--tol-residual", dest="tol_residual", type=_positive_float,
-                        default=1e-5, help="certification bound on the weighted residual norm")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=80,
+                        default=default.tol_residual,
+                        help="certification bound on the weighted residual norm")
+    parser.add_argument("--max-iter", dest="max_iter", type=int, default=default.max_outer,
                         help="outer iteration cap")
     parser.add_argument("--force", action="store_true",
                         help="run above the admissibility threshold (uncertified)")

@@ -23,10 +23,6 @@ class ThresholdExceededError(ParameterDomainError):
         self.m0_bar = m0_bar
 
 
-class GridMismatchError(CoagDriftError, ValueError):
-    """Two grid functions that must share a grid do not."""
-
-
 class ProfileFormatError(CoagDriftError, ValueError):
     """A profile file is malformed or internally inconsistent."""
 

@@ -34,11 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DivergentMomentError,
-    GridMismatchError,
-    ParameterDomainError,
-)
+from .errors import DivergentMomentError, ParameterDomainError
 
 __all__ = [
     "Grid",
@@ -148,10 +144,6 @@ def build_grid(zmax: float, n: int, v: float) -> Grid:
     nodes[0] = 0.0
     nodes[-1] = zmax
     return Grid(nodes=nodes, v=v)
-
-
-def _same_grid(a: Grid, b: Grid) -> bool:
-    return a is b or (a.n == b.n and a.v == b.v and np.array_equal(a.nodes, b.nodes))
 
 
 # ----------------------------------------------------------------------
@@ -463,23 +455,18 @@ def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
     )
 
 
-def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
-    """2 int_0^{z_j/2} F(z_j - y) G(y) dy at every grid node, vectorized.
+def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
+    """Self-convolution int_0^{z_j} F(z_j - y) F(y) dy at every grid node,
+    vectorized, as its symmetric half-range form 2 int_0^{z_j/2}.
 
-    For F = G this is the full convolution int_0^z F(z-y) F(y) dy by
-    symmetry, and it is the form used everywhere a convolution of identical
-    arguments occurs.  F(z_j - y) is interpolated as in
-    ``GridFunction.interp_at_brackets``: per grid interval a the base
-    log F(z_a) and the increment log F(z_{a+1}) - log F(z_a) are formed
-    once, and each point of a pair in interval a adds its z fraction of the
-    increment before one exp.  Intervals with a nonpositive endpoint
-    interpolate the values linearly instead.  The points are expanded,
-    weighted by ``plan.blocks(G)``'s omega and summed per row one plan
-    block at a time.
+    F(z_j - y) is interpolated as in ``GridFunction.interp_at_brackets``:
+    per grid interval a the base log F(z_a) and the increment
+    log F(z_{a+1}) - log F(z_a) are formed once, and each point of a pair
+    in interval a adds its z fraction of the increment before one exp.
+    Intervals with a nonpositive endpoint interpolate the values linearly
+    instead.  The points are expanded, weighted by ``plan.blocks(F)``'s
+    omega and summed per row one plan block at a time.
     """
-    if not _same_grid(F.grid, G.grid):
-        raise GridMismatchError(
-            "half_convolution_at_nodes requires both functions on one grid")
     plan = F.grid.half_range_plan()
     va = F.values[:-1]
     vb = F.values[1:]
@@ -489,7 +476,7 @@ def half_convolution_at_nodes(F: GridFunction, G: GridFunction) -> np.ndarray:
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
     out = np.zeros(F.grid.n)
-    for rows, pairs, points, omega in plan.blocks(G):
+    for rows, pairs, points, omega in plan.blocks(F):
         a = plan.pair_a[pairs]
         count = plan.pair_count[pairs]
         contrib = np.repeat(slope[a], count)

@@ -87,22 +87,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Constants derived from (v, m0).
+    """Barrier constants of (v, m0); the exponents alpha and tau_inf are
+    ``ModelParams`` properties.
 
-    alpha      supersolution decay exponent (2 - v - 2*m0)/(1 - v), in (2, inf)
-    tau_inf    limiting tail exponent (2 - v)/(1 - v)
-    b_m0       2*m0/(1 - v)
-    sigma_star smallest sigma > 0 with b_m0 * 2^(tau_inf + sigma) <= sigma
+    sigma_star smallest sigma > 0 with 2*m0/(1 - v) * 2^(tau_inf + sigma) <= sigma
     tau_star   constant barrier tau_inf + sigma_star for the monotone iteration
-    m0_bar     largest m0 for which such a sigma exists at this v
     """
 
-    alpha: float
-    tau_inf: float
-    b_m0: float
     sigma_star: float
     tau_star: float
-    m0_bar: float
 
 
 def admissible_threshold(v: float) -> float:
@@ -163,26 +156,17 @@ def _smallest_sigma(b_m0: float, a_0: float) -> float | None:
 
 
 def derive_constants(params: ModelParams) -> DerivedConstants:
-    """Compute all derived constants; fails if the barrier does not exist."""
+    """Barrier constants of params; fails if the barrier does not exist."""
     params.require_fat_tail_regime()
     v, m0 = params.v, params.m0
-    a_0 = params.tau_inf
-    b_m0 = 2.0 * m0 / (1.0 - v)
-    m0_bar = admissible_threshold(v)
-    sigma = _smallest_sigma(b_m0, a_0)
+    sigma = _smallest_sigma(2.0 * m0 / (1.0 - v), params.tau_inf)
     if sigma is None:
+        m0_bar = admissible_threshold(v)
         raise ThresholdExceededError(
             f"no barrier slack exists: m0={m0} exceeds threshold {m0_bar} at v={v}",
             m0_bar=m0_bar,
         )
-    return DerivedConstants(
-        alpha=params.alpha,
-        tau_inf=a_0,
-        b_m0=b_m0,
-        sigma_star=sigma,
-        tau_star=a_0 + sigma,
-        m0_bar=m0_bar,
-    )
+    return DerivedConstants(sigma_star=sigma, tau_star=params.tau_inf + sigma)
 
 
 def iteration_barrier(params: ModelParams, force: bool = False) -> tuple[float, bool]:

@@ -4,7 +4,7 @@ certification diagnostics (residual, moments, tail-exponent fit)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -57,6 +57,12 @@ _MAX_DAMPING_HALVINGS = 4
 # 257-node solve up to 19% slower, a 129-node one the 513-node solve 1% slower
 # to 13% faster, and a 257-node one the 1025-node solve 10-22% faster.
 _MIN_COARSE_NODES = 129
+
+# Outer iterations the coarse level may take before the solve falls back to
+# the exponential seed.  Over v in [0.05, 0.99], m0/m0_bar in [0.1, 1] and
+# zmax in [1e2, 1e10], coarse levels of 129 to 513 nodes that converge do so
+# in 2-7 iterations; the rest (v >= 0.95) never converge in 80.
+_MAX_COARSE_OUTER = 12
 
 # The tail fit window: the top two decades of the grid.
 _TAIL_FIT_DECADES = 2.0
@@ -186,13 +192,15 @@ def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
     converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
     the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
     Falls back to the exponential seed (0 nodes) where the coarse grid has
-    fewer than _MIN_COARSE_NODES nodes, or its solve fails to converge or
-    raises.  Nothing of the coarse grid, or its plan, outlives the call."""
+    fewer than _MIN_COARSE_NODES nodes, or its solve does not converge
+    within _MAX_COARSE_OUTER outer iterations or raises.  Nothing of the
+    coarse grid, or its plan, outlives the call."""
     n = (grid.n - 1) // 4 + 1
     if n >= _MIN_COARSE_NODES:
+        coarse_opts = replace(opts, max_outer=min(opts.max_outer, _MAX_COARSE_OUTER))
         try:
             coarse = build_grid(opts.zmax, n, params.v)
-            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, False)
+            F, *_, converged = _picard(params, seed_profile(params, coarse), coarse_opts, False)
             if converged:
                 seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
                 return _with_mass(seed, params.m0), n
@@ -390,7 +398,7 @@ def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:
     grid = F.grid
     z = grid.nodes
     with np.errstate(over="ignore", invalid="ignore"):
-        conv = half_convolution_at_nodes(F, F)
+        conv = half_convolution_at_nodes(F)
         lin = np.empty(grid.n)
         lin[0] = tau.slope0 * F.values[0]
         lin[1:] = ((1.0 - params.v) * z[1:] + 1.0) * tau.values[1:] * F.values[1:] / z[1:]

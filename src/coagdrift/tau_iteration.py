@@ -29,14 +29,12 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     DivergentMomentError,
-    GridMismatchError,
     NumericalConsistencyError,
     ParameterDomainError,
 )
 from .grids import (
     GridFunction,
     TauFunction,
-    _same_grid,
     _with_mass,
     cumulative_log_integral,
     moment,
@@ -46,7 +44,6 @@ from .model import ModelParams, iteration_barrier
 __all__ = [
     "InnerSolveOptions",
     "InnerSolveResult",
-    "apply_tau_operator",
     "inner_solve",
     "reconstruct_profile",
 ]
@@ -100,25 +97,6 @@ def _step(rule, tau: TauFunction, params: ModelParams) -> np.ndarray:
             f"tau <= {float(np.max(tau.values)):.6g} overflows on this {grid.n}-node grid"
         )
     return vals
-
-
-def apply_tau_operator(
-    G: GridFunction, tau: TauFunction, params: ModelParams
-) -> TauFunction:
-    """Single application of the fixed-point map to tau with datum G.
-
-    The output vanishes at z = 0, has slope 2 - v - 2 m0 there, is
-    nonnegative for any admissible input, and preserves pointwise order in
-    tau.
-    """
-    if not _same_grid(G.grid, tau.grid):
-        raise GridMismatchError("datum and tau must share a grid")
-    return TauFunction(
-        grid=G.grid,
-        values=_step(G.grid.half_range_plan().pair_rule(G), tau, params),
-        slope0=params.linear_coefficient,
-        limit_inf=params.tau_inf,
-    )
 
 
 def inner_solve(

@@ -3,7 +3,8 @@ a stand-in for the process pool of ``sweep``.
 
 The single-point convolution quadratures check ``half_convolution_at_nodes``:
 each builds its own y sub-grid and interpolates F through ``GridFunction``.
-``barrier_sweeps`` checks ``inner_solve`` step by step.  ``reference_plan``
+``tau_map`` is one application of the fixed-point map, through the step of
+``inner_solve``; ``barrier_sweeps`` checks ``inner_solve`` step by step.  ``reference_plan``
 rebuilds the half-range plan one row at a time, with per-point weights and
 sample indices.  ``RecordingPool``
 replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
@@ -12,6 +13,7 @@ replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
 import numpy as np
 
 import coagdrift as cd
+from coagdrift.tau_iteration import _step
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -41,6 +43,14 @@ def full_convolution_quadrature(F, z: float) -> float:
     return float(_trapz(F(z - y) * b, y))
 
 
+def tau_map(G, tau, params):
+    """Single application of the fixed-point map to tau with datum G, as
+    ``inner_solve`` applies it: with the pair rule of G's half-range plan."""
+    values = _step(G.grid.half_range_plan().pair_rule(G), tau, params)
+    return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient,
+                          limit_inf=params.tau_inf)
+
+
 def barrier_sweeps(G, params, cap, opts):
     """The iteration of ``inner_solve`` rebuilt from single applications of
     the fixed-point map: start at the constant barrier ``cap``, clip each
@@ -53,7 +63,7 @@ def barrier_sweeps(G, params, cap, opts):
                          slope0=params.linear_coefficient, limit_inf=cap)
     steps = []
     for _ in range(opts.max_iter):
-        image = cd.apply_tau_operator(G, tau, params)
+        image = tau_map(G, tau, params)
         steps.append((tau.values, image.values.copy()))
         residual = float(np.max(np.abs(image.values - tau.values)))
         np.clip(image.values, 0.0, cap, out=image.values)

@@ -58,7 +58,7 @@ def _criterion_2_errors(n, values, exact):
     zs = np.linspace(0.2, 20.0, 50)
     scalar = np.array([half_convolution(F, F, float(z)) for z in zs])
     on_nodes = (grid.nodes >= 0.2) & (grid.nodes <= 20.0)
-    plan = cd.half_convolution_at_nodes(F, F)[on_nodes]
+    plan = cd.half_convolution_at_nodes(F)[on_nodes]
     return rel_err(scalar, zs), rel_err(plan, grid.nodes[on_nodes])
 
 
@@ -165,7 +165,7 @@ def test_criterion_5_fat_tail_certification(solved, default_params):
 
 def test_criterion_6_half_full_equivalence(solved):
     F, _, _ = solved
-    half = cd.half_convolution_at_nodes(F, F)
+    half = cd.half_convolution_at_nodes(F)
     # by construction the full form of identical arguments IS the half form;
     # the quadratured full-range integral must agree independently
     worst = 0.0

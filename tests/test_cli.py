@@ -58,6 +58,15 @@ def test_threshold_command(capsys):
     assert main(["threshold", "--v", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["solve", "--v", "0.5", "--m0", "0.005"],
+                                  ["sweep", "--v", "0.5", "--m0-list", "0.005"]])
+def test_solve_flag_defaults_are_the_solver_defaults(argv):
+    from coagdrift import cli
+
+    args = cli.build_parser().parse_args(argv)
+    assert cli._solve_options(args) == cd.OuterSolveOptions()
+
+
 def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
     # 2^a_0 overflows at v = 0.9991: m0_bar = 0, every m0 is inadmissible
     assert main(["threshold", "--v", "0.9991", "--m0", "1e-5"]) == 0

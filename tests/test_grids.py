@@ -9,13 +9,19 @@ from oracles import (full_convolution_quadrature, half_convolution, reference_pl
                      reference_samples)
 
 
-def exp_pair(grid, v, c1=1.0, c2=1.0, rates=(1.0, 2.0)):
-    """Two different exponentials on one grid; their half convolution has
-    the closed form 2 c1 c2 e^(-a z) (1 - e^(-a z/2)) / a for rates (a, 2a)."""
-    a = rates[0] * v
-    F = cd.GridFunction(grid, c1 * np.exp(-a * grid.nodes), tail_exponent=math.inf)
-    G = cd.GridFunction(grid, c2 * np.exp(-rates[1] * v * grid.nodes), tail_exponent=math.inf)
-    return F, G, a
+def exp_sum(grid, v1=0.5, v2=0.25):
+    """The two-member sum F = (1-v1) v1 e^(-v1 z) + (1-v2) v2 e^(-v2 z) of
+    the exponential family on one grid, and its self-convolution in closed
+    form: its log is curved, so the quadrature error is genuine."""
+    c1, c2 = (1.0 - v1) * v1, (1.0 - v2) * v2
+    F = cd.GridFunction(grid, c1 * np.exp(-v1 * grid.nodes) + c2 * np.exp(-v2 * grid.nodes),
+                        tail_exponent=math.inf)
+
+    def exact(z):
+        return (c1**2 * z * np.exp(-v1 * z) + c2**2 * z * np.exp(-v2 * z)
+                + 2.0 * c1 * c2 * (np.exp(-v2 * z) - np.exp(-v1 * z)) / (v1 - v2))
+
+    return F, exact
 
 
 def test_build_grid_basics():
@@ -111,7 +117,7 @@ def test_moment_convergence_order():
 def test_half_convolution_zero_point():
     grid = cd.build_grid(50.0, 129, 0.5)
     F = cd.exponential_grid_function(0.5, grid)
-    assert cd.half_convolution_at_nodes(F, F)[0] == 0.0
+    assert cd.half_convolution_at_nodes(F)[0] == 0.0
 
 
 def test_half_convolution_exponential_identity():
@@ -122,30 +128,30 @@ def test_half_convolution_exponential_identity():
     sel = (grid.nodes >= 0.2) & (grid.nodes <= 20.0)
     z = grid.nodes[sel]
     want = 0.25**2 * z * np.exp(-0.5 * z)
-    np.testing.assert_allclose(cd.half_convolution_at_nodes(F, F)[sel], want, rtol=1e-9)
+    np.testing.assert_allclose(cd.half_convolution_at_nodes(F)[sel], want, rtol=1e-9)
 
 
 def test_half_convolution_at_nodes_matches_scalar():
     grid = cd.build_grid(100.0, 257, 0.5)
-    F, G, _ = exp_pair(grid, 0.5)
-    at_nodes = cd.half_convolution_at_nodes(F, G)
+    F, _ = exp_sum(grid)
+    at_nodes = cd.half_convolution_at_nodes(F)
     for j in (1, 17, 100, 256):
         assert at_nodes[j] == pytest.approx(
-            half_convolution(F, G, float(grid.nodes[j])), rel=1e-13
+            half_convolution(F, F, float(grid.nodes[j])), rel=1e-13
         )
     assert at_nodes[0] == 0.0
 
 
 def test_half_convolution_convergence_order():
-    # with distinct exponentials the integrand is not constant, so the
-    # trapezoid error is genuine and must shrink at 2nd order
+    # the two-member sum has a curved log, so the integrand is not
+    # reproduced by the interpolation: the trapezoid error is genuine and
+    # must shrink at 2nd order
     def max_err(n):
         grid = cd.build_grid(60.0, n, 0.5)
-        F, G, a = exp_pair(grid, 0.5)
+        F, exact = exp_sum(grid)
         sel = (grid.nodes >= 0.5) & (grid.nodes <= 12.0)
-        z = grid.nodes[sel]
-        want = 2.0 * np.exp(-a * z) * (1.0 - np.exp(-a * z / 2.0)) / a
-        return float(np.max(np.abs(cd.half_convolution_at_nodes(F, G)[sel] - want) / want))
+        want = exact(grid.nodes[sel])
+        return float(np.max(np.abs(cd.half_convolution_at_nodes(F)[sel] - want) / want))
 
     e1, e2 = max_err(257), max_err(513)
     assert e1 / e2 > 3.5
@@ -158,23 +164,14 @@ def test_half_convolution_upper_bound():
     F = cd.GridFunction(grid, cd.supersolution_value(params, grid.nodes), tail_exponent=2.96)
     m0g = cd.moment(F, 0)
     bound = 2.0 * m0g * F(grid.nodes / 2.0)
-    assert np.all(cd.half_convolution_at_nodes(F, F) <= bound * (1.0 + 1e-9))
-
-
-def test_half_convolution_grid_mismatch():
-    g1 = cd.build_grid(10.0, 32, 0.5)
-    g2 = cd.build_grid(20.0, 32, 0.5)
-    F = cd.exponential_grid_function(0.5, g1)
-    G = cd.exponential_grid_function(0.5, g2)
-    with pytest.raises(cd.GridMismatchError):
-        cd.half_convolution_at_nodes(F, G)
+    assert np.all(cd.half_convolution_at_nodes(F) <= bound * (1.0 + 1e-9))
 
 
 def test_full_convolution_quadrature_agrees():
     params = cd.ModelParams(0.5, 0.01)
     grid = cd.build_grid(1e4, 1025, 0.5)
     F = cd.GridFunction(grid, cd.supersolution_value(params, grid.nodes), tail_exponent=2.96)
-    half = cd.half_convolution_at_nodes(F, F)
+    half = cd.half_convolution_at_nodes(F)
     for j in (5, 50, 300, 700):
         full = full_convolution_quadrature(F, float(grid.nodes[j]))
         assert half[j] == pytest.approx(full, abs=1e-8, rel=1e-6)
@@ -272,12 +269,10 @@ def test_half_range_plan_pairs_tile_rows(n):
 
 
 def _plan_data(grid):
-    """A positive F and a datum G whose far tail is exactly zero, so that G
-    leaves plan pairs of zero mass."""
-    F = cd.GridFunction(grid, cd.supersolution_value(cd.ModelParams(0.5, 0.005), grid.nodes),
-                        tail_exponent=3.0)
-    G = cd.GridFunction(grid, np.where(grid.nodes > 1e3, 0.0, F.values))
-    return F, G
+    """A datum G whose far tail is exactly zero, so that G leaves plan
+    pairs of zero mass."""
+    barrier = cd.supersolution_value(cd.ModelParams(0.5, 0.005), grid.nodes)
+    return cd.GridFunction(grid, np.where(grid.nodes > 1e3, 0.0, barrier))
 
 
 @pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
@@ -286,9 +281,9 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
 
     def build_and_pass():
         grid = cd.build_grid(1e6, n, 0.5)
-        F, G = _plan_data(grid)
+        G = _plan_data(grid)
         plan = grid.half_range_plan()
-        return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(F, G)
+        return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(G)
 
     whole, whole_rule, whole_conv = build_and_pass()
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
@@ -302,7 +297,7 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
     # the blocks tile rows, pairs and points in order, each pair in its rows
-    _, G = _plan_data(cd.build_grid(1e6, n, 0.5))
+    G = _plan_data(cd.build_grid(1e6, n, 0.5))
     blocks = list(blocked.blocks(G))
     assert len(blocks) > 3
     for (rows, pairs, points, omega), nxt in zip(blocks, blocks[1:] + [None]):
@@ -329,7 +324,7 @@ def test_plan_passes_stream_in_blocks(call, bound):
     tracemalloc.start()
     try:
         if call == "convolution":
-            cd.half_convolution_at_nodes(seed, seed)
+            cd.half_convolution_at_nodes(seed)
         else:
             plan.pair_rule(seed)
         peak = tracemalloc.get_traced_memory()[1]
@@ -355,21 +350,18 @@ def _tail_cut(values, grid, zcut):
     return out
 
 
-@pytest.mark.parametrize("case", ["barrier", "pair", "zero_tail", "zero_tail_pair"])
+@pytest.mark.parametrize("case", ["barrier", "zero_tail"])
 def test_half_convolution_at_nodes_matches_per_point(case):
     params = cd.ModelParams(0.5, 0.01)
     grid = cd.build_grid(1e4, 1025, 0.5)
     barrier = cd.supersolution_value(params, grid.nodes)
     F = cd.GridFunction(grid, barrier, tail_exponent=2.96)
-    G = F
-    if case in ("pair", "zero_tail_pair"):
-        G = cd.exponential_grid_function(0.5, grid)
-    if case.startswith("zero_tail"):
+    if case == "zero_tail":
         # the far tail is exactly zero: pairs there take the linear branch
         F = cd.GridFunction(grid, _tail_cut(barrier, grid, 50.0))
         assert np.any(F.values == 0.0)
-    got = cd.half_convolution_at_nodes(F, G)
-    want = _reference_half_convolution(F, G)
+    got = cd.half_convolution_at_nodes(F)
+    want = _reference_half_convolution(F, F)
     assert got[0] == 0.0
     scale = np.where(want == 0.0, 1.0, np.abs(want))
     assert np.max(np.abs(got - want) / scale) <= 1e-14

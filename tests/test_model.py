@@ -38,11 +38,12 @@ def test_fat_tail_regime_check():
 
 
 def test_alpha_formula():
-    constants = cd.derive_constants(cd.ModelParams(0.5, 0.01))
-    assert constants.alpha == pytest.approx(2.96, abs=1e-12)
-    assert constants.alpha > 2.0
-    assert constants.tau_inf == pytest.approx(3.0, abs=1e-12)
-    assert constants.b_m0 == pytest.approx(0.04, abs=1e-15)
+    params = cd.ModelParams(0.5, 0.01)
+    assert params.alpha == pytest.approx(2.96, abs=1e-12)
+    assert params.alpha > 2.0
+    assert params.tau_inf == pytest.approx(3.0, abs=1e-12)
+    b_m0 = 2.0 * params.m0 / (1.0 - params.v)
+    assert b_m0 == pytest.approx(0.04, abs=1e-15)
 
 
 def test_tau_star_against_independent_bisection():
@@ -61,9 +62,10 @@ def test_tau_star_against_independent_bisection():
 
 def test_tau_star_invariants():
     for v, m0 in [(0.25, 0.02), (0.5, 0.01), (0.75, 0.001)]:
-        constants = cd.derive_constants(cd.ModelParams(v, m0))
-        assert constants.tau_star >= constants.tau_inf > 2.0
-        assert constants.alpha > 2.0
+        params = cd.ModelParams(v, m0)
+        constants = cd.derive_constants(params)
+        assert constants.tau_star >= params.tau_inf > 2.0
+        assert params.alpha > 2.0
 
 
 def test_admissible_threshold_value():
@@ -96,7 +98,8 @@ def test_admissible_threshold_shape():
     for m0 in (1.47e-312, bar):
         constants = cd.derive_constants(cd.ModelParams(0.9990215, m0))
         assert 0.0 < constants.sigma_star <= 1.0 / math.log(2.0)
-        assert constants.tau_star + math.log2(constants.b_m0) \
+        b_m0 = 2.0 * m0 / (1.0 - 0.9990215)
+        assert constants.tau_star + math.log2(b_m0) \
             <= math.log2(constants.sigma_star) + 1e-9
     with pytest.raises(cd.ParameterDomainError):
         cd.admissible_threshold(1.5)
@@ -151,7 +154,6 @@ def test_iteration_barrier_policy():
                                    (0.699172594407286, 0.0019909511577147214), (0.1, 1e-300)])
 def test_alpha_property_matches_derived_constants(v, m0):
     params = cd.ModelParams(v, m0)
-    assert params.alpha == cd.derive_constants(params).alpha
     assert params.alpha == (2.0 - v - 2.0 * m0) / (1.0 - v)
 
 

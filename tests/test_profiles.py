@@ -71,7 +71,7 @@ def test_residual_supersolution_reduces_to_convolution():
     F = cd.GridFunction(grid, cd.supersolution_value(params, grid.nodes),
                         tail_exponent=2.96)
     R = cd.residual_selfsimilar(F, params)
-    conv = cd.half_convolution_at_nodes(F, F)
+    conv = cd.half_convolution_at_nodes(F)
     np.testing.assert_allclose(R.values, -conv, atol=1e-14, rtol=1e-9)
     assert np.all(R.values[1:] < 0.0)
 
@@ -234,7 +234,7 @@ def test_certification_underflowed_exponential_tail_passes(zmax):
 def test_convolution_mass_bound(solved, default_params):
     # 0 <= M0(F*G) <= 2 m0^2 for the solution pair (here G = F)
     F, _, _ = solved
-    conv = cd.GridFunction(F.grid, cd.half_convolution_at_nodes(F, F),
+    conv = cd.GridFunction(F.grid, cd.half_convolution_at_nodes(F),
                            tail_exponent=default_params.tau_inf)
     mass = cd.moment(conv, 0)
     assert 0.0 <= mass <= 2.0 * default_params.m0**2 * (1.0 + 1e-9)
@@ -353,6 +353,32 @@ def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeyp
     monkeypatch.setattr(profiles, "inner_solve", failing_on_coarse(ArithmeticError))
     with pytest.raises(ArithmeticError):
         cd.outer_solve(default_params, opts)
+
+
+def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
+    # at v = 0.95 the 257-node level never converges (update norm about 8
+    # after 80 iterations); it stops at the cap and the fine solve runs
+    # from the exponential seed
+    params = cd.ModelParams(0.95, 0.1 * cd.admissible_threshold(0.95))
+    opts = cd.OuterSolveOptions(zmax=1e10, nodes=1025)
+    calls = []
+    picard = profiles._picard
+
+    def recording_picard(params, G, opts, forced):
+        result = picard(params, G, opts, forced)
+        calls.append((G.grid.n, result[1], result[-1]))
+        return result
+
+    monkeypatch.setattr(profiles, "_picard", recording_picard)
+    F, report = cd.outer_solve(params, opts)
+    (coarse_n, coarse_iterations, coarse_converged), fine = calls
+    assert coarse_n == 257 and not coarse_converged
+    assert coarse_iterations <= profiles._MAX_COARSE_OUTER
+    assert report.seed_nodes == 0
+    monkeypatch.setattr(profiles, "_picard", picard)
+    ref, iterations, *_ = _from_exponential_seed(params, opts)
+    assert np.array_equal(F.values, ref.values)
+    assert report.outer_iterations == iterations == fine[1]
 
 
 def test_outer_solve_large_v_falls_back_without_warning():

