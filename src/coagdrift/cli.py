@@ -25,7 +25,7 @@ from .errors import (
     SchemeFailureError,
     ThresholdExceededError,
 )
-from .evolution import default_domain_cutoff, init_from_profile, self_similar_error, simulate
+from .evolution import default_domain_cutoff, init_from_profile, simulate
 from .model import ModelParams, admissible_threshold, derive_constants, iteration_barrier
 from .profile_io import ProfileRecord, atomic_write_text, read_profile, write_json, write_profile
 from .profiles import OuterSolveOptions, certification_checks, outer_solve, recover_tau
@@ -231,7 +231,7 @@ def cmd_simulate(args) -> int:
             os.path.join(outdir, f"snapshot_t{t_snap:g}.csv"), "\n".join(rows) + "\n"
         )
     print(f"diagnostics -> {os.path.join(outdir, 'diagnostics.csv')}")
-    print(f"final self-similar deviation: {self_similar_error(state, F, z_window):.6e}"
+    print(f"final self-similar deviation: {diagnostics[-1][4]:.6e}"
           if failure is None else "run aborted; last-good state preserved")
     return EXIT_NUMERICAL if failure is not None else EXIT_OK
 
@@ -327,7 +327,8 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol-residual", dest="tol_residual", type=_positive_float,
                         default=default.tol_residual,
                         help="certification bound on the weighted residual norm")
-    parser.add_argument("--max-iter", dest="max_iter", type=int, default=default.max_outer,
+    parser.add_argument("--max-iter", dest="max_iter", type=_positive_int,
+                        default=default.max_outer,
                         help="outer iteration cap")
     parser.add_argument("--force", action="store_true",
                         help="run above the admissibility threshold (uncertified)")

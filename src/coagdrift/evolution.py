@@ -45,7 +45,7 @@ _NEGATIVITY_SLACK = 1e-14
 # default cutoff must hold.
 _MASS_COVERAGE = 0.999
 
-# Sample points of the comparison window in self_similar_error.
+# Sample points of the comparison window of the self-similar error.
 _WINDOW_SAMPLES = 2001
 
 # Step cap of one simulate call, a guard against a step size driven to 0.
@@ -203,6 +203,27 @@ def step(
     )
 
 
+def _window(F: GridFunction, z_window: float, state: EvolutionState, t_last: float):
+    """Sample points z of the comparison window [0, z_window] and F(z), for
+    the times from the state's to ``t_last``: the state time must be
+    positive and the window at ``t_last`` must fit the domain."""
+    if state.t <= 0.0:
+        raise ParameterDomainError("state time must be positive")
+    if t_last * z_window > state.xmax:
+        raise ParameterDomainError(
+            f"comparison window t*z = {t_last * z_window} exceeds the domain {state.xmax}"
+        )
+    z = np.linspace(0.0, z_window, _WINDOW_SAMPLES)
+    return z, F(z)
+
+
+def _window_error(state: EvolutionState, z: np.ndarray, F_z: np.ndarray) -> float:
+    """sup over the window points z of |t^2 f(t, t z) - F(z)|, with f read
+    off the cells by linear interpolation."""
+    f_at = np.interp(state.t * z, state.centers, state.f)
+    return float(np.max(np.abs(state.t**2 * f_at - F_z)))
+
+
 def self_similar_error(
     state: EvolutionState,
     F: GridFunction,
@@ -210,15 +231,7 @@ def self_similar_error(
 ) -> float:
     """sup over z in [0, z_window] of |t^2 f(t, t z) - F(z)| with f read off
     the cells by linear interpolation."""
-    if state.t <= 0.0:
-        raise ParameterDomainError("state time must be positive")
-    if state.t * z_window > state.xmax:
-        raise ParameterDomainError(
-            f"comparison window t*z = {state.t * z_window} exceeds the domain {state.xmax}"
-        )
-    z = np.linspace(0.0, z_window, _WINDOW_SAMPLES)
-    f_at = np.interp(state.t * z, state.centers, state.f)
-    return float(np.max(np.abs(state.t**2 * f_at - F(z))))
+    return _window_error(state, *_window(F, z_window, state, state.t))
 
 
 def simulate(
@@ -238,7 +251,9 @@ def simulate(
     accepted steps (the error column is NaN when no reference profile is
     given), snapshots maps each requested time to the state at that time
     (steps are clipped to land on them exactly).  Snapshot times must lie
-    in [state.t, t_end].
+    in [state.t, t_end].  With a profile, the comparison window must fit
+    the domain at ``t_end``; this is checked before the first step, and F
+    is sampled on the window once.
     """
     if t_end < state.t:
         raise ParameterDomainError("t_end must not precede the state time")
@@ -252,13 +267,10 @@ def simulate(
     events = sorted(ts for ts in requested if ts > state.t)
     events.append(t_end)
     snapshots = {ts: state for ts in requested if ts == state.t}
+    window = _window(profile, z_window, state, t_end) if profile is not None else None
 
     def _row(s: EvolutionState) -> tuple:
-        err = (
-            self_similar_error(s, profile, z_window=z_window)
-            if profile is not None
-            else math.nan
-        )
+        err = _window_error(s, *window) if window is not None else math.nan
         m0 = s.m0()
         return (s.t, m0, s.m1(), m0 / s.m1_target, err)
 

@@ -4,7 +4,7 @@ certification diagnostics (residual, moments, tail-exponent fit)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -50,19 +50,11 @@ CERT_M1_RTOL = 5e-3
 CERT_TAIL_RTOL = 1e-2
 NON_POWER_LAW_DEVIATION = 0.05
 
-_MAX_DAMPING_HALVINGS = 4
-
 # Smallest coarse grid that seeds the outer solve; below it the solve starts
 # from the exponential seed.  Timed cold, a 65-node coarse level makes the
 # 257-node solve up to 19% slower, a 129-node one the 513-node solve 1% slower
 # to 13% faster, and a 257-node one the 1025-node solve 10-22% faster.
 _MIN_COARSE_NODES = 129
-
-# Outer iterations the coarse level may take before the solve falls back to
-# the exponential seed.  Over v in [0.05, 0.99], m0/m0_bar in [0.1, 1] and
-# zmax in [1e2, 1e10], coarse levels of 129 to 513 nodes that converge do so
-# in 2-7 iterations; the rest (v >= 0.95) never converge in 80.
-_MAX_COARSE_OUTER = 12
 
 # The tail fit window: the top two decades of the grid.
 _TAIL_FIT_DECADES = 2.0
@@ -89,7 +81,6 @@ class SolveReport:
     tail_prefactor_fit: float
     v_effective: float
     certified: bool
-    damping_final: float
     forced: bool
     seed_nodes: int
 
@@ -103,8 +94,9 @@ class OuterSolveOptions:
 
     The update norm is the sup over nodes of the iterate difference times
     (1+z)^(tau_inf - 1/2), which keeps the tail visible where the plain
-    sup-norm is blind.  Damping starts at 1 and is halved (at most four
-    times) whenever the update norm rises.
+    sup-norm is blind.  The iteration stops when the update norm reaches
+    ``tol``, when it does not fall below the previous one (a stall, or an
+    infinite or NaN norm), or after ``max_outer`` iterations.
     """
 
     zmax: float = 1e6
@@ -151,22 +143,18 @@ def _weighted_sup(values: np.ndarray, weight: np.ndarray) -> float:
 
 
 def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, forced: bool):
-    """Damped Picard iteration of the auxiliary solution map from the datum
-    G, on G's grid, for at most ``opts.max_outer`` steps.
+    """Picard iteration of the auxiliary solution map from the datum G, on
+    G's grid.  It stops when the update norm reaches ``opts.tol``, as soon
+    as the norm does not fall below the previous one, or after
+    ``opts.max_outer`` iterations.
 
     Returns the last iterate, the outer and inner iteration counts, the
-    last update norm, the damping and whether the norm reached ``opts.tol``.
+    last update norm and whether the norm reached ``opts.tol``.
     """
     grid = G.grid
     weight = _tail_weight(grid, params.tau_inf - 0.5)
-    theta = 1.0
-    halvings = 0
     prev_norm = math.inf
     inner_total = 0
-    F = G
-    update_norm = math.inf
-    converged = False
-    outer_iterations = 0
     for outer_iterations in range(1, opts.max_outer + 1):
         result = inner_solve(G, params, opts.inner, force=forced)
         inner_total += result.iterations
@@ -174,17 +162,13 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, force
         delta = F.values - G.values
         update_norm = _weighted_sup(delta, weight)
         if update_norm <= opts.tol:
-            converged = True
+            return F, outer_iterations, inner_total, update_norm, True
+        if not update_norm < prev_norm:
             break
-        if not math.isfinite(update_norm):
-            break
-        if update_norm > prev_norm and halvings < _MAX_DAMPING_HALVINGS:
-            theta *= 0.5
-            halvings += 1
         prev_norm = update_norm
-        mixed = GridFunction(grid, G.values + theta * delta, tail_exponent=params.tau_inf)
-        G = _with_mass(mixed, params.m0)
-    return F, outer_iterations, inner_total, update_norm, theta, converged
+        G = _with_mass(GridFunction(grid, G.values + delta, tail_exponent=params.tau_inf),
+                       params.m0)
+    return F, outer_iterations, inner_total, update_norm, False
 
 
 def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
@@ -192,15 +176,14 @@ def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
     converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
     the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
     Falls back to the exponential seed (0 nodes) where the coarse grid has
-    fewer than _MIN_COARSE_NODES nodes, or its solve does not converge
-    within _MAX_COARSE_OUTER outer iterations or raises.  Nothing of the
+    fewer than _MIN_COARSE_NODES nodes, or its solve, which stops by the
+    rule of ``_picard``, does not converge or raises.  Nothing of the
     coarse grid, or its plan, outlives the call."""
     n = (grid.n - 1) // 4 + 1
     if n >= _MIN_COARSE_NODES:
-        coarse_opts = replace(opts, max_outer=min(opts.max_outer, _MAX_COARSE_OUTER))
         try:
             coarse = build_grid(opts.zmax, n, params.v)
-            F, *_, converged = _picard(params, seed_profile(params, coarse), coarse_opts, False)
+            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, False)
             if converged:
                 seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
                 return _with_mass(seed, params.m0), n
@@ -212,15 +195,15 @@ def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
 def outer_solve(
     params: ModelParams, opts: OuterSolveOptions = OuterSolveOptions()
 ) -> tuple[GridFunction, SolveReport]:
-    """Damped Picard iteration of the auxiliary solution map to its fixed
-    point, with residual certification of the result.
+    """Picard iteration of the auxiliary solution map to its fixed point,
+    with residual certification of the result.
 
     The iteration starts from the converged profile of a 4x coarser grid
     (see ``_coarse_seed``); a forced run starts from the exponential seed.
-    Raises a convergence error carrying the best iterate when the cap is
-    hit.  Above the admissibility threshold the solve refuses to run unless
-    ``opts.force`` is set, and a forced run is only certified if the
-    residual test passes.
+    Raises a convergence error carrying the last iterate when the update
+    norm stops short of ``opts.tol`` (see ``_picard``).  Above the
+    admissibility threshold the solve refuses to run unless ``opts.force``
+    is set, and a forced run is only certified if the residual test passes.
     """
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
@@ -228,15 +211,15 @@ def outer_solve(
         G, seed_nodes = seed_profile(params, grid), 0
     else:
         G, seed_nodes = _coarse_seed(params, grid, opts)
-    F, outer_iterations, inner_total, update_norm, theta, converged = _picard(
-        params, G, opts, forced)
+    F, outer_iterations, inner_total, update_norm, converged = _picard(params, G, opts, forced)
 
     report = _certify(F, params, opts, outer_iterations, inner_total,
-                      update_norm, theta, forced, converged, seed_nodes)
+                      update_norm, forced, converged, seed_nodes)
     if not converged:
         if math.isfinite(update_norm):
-            msg = (f"outer iteration did not reach tol={opts.tol} in {opts.max_outer} "
-                   f"steps (last update norm {update_norm:.3e})")
+            msg = (f"outer iteration stopped short of tol={opts.tol} at iteration "
+                   f"{outer_iterations} (cap {opts.max_outer}): last update norm "
+                   f"{update_norm:.3e}")
         else:
             msg = (f"update norm {update_norm} at outer iteration {outer_iterations}: "
                    f"the tail weight (1+z)^{params.tau_inf - 0.5:.6g} overflows on this "
@@ -327,7 +310,7 @@ def certification_checks(
 
 
 def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
-             theta, forced, converged, seed_nodes) -> SolveReport:
+             forced, converged, seed_nodes) -> SolveReport:
     cert = certification_checks(F, params, opts.tol_residual)
     fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
     return SolveReport(
@@ -343,7 +326,6 @@ def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
         tail_prefactor_fit=fit.prefactor,
         v_effective=cert.M0 / cert.M1,
         certified=bool(converged and fp_residual <= opts.tol and cert.ok),
-        damping_final=theta,
         forced=forced,
         seed_nodes=seed_nodes,
     )

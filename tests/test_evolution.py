@@ -157,6 +157,29 @@ def test_simulate_snapshots_and_diagnostics(exp_profile):
     assert np.max(np.abs(diag[:, 2] - diag[0, 2])) / diag[0, 2] < 1e-3
 
 
+def test_simulate_checks_the_window_before_the_first_step(exp_profile, monkeypatch):
+    # t*z_window = 50 fits the 60 domain at t0 = 1 but not at t_end = 1.5:
+    # the run stops before it steps, not at the first row past t = 1.2
+    from coagdrift import evolution
+
+    calls = []
+    step = evolution.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(args[0].t)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "step", counting_step)
+    state = cd.init_from_profile(exp_profile, 1.0, 256, 60.0)
+    assert cd.self_similar_error(state, exp_profile, z_window=50.0) >= 0.0
+    with pytest.raises(cd.ParameterDomainError, match="exceeds the domain"):
+        cd.simulate(state, 1.5, profile=exp_profile, z_window=50.0)
+    assert calls == []
+    # without a profile there is no window to check
+    cd.simulate(state, 1.01, z_window=50.0)
+    assert calls
+
+
 def test_default_domain_cutoff(exp_profile):
     cut = cd.default_domain_cutoff(exp_profile, 2.0)
     assert 25.0 <= cut <= 80.0

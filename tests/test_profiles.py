@@ -268,7 +268,7 @@ def test_solve_options_validation():
 
 def _from_exponential_seed(params, opts, forced=False):
     """The outer iteration on the grid of ``opts`` started at seed_profile:
-    (F, outer iterations, inner iterations, update norm, theta, converged)."""
+    (F, outer iterations, inner iterations, update norm, converged)."""
     grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
     return profiles._picard(params, cd.seed_profile(params, grid), opts, forced)
 
@@ -314,12 +314,12 @@ def test_outer_solve_exponential_seed_paths(v, m0, opts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         F, report = cd.outer_solve(params, opts)
-        ref, iterations, inner, norm, theta, converged = _from_exponential_seed(
+        ref, iterations, inner, norm, converged = _from_exponential_seed(
             params, opts, forced=opts.force)
     assert report.seed_nodes == 0
     assert np.array_equal(F.values, ref.values)
     assert (report.outer_iterations, report.inner_iterations_total) == (iterations, inner)
-    assert (report.fp_residual, report.damping_final) == (norm, theta) and converged
+    assert report.fp_residual == norm and converged
 
 
 def test_outer_solve_unconverged_coarse_level_falls_back(default_params):
@@ -356,9 +356,10 @@ def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeyp
 
 
 def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
-    # at v = 0.95 the 257-node level never converges (update norm about 8
-    # after 80 iterations); it stops at the cap and the fine solve runs
-    # from the exponential seed
+    # at v = 0.95 the 257-node level never converges: its update norms run
+    # 2.8e16, 9.5e7, 8.05, 8.05, ...  It stops at the fourth iteration, the
+    # first whose norm does not fall, and the fine solve runs from the
+    # exponential seed
     params = cd.ModelParams(0.95, 0.1 * cd.admissible_threshold(0.95))
     opts = cd.OuterSolveOptions(zmax=1e10, nodes=1025)
     calls = []
@@ -373,12 +374,48 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     F, report = cd.outer_solve(params, opts)
     (coarse_n, coarse_iterations, coarse_converged), fine = calls
     assert coarse_n == 257 and not coarse_converged
-    assert coarse_iterations <= profiles._MAX_COARSE_OUTER
+    assert coarse_iterations == 4
     assert report.seed_nodes == 0
     monkeypatch.setattr(profiles, "_picard", picard)
     ref, iterations, *_ = _from_exponential_seed(params, opts)
     assert np.array_equal(F.values, ref.values)
     assert report.outer_iterations == iterations == fine[1]
+
+
+def test_outer_solve_stalled_level_stops_early():
+    # at v = 0.99 and zmax 1e2 the update norm repeats 2.3e121 from the
+    # second iteration on: the loop stops at the third, not at max_outer
+    params = cd.ModelParams(0.99, 0.1 * cd.admissible_threshold(0.99))
+    opts = cd.OuterSolveOptions(zmax=1e2, nodes=257)
+    with pytest.raises(cd.ConvergenceError, match="stopped short") as err:
+        cd.outer_solve(params, opts)
+    assert err.value.report.outer_iterations <= 3 < opts.max_outer
+    assert not err.value.report.certified
+
+
+def test_outer_solve_stops_at_a_rising_update_norm(default_params, monkeypatch):
+    # the second iterate is pushed away from the first, so the second update
+    # norm exceeds the first: the loop ends there, unconverged
+    opts = cd.OuterSolveOptions(zmax=1e4, nodes=257)
+    norms = []
+    reconstruct = profiles.reconstruct_profile
+    weighted_sup = profiles._weighted_sup
+
+    def pushed_away(*args):
+        F = reconstruct(*args)
+        if len(norms) == 1:
+            return cd.GridFunction(F.grid, 10.0 * F.values, tail_exponent=F.tail_exponent)
+        return F
+
+    def recording_sup(*args):
+        norms.append(weighted_sup(*args))
+        return norms[-1]
+
+    monkeypatch.setattr(profiles, "reconstruct_profile", pushed_away)
+    monkeypatch.setattr(profiles, "_weighted_sup", recording_sup)
+    F, iterations, _, norm, converged = _from_exponential_seed(default_params, opts)
+    assert norms[1] > norms[0]
+    assert (iterations, norm, converged) == (2, norms[1], False)
 
 
 def test_outer_solve_large_v_falls_back_without_warning():
