@@ -93,13 +93,13 @@ def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
     (["sweep", "--v", "0.5", "--m0-list", "0.005", "--jobs", "-1"], "--jobs"),
     # a tolerance the profile file could not carry back to verify
     (["solve", "--v", "0.5", "--m0", "0.005", "--tol-residual", "nan"], "--tol-residual"),
-    (["solve", "--v", "0.5", "--m0", "0.005", "--max-iter", "0"], "--max-iter"),
     # snapshot times outside [t0, t1] = [1, 2], and outside [1, 1.5]
     (["simulate", "--profile", "p.csv", "--snapshots=-1,1.01,5"], "--snapshots"),
     (["simulate", "--profile", "p.csv", "--t1", "1.5", "--snapshots", "1.6"], "--snapshots"),
     # an m0 outside (0, 1) after a valid one: no worker starts
     (["sweep", "--v", "0.5", "--m0-list", "0.005,nan", "--jobs", "1"], "--m0-list"),
     (["sweep", "--v", "0.5", "--m0-list", "0.005,1.5"], "--m0-list"),
+    (["solve", "--v", "0.5", "--m0", "0.005", "--max-iter", "0"], "--max-iter"),
 ])
 def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys, monkeypatch):
     from coagdrift import cli
