@@ -197,9 +197,6 @@ def cmd_simulate(args) -> int:
     state = init_from_profile(F, args.t0, args.cells, xmax, strict=not args.allow_truncation)
     z_window = args.z_window if args.z_window is not None else min(10.0, xmax / args.t1)
 
-    outdir = args.out or _outdir()
-    os.makedirs(outdir, exist_ok=True)
-
     failure = None
     try:
         state, diagnostics, snapshots = simulate(
@@ -216,6 +213,9 @@ def cmd_simulate(args) -> int:
         state, diagnostics, snapshots = exc.state, exc.diagnostics, exc.snapshots
         print(f"scheme failure at t={state.t}: {exc}", file=sys.stderr)
 
+    # made only now, so that a run refused up front leaves no directory behind
+    outdir = args.out or _outdir()
+    os.makedirs(outdir, exist_ok=True)
     lines = ["t,m0,m1,u,self_similar_error"]
     for row in diagnostics:
         lines.append(",".join(f"{x:.17g}" for x in row))

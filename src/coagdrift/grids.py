@@ -16,15 +16,19 @@ Quadrature conventions:
   iteration use the plain trapezoid with nonnegative weights only, so the
   pointwise comparison arguments of the iteration survive discretization.
 
-The half-range quadrature at all nodes is precomputed once per grid as a
-plan of O(N^2) points.  Consecutive points of one row z_j whose argument
-z_j - y falls in the same grid interval form a pair; the plan keeps per point
-only the two interpolation fractions (the w fraction as an offset from the
-pair's first one), and per pair the row, the interval, the run length and
-that first w fraction.  A point's sample index and trapezoid weight follow
-from its row.  The build, the convolution (one exp per point) and the
-Gauss rules of the tau sweep's kernel sums (at most two exp per pair) walk
-the plan in cache-sized blocks of rows and form no other plan-length array.
+The half-range quadrature at all nodes has one row of points per node.  The
+tau sweep reads it through a plan of O(N^2) points, built once per grid:
+consecutive points of one row z_j whose argument z_j - y falls in the same
+grid interval form a pair, and the plan keeps per point only the w
+interpolation fraction, as an offset from the pair's first one (one float,
+8 bytes), and per pair the row, the interval, the run length and that first
+w fraction.  A point's sample index and trapezoid weight follow from its
+row.  The build and the Gauss rules of the pairs walk the points in
+cache-sized blocks of rows, and the kernel sums (at most two exp per pair)
+blocks of whole rows of pairs; none forms another plan-length array.  The
+convolution builds no plan: it runs once per solve and in ``verify``, and
+forms the brackets of each block of rows itself (one log1p and one exp per
+point).
 """
 
 from __future__ import annotations
@@ -97,14 +101,17 @@ class Grid:
         single floor division.
         """
         z = np.asarray(z, dtype=float)
-        w = self.w_of(z)
-        dw = self.dw
-        idx = np.clip((w / dw).astype(np.int64), 0, self.n - 2)
-        zl = self.nodes[idx]
-        zr = self.nodes[idx + 1]
-        lam_z = np.clip((z - zl) / (zr - zl), 0.0, 1.0)
-        lam_w = np.clip(w / dw - idx, 0.0, 1.0)
-        return idx, lam_z, lam_w
+        idx, t = self._interval(z)
+        return idx, self._lam_z(z, idx), np.clip(t - idx, 0.0, 1.0)
+
+    def _interval(self, z):
+        """Bracketing interval index of z (clipped at the ends) and w(z)/dw."""
+        t = self.w_of(z) / self.dw
+        return np.clip(t.astype(np.int64), 0, self.n - 2), t
+
+    def _lam_z(self, z, idx):
+        """Linear fraction in z of z in interval ``idx``, clipped to [0, 1]."""
+        return np.clip((z - self.nodes[idx]) / np.diff(self.nodes)[idx], 0.0, 1.0)
 
     def half_range_plan(self) -> "_HalfRangePlan":
         if self._plan is None:
@@ -307,77 +314,58 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 
 
 # ----------------------------------------------------------------------
-# half-range plan: the convolution and the pair rules of the tau sweep
+# half-range quadrature: the convolution and the pair rules of the tau sweep
 # ----------------------------------------------------------------------
 
 @dataclass(eq=False)
-class _HalfRangePlan:
-    """Precomputed quadrature layout for 2 int_0^{z_j/2} A(z_j - y) B(y) dy
-    at every node z_j, j >= 1.
+class _RowLayout:
+    """Rows of the quadrature 2 int_0^{z_j/2} A(z_j - y) B(y) dy at every
+    node z_j, j >= 1.
 
     Row j - 1 holds the y sub-grid (z_0, ..., z_{k_j - 1}, z_j/2) of node
     z_j, so a point's sample index is its offset in its row, and B is
     interpolated only at the half endpoint.  Its trapezoid weight is the
     node's ``node_w``, except at the row's last node and half endpoint,
-    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  Past the
-    build only ``blocks`` and the convolution's row sums read ``counts``.
-
-    Within a row x = z_j - y decreases, so the points whose x falls in one
-    grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
-    pairs: pair p covers the next ``pair_count[p]`` points, all in the
-    row of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
-    The z fraction of x in its interval is ``x_lam_z``; the w fraction is
-    ``pair_lam_w[p] + x_dlam_w``, the pair's first fraction plus the point's
-    offset from it.  These two fractions are all the plan stores per point;
-    both passes over the points (the convolution and ``pair_rule``) walk
-    ``blocks``, so their temporaries stay block-sized.
+    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  The
+    plan build, the convolution and ``pair_rule`` share this layout:
+    ``blocks`` gathers the point weights and ``x_at`` the arguments.
     """
 
     counts: np.ndarray
     node_w: np.ndarray
     last_w: np.ndarray
     half_w: np.ndarray
-    x_lam_z: np.ndarray
-    x_dlam_w: np.ndarray
-    pair_row: np.ndarray
-    pair_a: np.ndarray
-    pair_count: np.ndarray
-    pair_lam_w: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.x_lam_z.size
 
     def blocks(self, G: GridFunction):
-        """(rows, pairs, points, omega) of each block of ``_row_blocks``: its
-        rows, the pairs in them, their points, and omega, the trapezoid
-        weight times G(y) at each of the points.  The products are formed
-        once per node and per row, then gathered per block."""
+        """(rows, points, omega) of each block of ``_row_blocks``: its rows,
+        their points, and omega, the trapezoid weight times G(y) at each of
+        the points.  The products are formed once per node and per row,
+        then gathered per block."""
         node = self.node_w * G.values
         last = self.last_w * G.values[self.counts - 2]
         half = self.half_w * G(0.5 * G.grid.nodes[1:])
-        p0 = 0
         for rows, points in _row_blocks(self.counts):
-            p1 = int(np.searchsorted(self.pair_row, rows.stop, side="right"))
-            yield rows, slice(p0, p1), points, _row_points(self.counts[rows], node,
-                                                          last[rows], half[rows])
-            p0 = p1
+            yield rows, points, _row_points(self.counts[rows], node, last[rows], half[rows])
 
-    def pair_rule(self, G: GridFunction) -> "_PairRule":
-        """The Gauss rules of the pairs for datum G, fixed for a whole inner
-        solve: each pair's measure carries the point weights trapezoid
-        weight * G(y), whose moments 0-3 are taken one block at a time.
-        Pairs of zero mass are left out: they contribute 0."""
-        nodes = np.empty((2, self.pair_count.size))
-        weights = np.empty_like(nodes)
-        for _, pairs, points, omega in self.blocks(G):
-            count = self.pair_count[pairs]
-            moments = _moments(self.x_dlam_w[points], omega, np.cumsum(count) - count)
-            nodes[:, pairs], weights[:, pairs] = _two_node_rule(self.pair_lam_w[pairs], moments)
-        live = np.any(weights > 0.0, axis=0)
-        if live.all():
-            live = slice(None)  # views, no copies
-        return _PairRule(self.pair_row[live], self.pair_a[live], nodes[:, live], weights[:, live])
+    def x_at(self, z: np.ndarray, rows: slice) -> np.ndarray:
+        """x = z_j - y, the argument of A, at every point of ``rows``."""
+        counts = self.counts[rows]
+        zj = z[rows.start + 1:rows.stop + 1]
+        x = np.repeat(zj, counts)
+        x -= _row_points(counts, z, z[counts - 2], 0.5 * zj)
+        return x
+
+
+def _row_layout(grid: Grid) -> _RowLayout:
+    z = grid.nodes
+    half = 0.5 * z[1:]
+    ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
+    # trapezoid weight of each node between its two gaps; in a row only
+    # the last node and the half endpoint see the gap up to z_j/2 instead
+    gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
+    tail = half - z[ks - 1]
+    return _RowLayout(counts=ks + 1, node_w=0.5 * (gap[:-1] + gap[1:]),
+                      last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail)
 
 
 def _row_points(counts, node, last, half) -> np.ndarray:
@@ -392,9 +380,10 @@ def _row_points(counts, node, last, half) -> np.ndarray:
     return out
 
 
-# Points per block of rows in the plan build and in every pass over the
-# points.  A block's dozen temporaries take about 3 MB, near a 2 MB L2
-# cache; blocks of 2^15 to 2^17 points time within 10% of each other.
+# Points (or pairs) per block of rows in the plan build and in every pass
+# over the points or pairs.  A block's dozen temporaries take about 3 MB,
+# near a 2 MB L2 cache; blocks of 2^15 to 2^17 points time within 10% of
+# each other.
 _PLAN_BLOCK_POINTS = 1 << 15
 
 
@@ -410,64 +399,21 @@ def _row_blocks(counts):
         r0 = r1
 
 
-def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
-    z = grid.nodes
-    half = 0.5 * z[1:]
-    ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
-    counts = ks + 1
-    total = int(counts.sum())
-
-    # trapezoid weight of each node between its two gaps; in a row only
-    # the last node and the half endpoint see the gap up to z_j/2 instead
-    gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
-    tail = half - z[ks - 1]
-
-    x_lam_z = np.empty(total)
-    x_dlam_w = np.empty(total)
-    pair_row, pair_a, pair_count, pair_lam_w = [], [], [], []
-    for rows, out in _row_blocks(counts):
-        y = _row_points(counts[rows], z, z[ks[rows] - 1], half[rows])
-        row = np.repeat(np.arange(rows.start + 1, rows.stop + 1), counts[rows])
-        idx, x_lam_z[out], lam_w = grid.bracket(z[row] - y)
-
-        opens = np.empty(y.size, dtype=bool)  # a point that starts a pair
-        np.not_equal(idx[1:], idx[:-1], out=opens[1:])
-        opens[np.cumsum(counts[rows]) - counts[rows]] = True  # no pair crosses a row
-        first = np.flatnonzero(opens)
-        count = np.diff(first, append=y.size)
-        pair_row.append(row[first])
-        pair_a.append(idx[first])
-        pair_count.append(count)
-        pair_lam_w.append(lam_w[first])
-        x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
-
-    return _HalfRangePlan(
-        counts=counts,
-        node_w=0.5 * (gap[:-1] + gap[1:]),
-        last_w=0.5 * (gap[ks - 1] + tail),
-        half_w=0.5 * tail,
-        x_lam_z=x_lam_z,
-        x_dlam_w=x_dlam_w,
-        pair_row=np.concatenate(pair_row),
-        pair_a=np.concatenate(pair_a),
-        pair_count=np.concatenate(pair_count),
-        pair_lam_w=np.concatenate(pair_lam_w),
-    )
-
-
 def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     """Self-convolution int_0^{z_j} F(z_j - y) F(y) dy at every grid node,
     vectorized, as its symmetric half-range form 2 int_0^{z_j/2}.
 
     F(z_j - y) is interpolated as in ``GridFunction.interp_at_brackets``:
     per grid interval a the base log F(z_a) and the increment
-    log F(z_{a+1}) - log F(z_a) are formed once, and each point of a pair
-    in interval a adds its z fraction of the increment before one exp.
+    log F(z_{a+1}) - log F(z_a) are formed once, and each point in
+    interval a adds its z fraction of the increment before one exp.
     Intervals with a nonpositive endpoint interpolate the values linearly
-    instead.  The points are expanded, weighted by ``plan.blocks(F)``'s
-    omega and summed per row one plan block at a time.
+    instead.  One block of rows at a time, the points' intervals and z
+    fractions are formed by the rule of ``Grid.bracket``, weighted by
+    ``blocks(F)``'s omega and summed per row: no plan is built or kept.
     """
-    plan = F.grid.half_range_plan()
+    grid = F.grid
+    layout = _row_layout(grid)
     va = F.values[:-1]
     vb = F.values[1:]
     loglin = (va > 0.0) & (vb > 0.0)
@@ -475,19 +421,97 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
-    out = np.zeros(F.grid.n)
-    for rows, pairs, points, omega in plan.blocks(F):
-        a = plan.pair_a[pairs]
-        count = plan.pair_count[pairs]
-        contrib = np.repeat(slope[a], count)
-        contrib *= plan.x_lam_z[points]
-        contrib += np.repeat(base[a], count)
-        np.exp(contrib, out=contrib, where=np.repeat(loglin[a], count))
+    out = np.zeros(grid.n)
+    for rows, _, omega in layout.blocks(F):
+        x = layout.x_at(grid.nodes, rows)
+        a, _ = grid._interval(x)
+        contrib = slope[a]
+        contrib *= grid._lam_z(x, a)
+        contrib += base[a]
+        np.exp(contrib, out=contrib, where=loglin[a])
         contrib *= omega
-        first = np.cumsum(plan.counts[rows]) - plan.counts[rows]  # of each row, in the block
+        first = np.cumsum(layout.counts[rows]) - layout.counts[rows]  # of each row, in the block
         out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, first)
     out *= 2.0
     return out
+
+
+@dataclass(eq=False)
+class _HalfRangePlan(_RowLayout):
+    """The pairs of the half-range quadrature on its rows, for the tau sweep.
+
+    Within a row x = z_j - y decreases, so the points whose x falls in one
+    grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
+    pairs: pair p covers the next ``pair_count[p]`` points, all in the
+    row of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
+    The w fraction of x in its interval is ``pair_lam_w[p] + x_dlam_w``,
+    the pair's first fraction plus the point's offset from it: the one
+    fraction (8 bytes) the plan stores per point.  It is stored, not formed
+    per pass, because it costs one log1p per point and ``pair_rule`` runs
+    several times per solve.  ``pair_rule`` walks ``blocks``, so its
+    temporaries stay block-sized.
+    """
+
+    x_dlam_w: np.ndarray
+    pair_row: np.ndarray
+    pair_a: np.ndarray
+    pair_count: np.ndarray
+    pair_lam_w: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.x_dlam_w.size
+
+    def pair_rule(self, G: GridFunction) -> "_PairRule":
+        """The Gauss rules of the pairs for datum G, fixed for a whole inner
+        solve: each pair's measure carries the point weights trapezoid
+        weight * G(y), whose moments 0-3 are taken one block at a time.
+        Pairs of zero mass are left out: they contribute 0."""
+        nodes = np.empty((2, self.pair_count.size))
+        weights = np.empty_like(nodes)
+        p0 = 0
+        for rows, points, omega in self.blocks(G):
+            pairs = slice(p0, int(np.searchsorted(self.pair_row, rows.stop, side="right")))
+            count = self.pair_count[pairs]
+            moments = _moments(self.x_dlam_w[points], omega, np.cumsum(count) - count)
+            nodes[:, pairs], weights[:, pairs] = _two_node_rule(self.pair_lam_w[pairs], moments)
+            p0 = pairs.stop
+        live = np.any(weights > 0.0, axis=0)
+        if live.all():
+            live = slice(None)  # views, no copies
+        row = self.pair_row[live]
+        return _PairRule(row, np.bincount(row - 1, minlength=self.counts.size),
+                         self.pair_a[live], nodes[:, live], weights[:, live])
+
+
+def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
+    layout = _row_layout(grid)
+    x_dlam_w = np.empty(int(layout.counts.sum()))
+    pair_row, pair_a, pair_count, pair_lam_w = [], [], [], []
+    for rows, out in _row_blocks(layout.counts):
+        idx, t = grid._interval(layout.x_at(grid.nodes, rows))
+        lam_w = np.clip(t - idx, 0.0, 1.0)
+
+        starts = np.cumsum(layout.counts[rows]) - layout.counts[rows]  # of each row, in the block
+        opens = np.empty(idx.size, dtype=bool)  # a point that starts a pair
+        np.not_equal(idx[1:], idx[:-1], out=opens[1:])
+        opens[starts] = True  # no pair crosses a row
+        first = np.flatnonzero(opens)
+        count = np.diff(first, append=idx.size)
+        pair_row.append(np.searchsorted(starts, first, side="right") + rows.start)
+        pair_a.append(idx[first])
+        pair_count.append(count)
+        pair_lam_w.append(lam_w[first])
+        x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
+
+    return _HalfRangePlan(
+        **vars(layout),
+        x_dlam_w=x_dlam_w,
+        pair_row=np.concatenate(pair_row),
+        pair_a=np.concatenate(pair_a),
+        pair_count=np.concatenate(pair_count),
+        pair_lam_w=np.concatenate(pair_lam_w),
+    )
 
 
 def _moments(dlam, omega, starts) -> np.ndarray:
@@ -550,9 +574,11 @@ def _two_node_rule(lam0, moments):
 class _PairRule:
     """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``):
     pair p lies in the row of node ``row[p]`` and grid interval ``a[p]``; its
-    measure becomes the ``weights[:, p]`` at the w fractions ``nodes[:, p]``."""
+    measure becomes the ``weights[:, p]`` at the w fractions ``nodes[:, p]``.
+    Row j - 1 holds ``counts[j - 1]`` of the pairs."""
 
     row: np.ndarray
+    counts: np.ndarray
     a: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
@@ -567,17 +593,27 @@ class _PairRule:
         of the two nodes costs one exp.  Every node is a convex fraction lam
         in [0, 1] with a nonnegative weight, and its exponent equals
         c_j - ((1 - lam) c_a + lam c_{a+1}), a convex combination of
-        differences that grow with tau, so h preserves order in tau.
+        differences that grow with tau, so h preserves order in tau.  The
+        pairs are summed per row in blocks of whole rows, so a row's sum
+        does not depend on the block size.
         """
-        slope = cum[self.a]
-        base = cum[self.row]
-        base -= slope
-        slope -= cum[1:][self.a]  # in place: c_a - c_{a+1}
-        terms = self.nodes * slope
-        terms += base
-        np.exp(terms, out=terms)
-        terms *= self.weights
-        return 2.0 * np.bincount(self.row, weights=terms[0] + terms[1], minlength=cum.size)
+        out = np.zeros(cum.size)
+        for rows, pairs in _row_blocks(self.counts):
+            row = self.row[pairs]
+            a = self.a[pairs]
+            slope = cum[a]
+            base = cum[row]
+            base -= slope
+            slope -= cum[1:][a]  # in place: c_a - c_{a+1}
+            terms = self.nodes[:, pairs] * slope
+            terms += base
+            np.exp(terms, out=terms)
+            terms *= self.weights[:, pairs]
+            out[rows.start + 1:rows.stop + 1] = np.bincount(
+                row - (rows.start + 1), weights=terms[0] + terms[1],
+                minlength=rows.stop - rows.start)
+        out *= 2.0
+        return out
 
 
 # ----------------------------------------------------------------------

@@ -419,6 +419,19 @@ def test_simulate_rejects_coarse_cells(solved_file, tmp_path, capsys):
     assert "512 cells" in capsys.readouterr().err
 
 
+def test_simulate_rejected_window_makes_no_directory(solved_file, tmp_path, capsys):
+    # a comparison window that does not fit the domain at t1 is refused
+    # before the run, and the output directory is not created
+    outdir = tmp_path / "sim"
+    with pytest.warns(RuntimeWarning, match="1024 cells"):
+        code = main(["simulate", "--profile", str(solved_file), "--t1", "1.5",
+                     "--cells", "1024", "--xmax", "300", "--z-window", "250",
+                     "--allow-truncation", "--out", str(outdir)])
+    assert code == 2
+    assert "window" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_simulate_rejects_bad_times(solved_file, tmp_path):
     code = main([
         "simulate", "--profile", str(solved_file), "--t0", "2", "--t1", "1",

@@ -223,8 +223,7 @@ def test_half_range_plan_matches_row_loop(n):
     grid = cd.build_grid(1e6, n, 0.5)
     ref = reference_plan(grid)
     plan = grid.half_range_plan()
-    for name in ("counts", "x_lam_z"):
-        assert np.array_equal(getattr(plan, name), ref[name]), name
+    assert np.array_equal(plan.counts, ref["counts"])
     # the point weights trapezoid weight * G(y) are derived per block from
     # the row layout: G = 1 gives the weights, distinct samples of G the
     # sample indices too
@@ -275,6 +274,12 @@ def _plan_data(grid):
     return cd.GridFunction(grid, np.where(grid.nodes > 1e3, 0.0, barrier))
 
 
+def _kernel_table(grid):
+    """The plain cumulative log-integral table of tau = 3, for kernel_sums."""
+    tau = cd.TauFunction(grid, np.full(grid.n, 3.0), slope0=1.0, limit_inf=3.0)
+    return cd.cumulative_log_integral(tau, corrected=False)
+
+
 @pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
 def test_half_range_plan_blocked_build(monkeypatch, n, block):
     from coagdrift import grids
@@ -284,6 +289,10 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         G = _plan_data(grid)
         plan = grid.half_range_plan()
         return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(G)
+
+    def kernel_sums(rule, points):
+        monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", points)
+        return rule.kernel_sums(_kernel_table(cd.build_grid(1e6, n, 0.5)))
 
     whole, whole_rule, whole_conv = build_and_pass()
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
@@ -296,37 +305,50 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
     for name, value in vars(whole_rule).items():
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
-    # the blocks tile rows, pairs and points in order, each pair in its rows
+    # the blocks tile rows and points in order, and the pairs in each
+    # block's rows end where its points do
     G = _plan_data(cd.build_grid(1e6, n, 0.5))
     blocks = list(blocked.blocks(G))
     assert len(blocks) > 3
-    for (rows, pairs, points, omega), nxt in zip(blocks, blocks[1:] + [None]):
-        assert blocked.counts[rows].sum() == blocked.pair_count[pairs].sum() == points.stop - points.start
-        assert omega.size == points.stop - points.start
-        assert np.all((blocked.pair_row[pairs] > rows.start) & (blocked.pair_row[pairs] <= rows.stop))
+    pair_ends = np.cumsum(blocked.pair_count)
+    for (rows, points, omega), nxt in zip(blocks, blocks[1:] + [None]):
+        assert blocked.counts[rows].sum() == points.stop - points.start == omega.size
+        in_rows = (blocked.pair_row > rows.start) & (blocked.pair_row <= rows.stop)
+        assert pair_ends[in_rows][-1] == points.stop
         if nxt is not None:
-            assert (rows.stop, pairs.stop, points.stop) == (nxt[0].start, nxt[1].start, nxt[2].start)
-    assert (rows.stop, pairs.stop, points.stop) == (n - 1, blocked.pair_row.size, blocked.size)
+            assert (rows.stop, points.stop) == (nxt[0].start, nxt[1].start)
+    assert (rows.stop, points.stop) == (n - 1, blocked.size)
+    # the kernel sums keep their bits across row blocks of pairs: one block
+    # of every row, small blocks (a row of more pairs than a block is a
+    # block of its own) and the plan's blocks
+    sums = kernel_sums(whole_rule, whole_rule.row.size)
+    assert whole_rule.counts.max() > 3
+    assert np.array_equal(kernel_sums(whole_rule, 3), sums)
+    assert np.array_equal(kernel_sums(rule, block), sums)
 
 
-@pytest.mark.parametrize("call, bound", [("convolution", 0.5), ("pair_rule", 1.25)])
+@pytest.mark.parametrize("call, bound", [
+    ("convolution", 0.5), ("pair_rule", 1.25), ("kernel_sums", 0.2)])
 def test_plan_passes_stream_in_blocks(call, bound):
-    # the passes over the points hold block-sized temporaries, not arrays
-    # as long as the plan: traced peak in units of one point-length float
-    # array, on a built plan of the README pair (measured: convolution
-    # 0.12, pair rule 0.89; 2.11 and 1.63 when whole point arrays were
-    # formed)
+    # the passes over the points and pairs hold block-sized temporaries, not
+    # arrays as long as the plan: traced peak in units of one point-length
+    # float array, on a built plan of the README pair (measured: convolution
+    # 0.17, pair rule 0.89, kernel sums 0.11; 2.11 and 1.63 when the first
+    # two formed whole point arrays, 0.32 when the kernel sums formed whole
+    # pair arrays)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
     seed = cd.seed_profile(params, cd.build_grid(1e6, 2049, 0.5))
     plan = seed.grid.half_range_plan()
+    rule = plan.pair_rule(seed)
+    cum = _kernel_table(seed.grid)
+    run = {"convolution": lambda: cd.half_convolution_at_nodes(seed),
+           "pair_rule": lambda: plan.pair_rule(seed),
+           "kernel_sums": lambda: rule.kernel_sums(cum)}[call]
     tracemalloc.start()
     try:
-        if call == "convolution":
-            cd.half_convolution_at_nodes(seed)
-        else:
-            plan.pair_rule(seed)
+        run()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -361,6 +383,7 @@ def test_half_convolution_at_nodes_matches_per_point(case):
         F = cd.GridFunction(grid, _tail_cut(barrier, grid, 50.0))
         assert np.any(F.values == 0.0)
     got = cd.half_convolution_at_nodes(F)
+    assert grid._plan is None  # the convolution builds and caches no plan
     want = _reference_half_convolution(F, F)
     assert got[0] == 0.0
     scale = np.where(want == 0.0, 1.0, np.abs(want))
