@@ -16,19 +16,19 @@ Quadrature conventions:
   iteration use the plain trapezoid with nonnegative weights only, so the
   pointwise comparison arguments of the iteration survive discretization.
 
-The half-range quadrature at all nodes has one row of points per node.  The
-tau sweep reads it through a plan of O(N^2) points, built once per grid:
-consecutive points of one row z_j whose argument z_j - y falls in the same
-grid interval form a pair, and the plan keeps per point only the w
-interpolation fraction, as an offset from the pair's first one (one float,
-8 bytes), and per pair the row, the interval, the run length and that first
-w fraction.  A point's sample index and trapezoid weight follow from its
-row.  The build and the Gauss rules of the pairs walk the points in
-cache-sized blocks of rows, and the kernel sums (at most two exp per pair)
-blocks of whole rows of pairs; none forms another plan-length array.  The
-convolution builds no plan: it runs once per solve and in ``verify``, and
-forms the brackets of each block of rows itself (one log1p and one exp per
-point).
+The half-range quadrature at all nodes has one row of points per node,
+O(N^2) points in all.  The tau sweep reads it through a plan built once per
+grid: the points of one row z_j whose argument z_j - y falls in the same
+grid interval are a run of consecutive y nodes and form a pair.  The plan
+keeps per pair only its interval, first node and point count, found by
+searchsorted on node ranges, and per row its number of pairs; none of its
+arrays is as long as the points.  The z fraction of the argument is affine
+in y along a pair, so the Gauss rule of a pair, per datum, takes its
+moments from a disjoint sparse table of node moments (about 2 MB at 4097
+nodes).  The rules and the kernel sums (at most two exp per pair) walk
+blocks of whole rows of pairs.  The convolution builds no plan: it runs
+once per solve and in ``verify``, and forms the brackets of each block of
+rows itself (one log1p and one exp per point).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergentMomentError, ParameterDomainError
+from .errors import DivergentMomentError, NumericalConsistencyError, ParameterDomainError
 
 __all__ = [
     "Grid",
@@ -327,8 +327,8 @@ class _RowLayout:
     interpolated only at the half endpoint.  Its trapezoid weight is the
     node's ``node_w``, except at the row's last node and half endpoint,
     whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  The
-    plan build, the convolution and ``pair_rule`` share this layout:
-    ``blocks`` gathers the point weights and ``x_at`` the arguments.
+    convolution walks the points through ``blocks``; the plan reads the
+    weights per node and per row.
     """
 
     counts: np.ndarray
@@ -337,23 +337,28 @@ class _RowLayout:
     half_w: np.ndarray
 
     def blocks(self, G: GridFunction):
-        """(rows, points, omega) of each block of ``_row_blocks``: its rows,
-        their points, and omega, the trapezoid weight times G(y) at each of
-        the points.  The products are formed once per node and per row,
-        then gathered per block."""
+        """(rows, omega, x) of each block of ``_row_blocks``: its rows, and at
+        each of their points omega, the trapezoid weight times G(y), and the
+        argument x = z_j - y.  The products are formed once per node and per
+        row, then gathered per block through one point-to-node index."""
+        z = G.grid.nodes
         node = self.node_w * G.values
         last = self.last_w * G.values[self.counts - 2]
-        half = self.half_w * G(0.5 * G.grid.nodes[1:])
-        for rows, points in _row_blocks(self.counts):
-            yield rows, points, _row_points(self.counts[rows], node, last[rows], half[rows])
-
-    def x_at(self, z: np.ndarray, rows: slice) -> np.ndarray:
-        """x = z_j - y, the argument of A, at every point of ``rows``."""
-        counts = self.counts[rows]
-        zj = z[rows.start + 1:rows.stop + 1]
-        x = np.repeat(zj, counts)
-        x -= _row_points(counts, z, z[counts - 2], 0.5 * zj)
-        return x
+        half_z = 0.5 * z[1:]
+        half = self.half_w * G(half_z)
+        for rows, _ in _row_blocks(self.counts):
+            counts = self.counts[rows]
+            end = np.cumsum(counts) - 1  # the half endpoints
+            at = np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts)
+            omega = node[at]
+            omega[end - 1] = last[rows]
+            omega[end] = half[rows]
+            zj = z[rows.start + 1:rows.stop + 1]
+            x = np.repeat(zj, counts)
+            x -= z[at]
+            x[end] = zj - half_z[rows]
+            del at  # the caller's work holds only omega and x per point
+            yield rows, omega, x
 
 
 def _row_layout(grid: Grid) -> _RowLayout:
@@ -368,19 +373,7 @@ def _row_layout(grid: Grid) -> _RowLayout:
                       last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail)
 
 
-def _row_points(counts, node, last, half) -> np.ndarray:
-    """Values at every point of consecutive rows of ``counts`` points.  The
-    i-th point of a row lies at node z_i and takes ``node[i]``, except that
-    each row's last node takes its ``last`` and its half endpoint its
-    ``half``."""
-    end = np.cumsum(counts) - 1  # the half endpoints
-    out = node[np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts)]
-    out[end - 1] = last
-    out[end] = half
-    return out
-
-
-# Points (or pairs) per block of rows in the plan build and in every pass
+# Points (or candidate intervals, or pairs) per block of rows in every pass
 # over the points or pairs.  A block's dozen temporaries take about 3 MB,
 # near a 2 MB L2 cache; blocks of 2^15 to 2^17 points time within 10% of
 # each other.
@@ -388,8 +381,8 @@ _PLAN_BLOCK_POINTS = 1 << 15
 
 
 def _row_blocks(counts):
-    """(rows, points) slices of consecutive blocks of whole rows, of at most
-    ``_PLAN_BLOCK_POINTS`` points each; a longer row is a block of its own."""
+    """(rows, items) slices of consecutive blocks of whole rows, of at most
+    ``_PLAN_BLOCK_POINTS`` items each; a longer row is a block of its own."""
     ends = np.cumsum(counts)
     r0 = 0
     while r0 < counts.size:
@@ -422,8 +415,7 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
     out = np.zeros(grid.n)
-    for rows, _, omega in layout.blocks(F):
-        x = layout.x_at(grid.nodes, rows)
+    for rows, omega, x in layout.blocks(F):
         a, _ = grid._interval(x)
         contrib = slope[a]
         contrib *= grid._lam_z(x, a)
@@ -441,102 +433,260 @@ class _HalfRangePlan(_RowLayout):
     """The pairs of the half-range quadrature on its rows, for the tau sweep.
 
     Within a row x = z_j - y decreases, so the points whose x falls in one
-    grid interval [z_a, z_{a+1}] form a contiguous run.  The runs are the
-    pairs: pair p covers the next ``pair_count[p]`` points, all in the
-    row of node ``pair_row[p]`` and bracketing interval ``pair_a[p]``.
-    The w fraction of x in its interval is ``pair_lam_w[p] + x_dlam_w``,
-    the pair's first fraction plus the point's offset from it: the one
-    fraction (8 bytes) the plan stores per point.  It is stored, not formed
-    per pass, because it costs one log1p per point and ``pair_rule`` runs
-    several times per solve.  ``pair_rule`` walks ``blocks``, so its
-    temporaries stay block-sized.
+    grid interval [z_a, z_{a+1}) are a run of consecutive y nodes.  The runs
+    are the pairs: row j - 1 holds the next ``row_pairs[j - 1]`` of them,
+    and pair p holds ``pair_count[p]`` points from node ``pair_first[p]``,
+    in interval ``pair_a[p]``.  The row's half endpoint ends its last pair,
+    in interval k_j - 1, which holds only it when no node of the row falls
+    there.  The interval is that of the floor rule of ``Grid.bracket``
+    without its rounding, so a point whose x is the node z_b lies in
+    interval b at fraction 0.  That is the first point of every row,
+    x = z_j, except the last row's, whose x = zmax lies in the last
+    interval at fraction 1.  The floor rule puts some of those points in
+    interval j - 1 at fraction 1 instead; here each stays a pair of one
+    point, which the two-node rule reproduces exactly.  (The half endpoint
+    lies at fraction 1 of its interval if z_j/2 is the node z_{k_j}.)
+
+    The plan holds per-pair and per-row arrays only, no per-point one: the
+    z fraction of x is affine in y along a pair, so ``pair_rule`` takes each
+    pair's moments from sums over its node range.
     """
 
-    x_dlam_w: np.ndarray
-    pair_row: np.ndarray
+    row_pairs: np.ndarray
     pair_a: np.ndarray
+    pair_first: np.ndarray
     pair_count: np.ndarray
-    pair_lam_w: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.x_dlam_w.size
+        """The number of points of the quadrature."""
+        return int(self.counts.sum())
 
     def pair_rule(self, G: GridFunction) -> "_PairRule":
         """The Gauss rules of the pairs for datum G, fixed for a whole inner
-        solve: each pair's measure carries the point weights trapezoid
-        weight * G(y), whose moments 0-3 are taken one block at a time.
-        Pairs of zero mass are left out: they contribute 0."""
-        nodes = np.empty((2, self.pair_count.size))
+        solve.
+
+        A pair's measure carries the point weights trapezoid weight * G(y)
+        at the z fractions lam = (z_j - y - z_a)/dz_a of its points.  Its
+        moments 0-3 are the table's moments of its nodes that take
+        ``node_w`` (``_moment_table``), about a point of the pair and scaled
+        from y to lam, plus the row's last node (``last_w``) and half
+        endpoint (``half_w``).  The two-node rule is formed in lam, and its
+        nodes are mapped to w fractions exactly, one log1p each.  The pairs
+        are walked in blocks of whole rows.  Pairs of zero mass are left
+        out: they contribute 0.  A rule that is not finite is a consistency
+        error, not a pair to drop.
+        """
+        grid = G.grid
+        z = grid.nodes
+        dz = np.diff(z)
+        # the w fraction of z fraction lam in interval a is log1p(lam stretch_a)/dw
+        stretch = (1.0 - grid.v) * dz / (1.0 + (1.0 - grid.v) * z[:-1])
+        k = self.counts - 1  # nodes below z_j/2, per row
+        table = _moment_table(self.node_w[:k[-1]] * G.values[:k[-1]], z[:k[-1]])
+        ends = (self.last_w * G.values[k - 1], self.half_w * G(0.5 * z[1:]))
+        nodes = np.empty((2, self.pair_a.size))
         weights = np.empty_like(nodes)
-        p0 = 0
-        for rows, points, omega in self.blocks(G):
-            pairs = slice(p0, int(np.searchsorted(self.pair_row, rows.stop, side="right")))
-            count = self.pair_count[pairs]
-            moments = _moments(self.x_dlam_w[points], omega, np.cumsum(count) - count)
-            nodes[:, pairs], weights[:, pairs] = _two_node_rule(self.pair_lam_w[pairs], moments)
-            p0 = pairs.stop
-        live = np.any(weights > 0.0, axis=0)
-        if live.all():
-            live = slice(None)  # views, no copies
-        row = self.pair_row[live]
-        return _PairRule(row, np.bincount(row - 1, minlength=self.counts.size),
-                         self.pair_a[live], nodes[:, live], weights[:, live])
+        a_live = np.empty_like(self.pair_a)
+        counts = np.empty_like(self.row_pairs)
+        p_live = 0
+        for rows, pairs in _row_blocks(self.row_pairs):
+            per_row = self.row_pairs[rows]
+            a = self.pair_a[pairs]
+            moments, origin, width = self._pair_moments(table, ends, z, rows, pairs)
+            dza = dz[a]
+            lam0 = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
+            lam0 -= origin
+            lam0 -= z[a]
+            lam0 /= dza
+            lam, w = _z_fraction_rule(moments, lam0, dza, width)
+            lam *= stretch[a]
+            np.log1p(lam, out=lam)
+            lam /= grid.dw
+            if not (np.isfinite(lam).all() and np.isfinite(w).all()):
+                raise NumericalConsistencyError(
+                    f"a pair rule of the half-range quadrature is not finite on this "
+                    f"{grid.n}-node grid (rows {rows.start + 1} to {rows.stop})")
+            np.clip(lam, 0.0, 1.0, out=lam)
+            live = w[0] > 0.0
+            live |= w[1] > 0.0
+            counts[rows] = np.add.reduceat(live, np.cumsum(per_row) - per_row, dtype=counts.dtype)
+            out = slice(p_live, p_live + int(counts[rows].sum()))
+            if out.stop - out.start == live.size:
+                nodes[:, out], weights[:, out], a_live[out] = lam, w, a
+            else:
+                nodes[:, out], weights[:, out], a_live[out] = lam[:, live], w[:, live], a[live]
+            p_live = out.stop
+        live = slice(0, p_live)
+        return _PairRule(counts, a_live[live], nodes[:, live], weights[:, live])
+
+    def _pair_moments(self, table, ends, z, rows, pairs):
+        """Moments 0-3 in y of the measures of the pairs ``pairs`` on the
+        rows ``rows``, about a position ``origin`` in each pair, and each
+        pair's width in y.  ``ends`` holds per row the masses of the last
+        node and of the half endpoint, which ``table`` leaves out."""
+        per_row = self.row_pairs[rows]
+        k = self.counts[rows] - 1
+        half_z = 0.5 * z[rows.start + 1:rows.stop + 1]
+        last_pair = np.cumsum(per_row) - 1  # of each row, in the block
+        first = self.pair_first[pairs]
+        count = self.pair_count[pairs]
+        only_half = count[last_pair] == 1  # a last pair of the half endpoint alone
+        holds_last = last_pair - only_half  # the pair of the row's last node
+        last_node = first + count - 1
+        last_node[last_pair] -= 1
+        in_table = last_node.copy()  # the last node takes last_w, not node_w
+        in_table[holds_last] -= 1
+        empty = in_table < first
+        moments, origin = _range_moments(table, np.where(empty, table.zero, first),
+                                         np.where(empty, table.zero, in_table))
+        y0 = z[first]
+        y0[last_pair[only_half]] = half_z[only_half]
+        origin = np.where(empty, y0, origin)
+        for at, mass, y in ((holds_last, ends[0][rows], z[k - 1]),
+                            (last_pair, ends[1][rows], half_z)):
+            d = y - origin[at]
+            moments[:, at] += mass * d ** np.arange(4.0)[:, None]
+        width = z[last_node]
+        width[last_pair] = half_z
+        width -= y0
+        return moments, origin, width
 
 
 def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
+    """The pairs from node ranges, with no pass over the points.  In row j
+    the nodes y_i with x = z_j - y_i in [z_a, z_{a+1}) run from the first
+    with y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the
+    intervals a from min(j, n - 2) down to k_j - 1, where the half endpoint
+    lies: one searchsorted per interval, and intervals without a point are
+    skipped."""
     layout = _row_layout(grid)
-    x_dlam_w = np.empty(int(layout.counts.sum()))
-    pair_row, pair_a, pair_count, pair_lam_w = [], [], [], []
-    for rows, out in _row_blocks(layout.counts):
-        idx, t = grid._interval(layout.x_at(grid.nodes, rows))
-        lam_w = np.clip(t - idx, 0.0, 1.0)
-
-        starts = np.cumsum(layout.counts[rows]) - layout.counts[rows]  # of each row, in the block
-        opens = np.empty(idx.size, dtype=bool)  # a point that starts a pair
-        np.not_equal(idx[1:], idx[:-1], out=opens[1:])
-        opens[starts] = True  # no pair crosses a row
-        first = np.flatnonzero(opens)
-        count = np.diff(first, append=idx.size)
-        pair_row.append(np.searchsorted(starts, first, side="right") + rows.start)
-        pair_a.append(idx[first])
-        pair_count.append(count)
-        pair_lam_w.append(lam_w[first])
-        x_dlam_w[out] = lam_w - np.repeat(lam_w[first], count)
-
-    return _HalfRangePlan(
-        **vars(layout),
-        x_dlam_w=x_dlam_w,
-        pair_row=np.concatenate(pair_row),
-        pair_a=np.concatenate(pair_a),
-        pair_count=np.concatenate(pair_count),
-        pair_lam_w=np.concatenate(pair_lam_w),
-    )
-
-
-def _moments(dlam, omega, starts) -> np.ndarray:
-    """Moments 0-3 of the measures sum_k omega_k delta(dlam_k), one per
-    run of points from each of ``starts`` to the next, as an array of shape
-    (4, runs).  ``omega`` is overwritten by the running product."""
-    moments = np.empty((4, starts.size))
-    np.add.reduceat(omega, starts, out=moments[0])
-    for k in (1, 2, 3):
-        omega *= dlam
-        np.add.reduceat(omega, starts, out=moments[k])
-    return moments
+    z = grid.nodes
+    k = layout.counts - 1
+    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
+    spans = top - k + 2  # the intervals k_j - 1 to top of row j
+    row_pairs = np.empty_like(k)
+    pair_a, pair_first, pair_count = [], [], []
+    for rows, _ in _row_blocks(spans):
+        span = spans[rows]
+        row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
+        row_start = row_end - span + 1
+        b = np.repeat(top[rows] + 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
+        first = np.searchsorted(z, np.repeat(z[rows.start + 1:rows.stop + 1], span) - z[b],
+                                side="right")
+        first[row_start] = 0  # x = zmax lies in the last interval
+        np.minimum(first, np.repeat(k[rows], span), out=first)  # z_j/2 may be a node
+        count = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=count[:-1])
+        count[row_end] = k[rows] - first[row_end] + 1  # the last nodes and the half endpoint
+        live = count > 0
+        row_pairs[rows] = np.add.reduceat(live, row_start, dtype=row_pairs.dtype)
+        pair_a.append(b[live] - 1)
+        pair_first.append(first[live])
+        pair_count.append(count[live])
+    return _HalfRangePlan(**vars(layout), row_pairs=row_pairs, pair_a=np.concatenate(pair_a),
+                          pair_first=np.concatenate(pair_first),
+                          pair_count=np.concatenate(pair_count))
 
 
-# A pair measure whose variance is at most this fraction of its second
-# moment about the first point is one atom up to rounding; its Gauss rule
-# is the one node at the mean (two nodes would land anywhere, even outside
-# [0, 1]).
+@dataclass(frozen=True)
+class _MomentTable:
+    """Disjoint sparse table of the moments 0-3 of node masses m_i at
+    positions y_i.
+
+    On level h the nodes are split into blocks of 2^(h+1), and each node
+    holds the moments about its block's middle node y_c of the masses
+    between itself and the middle: suffix sums on the left half, prefix
+    sums on the right, so each sum is one-signed.  A range [l, r] whose
+    ends differ first in bit h takes one entry of each end on that level.
+    After the levels, ``sums`` holds a level of each node's own moments
+    about itself, for a range of one node, and a level of zeros.  The
+    table ends in a node of zero mass, for an empty range.  The look-ups
+    ``lo``, ``hi`` and ``centre`` are indexed by l XOR r: the row offsets
+    of the two entries, and the bits of r that the centre keeps.
+    """
+
+    sums: np.ndarray  # (entries, 4)
+    y: np.ndarray
+    zero: int  # the node of zero mass
+    lo: np.ndarray
+    hi: np.ndarray
+    centre: np.ndarray
+
+
+def _moment_table(mass: np.ndarray, y: np.ndarray) -> _MomentTable:
+    levels = mass.size.bit_length()  # room for the zero node at index mass.size
+    size = 1 << levels
+    m = np.zeros(size)
+    m[:mass.size] = mass
+    yp = np.full(size, y[-1])
+    yp[:y.size] = y
+    sums = np.zeros(((levels + 2) * size, 4))
+    sums[levels * size:(levels + 1) * size, 0] = m
+    for h in range(levels):
+        shape = (size >> (h + 1), 2, 1 << h)
+        d = yp.reshape(shape)
+        d = d - d[:, 1:, :1]  # about each block's middle node
+        term = np.stack([m.reshape(shape)] * 4, axis=-1)
+        term[..., 1] *= d
+        term[..., 2] = term[..., 1] * d
+        term[..., 3] = term[..., 2] * d
+        level = sums[h * size:(h + 1) * size].reshape(shape + (4,))
+        np.cumsum(term[:, 0, ::-1], axis=1, out=level[:, 0, ::-1])
+        np.cumsum(term[:, 1], axis=1, out=level[:, 1])
+    top = np.zeros(size, dtype=np.intp)  # the highest set bit of l XOR r
+    top[0] = levels
+    top[1:] = np.frexp(np.arange(1, size))[1] - 1
+    lo = top * size
+    hi = lo.copy()
+    hi[0] += size  # a one-node range: its own moments and zeros
+    centre = ~((1 << top) - 1)
+    centre[0] = -1
+    return _MomentTable(sums, yp, mass.size, lo, hi, centre)
+
+
+def _range_moments(table: _MomentTable, first, last):
+    """Moments 0-3 of the table's masses of the node ranges [first, last],
+    as an array of shape (4, ranges), and the position each is taken about:
+    the middle node of the level on which the range splits, or a one-node
+    range's node.  That position lies in the range, so each moment carries
+    rounding of about eps * mass * width^s."""
+    split = first ^ last
+    lo = np.take(table.lo, split)
+    lo += first
+    hi = np.take(table.hi, split)
+    hi += last
+    centre = np.take(table.centre, split)
+    centre &= last
+    moments = np.take(table.sums, lo, axis=0)
+    moments += np.take(table.sums, hi, axis=0)
+    return moments.T, np.take(table.y, centre)
+
+
+def _z_fraction_rule(moments, lam0, dz, width):
+    """Two-node rules in the z fraction lam = lam0 - (y - y_0)/dz of pairs
+    whose masses have the moments 0-3 ``moments`` (overwritten) in y about
+    the point y_0 at fraction ``lam0``, and spread over ``width`` in y."""
+    scale = -1.0 / dz  # lam falls as y rises
+    moments[1] *= scale
+    moments[2] *= scale * scale
+    moments[3] *= scale * scale * scale
+    return _two_node_rule(lam0, moments, width / dz)
+
+
+# A pair measure whose variance is at most this fraction of the square of
+# its width, the distance from its first point to its last, is one atom up
+# to rounding; its Gauss rule is the one node at the mean.  The table's
+# moments carry rounding of about eps * mass * width^s whatever the spread
+# of the mass, so a smaller variance is no information, and two nodes
+# formed from it would land anywhere (q = c3/c2 below may even overflow).
 _ONE_NODE_VARIANCE = 1e-14
 
 
-def _two_node_rule(lam0, moments):
+def _two_node_rule(lam0, moments, width):
     """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
     rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
-    are ``moments[:, p]`` (overwritten).
+    are ``moments[:, p]`` (overwritten) and whose support spans ``width[p]``.
 
     With the central moments c2, c3 and q = c3/c2 the nodes are
     mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
@@ -554,7 +704,7 @@ def _two_node_rule(lam0, moments):
     mean, s2, s3 = moments[1:]
     c2 = s2 - mean * mean
     c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
-    two = c2 > _ONE_NODE_VARIANCE * s2
+    two = c2 > _ONE_NODE_VARIANCE * width * width
     # a one-node measure runs the two-node formulas with c2 = 1 and then
     # takes the node at the mean with the whole mass instead
     c2 = np.where(two, c2, 1.0)
@@ -573,11 +723,10 @@ def _two_node_rule(lam0, moments):
 @dataclass(eq=False)
 class _PairRule:
     """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``):
-    pair p lies in the row of node ``row[p]`` and grid interval ``a[p]``; its
-    measure becomes the ``weights[:, p]`` at the w fractions ``nodes[:, p]``.
-    Row j - 1 holds ``counts[j - 1]`` of the pairs."""
+    row j - 1 holds the next ``counts[j - 1]`` pairs; pair p lies in grid
+    interval ``a[p]``, and its measure becomes the ``weights[:, p]`` at the
+    w fractions ``nodes[:, p]``."""
 
-    row: np.ndarray
     counts: np.ndarray
     a: np.ndarray
     nodes: np.ndarray
@@ -599,10 +748,10 @@ class _PairRule:
         """
         out = np.zeros(cum.size)
         for rows, pairs in _row_blocks(self.counts):
-            row = self.row[pairs]
+            per_row = self.counts[rows]
             a = self.a[pairs]
             slope = cum[a]
-            base = cum[row]
+            base = np.repeat(cum[rows.start + 1:rows.stop + 1], per_row)
             base -= slope
             slope -= cum[1:][a]  # in place: c_a - c_{a+1}
             terms = self.nodes[:, pairs] * slope
@@ -610,8 +759,8 @@ class _PairRule:
             np.exp(terms, out=terms)
             terms *= self.weights[:, pairs]
             out[rows.start + 1:rows.stop + 1] = np.bincount(
-                row - (rows.start + 1), weights=terms[0] + terms[1],
-                minlength=rows.stop - rows.start)
+                np.repeat(np.arange(rows.stop - rows.start), per_row),
+                weights=terms[0] + terms[1], minlength=rows.stop - rows.start)
         out *= 2.0
         return out
 

@@ -74,9 +74,9 @@ def barrier_sweeps(G, params, cap, opts):
 
 
 def reference_plan(grid):
-    """The half-range plan built one row at a time, as flat per-point arrays:
-    trapezoid weights, sample indices (-1 at the half endpoint, where G is
-    interpolated) and the brackets of x = z_j - y."""
+    """The half-range quadrature built one row at a time, as flat per-point
+    arrays: trapezoid weights, sample indices (-1 at the half endpoint, where
+    G is interpolated), x = z_j - y and its brackets by ``Grid.bracket``."""
     z = grid.nodes
     half = 0.5 * z[1:]
     ks = np.searchsorted(z, half, side="left")
@@ -94,9 +94,10 @@ def reference_plan(grid):
         weights.append(w)
         y_node_idx.append(np.append(np.arange(k), -1))
         x_flat.append(z[j] - y)
-    x_idx, x_lam_z, x_lam_w = grid.bracket(np.concatenate(x_flat))
+    x = np.concatenate(x_flat)
+    x_idx, x_lam_z, x_lam_w = grid.bracket(x)
     return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
-                y_node_idx=np.concatenate(y_node_idx), x_idx=x_idx,
+                y_node_idx=np.concatenate(y_node_idx), x=x, x_idx=x_idx,
                 x_lam_z=x_lam_z, x_lam_w=x_lam_w)
 
 

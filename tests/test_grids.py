@@ -224,19 +224,32 @@ def test_half_range_plan_matches_row_loop(n):
     ref = reference_plan(grid)
     plan = grid.half_range_plan()
     assert np.array_equal(plan.counts, ref["counts"])
-    # the point weights trapezoid weight * G(y) are derived per block from
-    # the row layout: G = 1 gives the weights, distinct samples of G the
-    # sample indices too
+    assert plan.size == ref["x"].size
+    # the convolution's blocks gather the point weights trapezoid weight *
+    # G(y) and the arguments x = z_j - y: G = 1 gives the weights, distinct
+    # samples of G the sample indices too
     one = cd.GridFunction(grid, np.ones(n))
     G = cd.GridFunction(grid, np.exp(-np.arange(n) / n))
-    assert np.array_equal(np.concatenate([o for *_, o in plan.blocks(one)]), ref["weights"])
-    assert np.array_equal(np.concatenate([o for *_, o in plan.blocks(G)]),
+    assert np.array_equal(np.concatenate([o for _, o, _ in plan.blocks(one)]), ref["weights"])
+    assert np.array_equal(np.concatenate([o for _, o, _ in plan.blocks(G)]),
                           ref["weights"] * reference_samples(ref, G))
-    # the w fraction is stored as the pair's first one plus an offset
-    first = np.concatenate([[0], np.cumsum(plan.pair_count)[:-1]])
-    assert np.array_equal(plan.pair_lam_w, ref["x_lam_w"][first])
-    assert np.array_equal(plan.x_dlam_w,
-                          ref["x_lam_w"] - np.repeat(ref["x_lam_w"][first], plan.pair_count))
+    assert np.array_equal(np.concatenate([x for *_, x in plan.blocks(G)]), ref["x"])
+    # per point, the pair's interval is the floor rule's, except where x is
+    # a node z_b (the first point of a row, x = z_j): the plan puts it in
+    # interval b at fraction 0, the floor rule by rounding sometimes in
+    # interval b - 1 at fraction 1
+    a = np.repeat(plan.pair_a, plan.pair_count)
+    x, z = ref["x"], grid.nodes
+    differ = a != ref["x_idx"]
+    firsts = np.cumsum(plan.counts) - plan.counts
+    assert np.all(np.isin(np.flatnonzero(differ), firsts))
+    assert np.array_equal(z[a[differ]], x[differ])
+    assert np.all(ref["x_idx"][differ] == a[differ] - 1)
+    assert np.all(ref["x_lam_w"][differ] > 1.0 - 1e-12)
+    # the rule itself: x in [z_a, z_{a+1}), and x = zmax in the last interval
+    assert np.all(z[a] <= x)
+    assert np.all((x < z[a + 1]) | ((x == z[-1]) & (a == n - 2)))
+    assert np.all(z[a][firsts[:-1]] == z[1:-1])  # x = z_j at fraction 0
 
 
 def test_half_range_plan_covers_short_segments():
@@ -248,23 +261,32 @@ def test_half_range_plan_covers_short_segments():
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_pairs_tile_rows(n):
     grid = cd.build_grid(1e6, n, 0.5)
-    ref = reference_plan(grid)
     plan = grid.half_range_plan()
-    # the pairs tile [0, size) once, in order
-    assert np.all(plan.pair_count >= 1)
-    offsets = np.concatenate([[0], np.cumsum(plan.pair_count)])
-    assert offsets[-1] == plan.size
-    # no pair crosses a row: it lies inside the segment of its node
-    seg_start = (np.cumsum(plan.counts) - plan.counts)[plan.pair_row - 1]
-    seg_end = seg_start + plan.counts[plan.pair_row - 1]
-    assert np.all(plan.pair_row >= 1) and np.all(plan.pair_row <= n - 1)
-    assert np.all(np.diff(plan.pair_row) >= 0)
-    assert np.all(offsets[:-1] >= seg_start) and np.all(offsets[1:] <= seg_end)
-    # every point of a pair has the pair's bracketing interval, and
-    # neighbouring pairs of one row have different ones
-    assert np.array_equal(np.repeat(plan.pair_a, plan.pair_count), ref["x_idx"])
-    same_row = plan.pair_row[1:] == plan.pair_row[:-1]
-    assert np.all(plan.pair_a[1:][same_row] != plan.pair_a[:-1][same_row])
+    k = plan.counts - 1
+    assert np.all(plan.pair_count >= 1) and np.all(plan.row_pairs >= 1)
+    assert plan.row_pairs.size == n - 1 and plan.row_pairs.sum() == plan.pair_count.size
+    # each row's pairs tile its points in order: the nodes from 0 to
+    # k_j - 1, then the half endpoint (point k_j), which ends the last pair
+    row = np.repeat(np.arange(n - 1), plan.row_pairs)
+    row_first = np.cumsum(plan.row_pairs) - plan.row_pairs
+    row_last = row_first + plan.row_pairs - 1
+    assert np.all(plan.pair_first[row_first] == 0)
+    after = plan.pair_first + plan.pair_count
+    assert np.array_equal(after[:-1][np.diff(row) == 0], plan.pair_first[1:][np.diff(row) == 0])
+    assert np.array_equal(after[row_last], k + 1)
+    # intervals fall along a row, and its last pair lies in k_j - 1
+    assert np.all(np.diff(plan.pair_a)[np.diff(row) == 0] < 0)
+    assert np.array_equal(plan.pair_a[row_last], k - 1)
+
+
+def test_half_range_plan_holds_no_point_array():
+    # every array of the plan is per node, per row or per pair: at 2049
+    # nodes the plan has 1.9M points in 205k pairs
+    grid = cd.build_grid(1e6, 2049, 0.5)
+    plan = grid.half_range_plan()
+    assert 9 * plan.pair_a.size < plan.size
+    for name, value in vars(plan).items():
+        assert value.size in (grid.n, grid.n - 1, plan.pair_a.size), name
 
 
 def _plan_data(grid):
@@ -301,27 +323,23 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
     blocked, rule, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
-    assert whole_rule.row.size < whole.pair_row.size  # the zero tail left pairs out
+    assert whole_rule.a.size < whole.pair_a.size  # the zero tail left pairs out
     for name, value in vars(whole_rule).items():
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
-    # the blocks tile rows and points in order, and the pairs in each
-    # block's rows end where its points do
+    # the convolution's blocks tile the rows and their points in order
     G = _plan_data(cd.build_grid(1e6, n, 0.5))
     blocks = list(blocked.blocks(G))
     assert len(blocks) > 3
-    pair_ends = np.cumsum(blocked.pair_count)
-    for (rows, points, omega), nxt in zip(blocks, blocks[1:] + [None]):
-        assert blocked.counts[rows].sum() == points.stop - points.start == omega.size
-        in_rows = (blocked.pair_row > rows.start) & (blocked.pair_row <= rows.stop)
-        assert pair_ends[in_rows][-1] == points.stop
-        if nxt is not None:
-            assert (rows.stop, points.stop) == (nxt[0].start, nxt[1].start)
-    assert (rows.stop, points.stop) == (n - 1, blocked.size)
+    assert np.array_equal(np.concatenate([np.arange(n - 1)[rows] for rows, *_ in blocks]),
+                          np.arange(n - 1))
+    for rows, omega, x in blocks:
+        assert blocked.counts[rows].sum() == omega.size == x.size
+    assert (sum(o.size for _, o, _ in blocks)) == blocked.size
     # the kernel sums keep their bits across row blocks of pairs: one block
     # of every row, small blocks (a row of more pairs than a block is a
     # block of its own) and the plan's blocks
-    sums = kernel_sums(whole_rule, whole_rule.row.size)
+    sums = kernel_sums(whole_rule, whole_rule.a.size)
     assert whole_rule.counts.max() > 3
     assert np.array_equal(kernel_sums(whole_rule, 3), sums)
     assert np.array_equal(kernel_sums(rule, block), sums)
@@ -331,11 +349,12 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
     ("convolution", 0.5), ("pair_rule", 1.25), ("kernel_sums", 0.2)])
 def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
-    # arrays as long as the plan: traced peak in units of one point-length
-    # float array, on a built plan of the README pair (measured: convolution
-    # 0.17, pair rule 0.89, kernel sums 0.11; 2.11 and 1.63 when the first
-    # two formed whole point arrays, 0.32 when the kernel sums formed whole
-    # pair arrays)
+    # arrays as long as the points or pairs: traced peak in units of one
+    # point-length float array, on a built plan of the README pair
+    # (measured: convolution 0.17, pair rule 1.10, of which its output, the
+    # rules of 205k pairs, is 0.54, kernel sums 0.11; 2.11 when the
+    # convolution formed whole point arrays, 3.23 and 0.32 when the pair
+    # rule and the kernel sums formed whole pair arrays)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
@@ -353,6 +372,16 @@ def test_plan_passes_stream_in_blocks(call, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * plan.size) < bound
+
+
+def test_pair_rule_refuses_a_rule_that_is_not_finite():
+    # a datum whose node moments overflow gives rules of NaN weight: the
+    # plan raises instead of leaving those pairs out as of zero mass
+    grid = cd.build_grid(1e6, 65, 0.5)
+    G = cd.GridFunction(grid, np.full(grid.n, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(cd.NumericalConsistencyError, match="not finite"):
+            grid.half_range_plan().pair_rule(G)
 
 
 def _reference_half_convolution(F, G):

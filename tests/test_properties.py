@@ -11,7 +11,7 @@ import coagdrift as cd
 from coagdrift import cli
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
-from coagdrift.grids import _moments, _two_node_rule
+from coagdrift.grids import _moment_table, _range_moments, _z_fraction_rule
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
 from oracles import RecordingPool
 
@@ -23,21 +23,30 @@ _EPS = np.finfo(float).eps
 
 @st.composite
 def _pair_measure(draw):
-    """A measure on [0, 1] with 1-50 points: w fractions that repeat, nearly
-    repeat (up to 1e-6 apart) or sit at the ends, and weights that vanish,
-    are subnormal or span 300 decades."""
+    """A pair as the plan sees it: 1-50 nodes at strictly increasing
+    positions y, with gaps that span six decades, and their masses.  The
+    masses vanish, are subnormal or span 300 decades each, or one node, the
+    first or the last, carries the mass and the others up to 1e-300 of it.
+    Returns the positions, the masses, the interval length dz >= the width
+    in y and the z fraction of the first node."""
     n = draw(st.integers(1, 50))
-    base = draw(st.floats(0.0, 1.0))
-    lam = draw(st.lists(st.one_of(
-        st.floats(0.0, 1.0),
-        st.just(base),
-        st.floats(-1e-6, 1e-6).map(lambda e: min(1.0, max(0.0, base + e))),
-        st.sampled_from((0.0, 1.0)),
-    ), min_size=n, max_size=n))
-    omega = draw(st.lists(st.one_of(
-        st.just(0.0), st.just(5e-324), st.floats(1e-300, 1e3), st.floats(0.0, 1.0),
-    ), min_size=n, max_size=n))
-    return np.array(lam), np.array(omega)
+    gaps = draw(st.lists(st.one_of(st.floats(1e-6, 1.0), st.just(1.0)),
+                         min_size=n - 1, max_size=n - 1))
+    y = draw(st.floats(0.0, 1e3)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    if draw(st.booleans()):
+        mass = np.array(draw(st.lists(st.one_of(
+            st.just(0.0), st.just(5e-324), st.floats(1e-300, 1e3), st.floats(0.0, 1.0),
+        ), min_size=n, max_size=n)))
+    else:
+        heavy = draw(st.floats(1e-300, 1e3))
+        mass = heavy * np.array(draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(1e-300, 1.0)), min_size=n, max_size=n)))
+        mass[draw(st.sampled_from((0, n - 1)))] = heavy
+    width = y[-1] - y[0]
+    span = draw(st.floats(1e-3, 1.0))  # the pair's share of its interval
+    dz = width / span if width > 0.0 else 1.0
+    lam0 = draw(st.floats(span, 1.0)) if width > 0.0 else draw(st.floats(0.0, 1.0))
+    return y, mass, dz, lam0
 
 
 def _transport(lam, omega, nodes, weights) -> float:
@@ -50,49 +59,72 @@ def _transport(lam, omega, nodes, weights) -> float:
     return float(np.sum(np.abs(cdf[:-1]) * np.diff(t[order])))
 
 
-# One atom behind a first point of zero weight: the moments about the first
-# point leave a variance of 1.5e-16 s2 by rounding, which unguarded puts a
-# second node at -0.14.
-_ONE_ATOM = (np.array([0.24674784115974802] + 6 * [0.8612625322502753]),
-             np.array([0.0, 0.23456017072188076, 0.0013814786584767495, 0.05014979591205792,
-                       3227.466101224948, 0.0007016681943415193, 106.59755459554707]))
+def _pair_rules(pairs, lead, trail):
+    """The two-node rules of ``pairs`` through the table path of
+    ``pair_rule``: the pairs' nodes lie one after another in one table,
+    behind ``lead`` and before ``trail`` nodes of other masses."""
+    y = [np.arange(-len(lead), 0.0)]
+    mass = [np.asarray(lead, dtype=float)]
+    first, last = [], []
+    at = len(lead)
+    for py, pm, *_ in pairs:
+        y.append(py + (y[-1][-1] + 1.0 - py[0] if y[-1].size else 0.0))
+        mass.append(pm)
+        first.append(at)
+        last.append(at + py.size - 1)
+        at += py.size
+    y.append(y[-1][-1] + 1.0 + np.arange(len(trail)))
+    mass.append(np.asarray(trail, dtype=float))
+    y, mass = np.concatenate(y), np.concatenate(mass)
+    first, last = np.array(first), np.array(last)
+    table = _moment_table(mass, y)
+    moments, origin = _range_moments(table, first, last)
+    dz = np.array([p[2] for p in pairs])
+    lam0 = np.array([p[3] for p in pairs])
+    nodes, weights = _z_fraction_rule(moments, lam0 - (origin - y[first]) / dz, dz,
+                                      y[last] - y[first])
+    return nodes, weights, [lam0[p] - (y[first[p]:last[p] + 1] - y[first[p]]) / dz[p]
+                            for p in range(len(pairs))]
+
+
+# A pair of three nodes whose mass sits at the first: the table's moments
+# about the middle of its split leave a variance at rounding level, from
+# which a rule without the one-node test forms a second node far outside
+# the pair, clipped to 0.
+_FIRST_HEAVY = (np.array([0.0, 0.1, 0.30000000000000004]), np.array([0.54, 0.0, 0.0]),
+                0.30000000000000004, 1.0)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(measures=st.lists(_pair_measure(), min_size=1, max_size=4))
-@example(measures=[_ONE_ATOM])
-def test_pair_gauss_rule(measures):
-    # the sweep's two-node rule, built for several pairs at once as the plan
-    # does: nodes in [0, 1], weights >= 0 summing to the mass, moments 0-3
-    # reproduced where two nodes are used, a measure of one or two points
-    # reproduced as a measure, and one atom by one node.  Largest values
-    # seen over 60000 random measures of this kind: moment error 2.7e-11 m0
-    # (a light first point far from the mass, about which the moments are
-    # taken), transport distance 32 eps m0; over 100000 single atoms behind
-    # a zero-weight first point, variance 1.5e-15 s2.
-    counts = [lam.size for lam, _ in measures]
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    points = np.concatenate([lam for lam, _ in measures])
-    first = points[starts]
+@given(pairs=st.lists(_pair_measure(), min_size=1, max_size=4),
+       lead=st.lists(st.floats(0.0, 1e3), max_size=5),
+       trail=st.lists(st.floats(0.0, 1e3), max_size=5))
+@example(pairs=[_FIRST_HEAVY], lead=[], trail=[])
+def test_pair_gauss_rule(pairs, lead, trail):
+    # the sweep's two-node rule, from the table of node moments, for
+    # several pairs at once as the plan forms them: finite nodes in [0, 1],
+    # weights >= 0 summing to the mass, moments 0-3 reproduced to 1e-10
+    # mass width^s (width in z fraction), a pair of one or two nodes
+    # reproduced as a measure, and one atom by one node
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        moments = _moments(points - np.repeat(first, counts),
-                           np.concatenate([omega for _, omega in measures]), starts)
-        nodes, weights = _two_node_rule(first, moments)
-    for p, (lam, omega) in enumerate(measures):
+        nodes, weights, lams = _pair_rules(pairs, lead, trail)
+    for p, ((_, mass, _, lam0), lam) in enumerate(zip(pairs, lams)):
         x, w = nodes[:, p], weights[:, p]
-        m0 = float(np.sum(omega))
+        m0 = float(np.sum(mass))
+        width = lam[0] - lam[-1]
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all(w >= 0.0)
         assert abs(w.sum() - m0) <= 1e-14 * m0 + 1e-320
-        if w[1] > 0.0:
-            for k in range(4):
-                assert abs(np.sum(w * x**k) - np.sum(omega * lam**k)) <= 1e-10 * m0 + 1e-320, k
+        for s in range(1, 4):
+            got, want = np.sum(w * (x - lam0) ** s), np.sum(mass * (lam - lam0) ** s)
+            assert abs(got - want) <= 1e-10 * m0 * width**s + 1e-320, s
         if lam.size == 1:
-            assert x[0] == lam[0] and w[0] == omega[0] and w[1] == 0.0
+            assert x[0] == lam[0] and w[0] == mass[0] and w[1] == 0.0
         if lam.size <= 2:
-            assert _transport(lam, omega, x, w) <= 1e-13 * m0 + 1e-320
-        support = np.unique(lam[omega > 0.0])
+            assert _transport(lam, mass, x, w) <= 1e-13 * m0 + 1e-320
+        support = lam[mass > 0.0]
         if support.size == 1:  # (a subnormal mass has no precision to place)
             assert w[1] == 0.0 and m0 * abs(x[0] - support[0]) <= 64 * _EPS * m0 + 1e-320
 
