@@ -260,8 +260,21 @@ def test_half_range_plan_covers_short_segments():
 
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_pairs_tile_rows(n):
-    grid = cd.build_grid(1e6, n, 0.5)
+    _check_pairs_tile_rows(cd.build_grid(1e6, n, 0.5).half_range_plan())
+
+
+def test_half_range_plan_half_endpoint_on_a_node():
+    # z_j/2 is the node z_{k_j} at j = 2, 4 and 6: the half endpoint still
+    # ends its row's last pair, in interval k_j - 1 at fraction 1
+    grid = cd.Grid(nodes=np.array([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]), v=0.5)
     plan = grid.half_range_plan()
+    assert np.isin(0.5 * grid.nodes[[2, 4, 6]], grid.nodes).all()
+    _check_pairs_tile_rows(plan)
+    assert np.array_equal(plan.pair_count[np.cumsum(plan.row_pairs)[[1, 3, 5]] - 1], [1, 1, 1])
+
+
+def _check_pairs_tile_rows(plan):
+    n = plan.counts.size + 1
     k = plan.counts - 1
     assert np.all(plan.pair_count >= 1) and np.all(plan.row_pairs >= 1)
     assert plan.row_pairs.size == n - 1 and plan.row_pairs.sum() == plan.pair_count.size
