@@ -19,16 +19,17 @@ Quadrature conventions:
 The half-range quadrature at all nodes has one row of points per node,
 O(N^2) points in all.  The tau sweep reads it through a plan built once per
 grid: the points of one row z_j whose argument z_j - y falls in the same
-grid interval are a run of consecutive y nodes and form a pair.  The plan
-keeps per pair only its interval, first node and point count, found by
-searchsorted on node ranges, and per row its number of pairs; none of its
-arrays is as long as the points.  The z fraction of the argument is affine
-in y along a pair, so the Gauss rule of a pair, per datum, takes its
-moments from a disjoint sparse table of node moments (about 2 MB at 4097
-nodes).  The rules and the kernel sums (at most two exp per pair) walk
-blocks of whole rows of pairs.  The convolution builds no plan: it runs
-once per solve and in ``verify``, and forms the brackets of each block of
-rows itself (one log1p and one exp per point).
+grid interval are a run of consecutive y nodes and form a pair.  Per block
+of rows, ``_pair_blocks`` finds per pair its interval, first point and
+point count by searchsorted on node ranges, and per row its number of
+pairs.  The plan concatenates them; none of its arrays is as long as the
+points.  The z fraction of the argument is affine in y along a pair, so
+the Gauss rule of a pair, per datum, takes its moments from a disjoint
+sparse table of node moments (about 2 MB at 4097 nodes).  The rules and
+the kernel sums (at most two exp per pair) walk blocks of whole rows of
+pairs.  The convolution builds no plan: it runs once per solve and in
+``verify``, streams the pair blocks and forms one exponent per pair and
+one exp per point.
 """
 
 from __future__ import annotations
@@ -101,17 +102,10 @@ class Grid:
         single floor division.
         """
         z = np.asarray(z, dtype=float)
-        idx, t = self._interval(z)
-        return idx, self._lam_z(z, idx), np.clip(t - idx, 0.0, 1.0)
-
-    def _interval(self, z):
-        """Bracketing interval index of z (clipped at the ends) and w(z)/dw."""
         t = self.w_of(z) / self.dw
-        return np.clip(t.astype(np.int64), 0, self.n - 2), t
-
-    def _lam_z(self, z, idx):
-        """Linear fraction in z of z in interval ``idx``, clipped to [0, 1]."""
-        return np.clip((z - self.nodes[idx]) / np.diff(self.nodes)[idx], 0.0, 1.0)
+        idx = np.clip(t.astype(np.int64), 0, self.n - 2)
+        lam_z = np.clip((z - self.nodes[idx]) / np.diff(self.nodes)[idx], 0.0, 1.0)
+        return idx, lam_z, np.clip(t - idx, 0.0, 1.0)
 
     def half_range_plan(self) -> "_HalfRangePlan":
         if self._plan is None:
@@ -326,39 +320,13 @@ class _RowLayout:
     z_j, so a point's sample index is its offset in its row, and B is
     interpolated only at the half endpoint.  Its trapezoid weight is the
     node's ``node_w``, except at the row's last node and half endpoint,
-    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).  The
-    convolution walks the points through ``blocks``; the plan reads the
-    weights per node and per row.
+    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).
     """
 
     counts: np.ndarray
     node_w: np.ndarray
     last_w: np.ndarray
     half_w: np.ndarray
-
-    def blocks(self, G: GridFunction):
-        """(rows, omega, x) of each block of ``_row_blocks``: its rows, and at
-        each of their points omega, the trapezoid weight times G(y), and the
-        argument x = z_j - y.  The products are formed once per node and per
-        row, then gathered per block through one point-to-node index."""
-        z = G.grid.nodes
-        node = self.node_w * G.values
-        last = self.last_w * G.values[self.counts - 2]
-        half_z = 0.5 * z[1:]
-        half = self.half_w * G(half_z)
-        for rows, _ in _row_blocks(self.counts):
-            counts = self.counts[rows]
-            end = np.cumsum(counts) - 1  # the half endpoints
-            at = np.arange(end[-1] + 1) - np.repeat(end - (counts - 1), counts)
-            omega = node[at]
-            omega[end - 1] = last[rows]
-            omega[end] = half[rows]
-            zj = z[rows.start + 1:rows.stop + 1]
-            x = np.repeat(zj, counts)
-            x -= z[at]
-            x[end] = zj - half_z[rows]
-            del at  # the caller's work holds only omega and x per point
-            yield rows, omega, x
 
 
 def _row_layout(grid: Grid) -> _RowLayout:
@@ -373,10 +341,12 @@ def _row_layout(grid: Grid) -> _RowLayout:
                       last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail)
 
 
-# Points (or candidate intervals, or pairs) per block of rows in every pass
-# over the points or pairs.  A block's dozen temporaries take about 3 MB,
-# near a 2 MB L2 cache; blocks of 2^15 to 2^17 points time within 10% of
-# each other.
+# Points (or pairs) per block of rows in every pass over the points or
+# pairs.  Traced at 4097 nodes, a block's temporaries take about 2.5 MB in
+# the convolution, 7.4 MB in ``pair_rule`` (about 230 B per pair) and
+# 1.6 MB in ``kernel_sums``.  There, blocks of 2^14 to 2^17 time the
+# convolution within 10%; the pair rule is fastest at 2^15 (117 ms, 161 ms
+# at 2^17).
 _PLAN_BLOCK_POINTS = 1 << 15
 
 
@@ -392,20 +362,51 @@ def _row_blocks(counts):
         r0 = r1
 
 
+def _pair_blocks(grid: Grid, layout: _RowLayout):
+    """The pairs of each block of rows of ``_row_blocks(layout.counts)``:
+    (rows, pairs per row, and per pair its interval, first point and point
+    count), from node ranges with no pass over the points.  In row j the
+    nodes y_i with x = z_j - y_i in [z_a, z_{a+1}) run from the first with
+    y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the intervals
+    a from min(j, n - 2) down to k_j - 1, where the half endpoint lies: one
+    searchsorted per interval, and intervals without a point are skipped."""
+    z = grid.nodes
+    k = layout.counts - 1
+    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
+    spans = top - k + 2  # the intervals k_j - 1 to top of row j
+    for rows, _ in _row_blocks(layout.counts):
+        span = spans[rows]
+        row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
+        row_start = row_end - span + 1
+        b = np.repeat(top[rows] + 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
+        first = np.searchsorted(z, np.repeat(z[rows.start + 1:rows.stop + 1], span) - z[b],
+                                side="right")
+        first[row_start] = 0  # x = zmax lies in the last interval
+        np.minimum(first, np.repeat(k[rows], span), out=first)  # z_j/2 may be a node
+        count = np.empty_like(first)
+        np.subtract(first[1:], first[:-1], out=count[:-1])
+        count[row_end] = k[rows] - first[row_end] + 1  # the last nodes and the half endpoint
+        live = count > 0
+        yield (rows, np.add.reduceat(live, row_start, dtype=k.dtype), b[live] - 1,
+               first[live], count[live])
+
+
 def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     """Self-convolution int_0^{z_j} F(z_j - y) F(y) dy at every grid node,
     vectorized, as its symmetric half-range form 2 int_0^{z_j/2}.
 
-    F(z_j - y) is interpolated as in ``GridFunction.interp_at_brackets``:
-    per grid interval a the base log F(z_a) and the increment
-    log F(z_{a+1}) - log F(z_a) are formed once, and each point in
-    interval a adds its z fraction of the increment before one exp.
-    Intervals with a nonpositive endpoint interpolate the values linearly
-    instead.  One block of rows at a time, the points' intervals and z
-    fractions are formed by the rule of ``Grid.bracket``, weighted by
-    ``blocks(F)``'s omega and summed per row: no plan is built or kept.
+    F(z_j - y) is interpolated as in ``GridFunction.interp_at_brackets``,
+    in the interval of the pair that holds the point: per grid interval a
+    the base log F(z_a), the increment log F(z_{a+1}) - log F(z_a) and its
+    rate per unit z are formed once.  Per pair the exponent E at its first
+    point y_0 is formed once, and along the pair it is E - rate (y - y_0),
+    one exp per point.  Intervals with a nonpositive endpoint interpolate
+    the values linearly instead.  The pairs are streamed from
+    ``_pair_blocks``, and the points weighted by trapezoid weight * F(y) and
+    summed per row, a block of rows at a time: no plan is built or kept.
     """
     grid = F.grid
+    z = grid.nodes
     layout = _row_layout(grid)
     va = F.values[:-1]
     vb = F.values[1:]
@@ -414,16 +415,36 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
     base = np.where(loglin, la, va)
     slope = np.where(loglin, lb - la, vb - va)
+    dz = np.diff(z)
+    rate = slope / dz
+    node = layout.node_w * F.values
+    last = layout.last_w * F.values[layout.counts - 2]
+    half_z = 0.5 * z[1:]
+    half = layout.half_w * F(half_z)
+    all_loglin = bool(loglin.all())
     out = np.zeros(grid.n)
-    for rows, omega, x in layout.blocks(F):
-        a, _ = grid._interval(x)
-        contrib = slope[a]
-        contrib *= grid._lam_z(x, a)
-        contrib += base[a]
-        np.exp(contrib, out=contrib, where=loglin[a])
-        contrib *= omega
-        first = np.cumsum(layout.counts[rows]) - layout.counts[rows]  # of each row, in the block
-        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(contrib, first)
+    for rows, per_row, a, _, count in _pair_blocks(grid, layout):
+        counts = layout.counts[rows]
+        end = np.cumsum(counts) - 1  # the half endpoints, in the block
+        y = np.concatenate([z[:c] for c in counts.tolist()])  # the points of each row
+        y[end] = half_z[rows]
+        y0 = y[np.cumsum(count) - count]  # the pairs tile the points in order
+        lam = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
+        lam -= y0
+        lam -= z[a]
+        lam /= dz[a]
+        np.clip(lam, 0.0, 1.0, out=lam)
+        lam *= slope[a]
+        lam += base[a]  # the exponent at y_0 (the value, in a linear interval)
+        y -= np.repeat(y0, count)
+        y *= np.repeat(rate[a], count)
+        np.subtract(np.repeat(lam, count), y, out=y)
+        np.exp(y, out=y, where=all_loglin or np.repeat(loglin[a], count))  # a mask if needed
+        omega = np.concatenate([node[:c] for c in counts.tolist()])
+        omega[end - 1] = last[rows]
+        omega[end] = half[rows]
+        y *= omega
+        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(y, end - (counts - 1))
     out *= 2.0
     return out
 
@@ -554,39 +575,11 @@ class _HalfRangePlan(_RowLayout):
 
 
 def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
-    """The pairs from node ranges, with no pass over the points.  In row j
-    the nodes y_i with x = z_j - y_i in [z_a, z_{a+1}) run from the first
-    with y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the
-    intervals a from min(j, n - 2) down to k_j - 1, where the half endpoint
-    lies: one searchsorted per interval, and intervals without a point are
-    skipped."""
+    """The plan: the pairs of ``_pair_blocks``, concatenated."""
     layout = _row_layout(grid)
-    z = grid.nodes
-    k = layout.counts - 1
-    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
-    spans = top - k + 2  # the intervals k_j - 1 to top of row j
-    row_pairs = np.empty_like(k)
-    pair_a, pair_first, pair_count = [], [], []
-    for rows, _ in _row_blocks(spans):
-        span = spans[rows]
-        row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
-        row_start = row_end - span + 1
-        b = np.repeat(top[rows] + 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
-        first = np.searchsorted(z, np.repeat(z[rows.start + 1:rows.stop + 1], span) - z[b],
-                                side="right")
-        first[row_start] = 0  # x = zmax lies in the last interval
-        np.minimum(first, np.repeat(k[rows], span), out=first)  # z_j/2 may be a node
-        count = np.empty_like(first)
-        np.subtract(first[1:], first[:-1], out=count[:-1])
-        count[row_end] = k[rows] - first[row_end] + 1  # the last nodes and the half endpoint
-        live = count > 0
-        row_pairs[rows] = np.add.reduceat(live, row_start, dtype=row_pairs.dtype)
-        pair_a.append(b[live] - 1)
-        pair_first.append(first[live])
-        pair_count.append(count[live])
-    return _HalfRangePlan(**vars(layout), row_pairs=row_pairs, pair_a=np.concatenate(pair_a),
-                          pair_first=np.concatenate(pair_first),
-                          pair_count=np.concatenate(pair_count))
+    parts = zip(*(block[1:] for block in _pair_blocks(grid, layout)))
+    return _HalfRangePlan(**vars(layout), **dict(zip(
+        ("row_pairs", "pair_a", "pair_first", "pair_count"), map(np.concatenate, parts))))
 
 
 @dataclass(frozen=True)
@@ -606,7 +599,7 @@ class _MomentTable:
     of the two entries, and the bits of r that the centre keeps.
     """
 
-    sums: np.ndarray  # (entries, 4)
+    sums: np.ndarray  # (4, entries)
     y: np.ndarray
     zero: int  # the node of zero mass
     lo: np.ndarray
@@ -621,19 +614,19 @@ def _moment_table(mass: np.ndarray, y: np.ndarray) -> _MomentTable:
     m[:mass.size] = mass
     yp = np.full(size, y[-1])
     yp[:y.size] = y
-    sums = np.zeros(((levels + 2) * size, 4))
-    sums[levels * size:(levels + 1) * size, 0] = m
+    sums = np.zeros((4, (levels + 2) * size))
+    sums[0, levels * size:(levels + 1) * size] = m
     for h in range(levels):
         shape = (size >> (h + 1), 2, 1 << h)
         d = yp.reshape(shape)
         d = d - d[:, 1:, :1]  # about each block's middle node
-        term = np.stack([m.reshape(shape)] * 4, axis=-1)
-        term[..., 1] *= d
-        term[..., 2] = term[..., 1] * d
-        term[..., 3] = term[..., 2] * d
-        level = sums[h * size:(h + 1) * size].reshape(shape + (4,))
-        np.cumsum(term[:, 0, ::-1], axis=1, out=level[:, 0, ::-1])
-        np.cumsum(term[:, 1], axis=1, out=level[:, 1])
+        term = np.stack([m.reshape(shape)] * 4)
+        term[1] *= d
+        term[2] = term[1] * d
+        term[3] = term[2] * d
+        level = sums[:, h * size:(h + 1) * size].reshape((4,) + shape)
+        np.cumsum(term[:, :, 0, ::-1], axis=2, out=level[:, :, 0, ::-1])
+        np.cumsum(term[:, :, 1], axis=2, out=level[:, :, 1])
     top = np.zeros(size, dtype=np.intp)  # the highest set bit of l XOR r
     top[0] = levels
     top[1:] = np.frexp(np.arange(1, size))[1] - 1
@@ -658,9 +651,9 @@ def _range_moments(table: _MomentTable, first, last):
     hi += last
     centre = np.take(table.centre, split)
     centre &= last
-    moments = np.take(table.sums, lo, axis=0)
-    moments += np.take(table.sums, hi, axis=0)
-    return moments.T, np.take(table.y, centre)
+    moments = np.take(table.sums, lo, axis=1)
+    moments += np.take(table.sums, hi, axis=1)
+    return moments, np.take(table.y, centre)
 
 
 def _z_fraction_rule(moments, lam0, dz, width):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
+from coagdrift import grids
 from coagdrift.grids import _smallest_zmax
 from oracles import (full_convolution_quadrature, half_convolution, reference_plan,
                      reference_samples)
@@ -225,15 +226,14 @@ def test_half_range_plan_matches_row_loop(n):
     plan = grid.half_range_plan()
     assert np.array_equal(plan.counts, ref["counts"])
     assert plan.size == ref["x"].size
-    # the convolution's blocks gather the point weights trapezoid weight *
-    # G(y) and the arguments x = z_j - y: G = 1 gives the weights, distinct
-    # samples of G the sample indices too
-    one = cd.GridFunction(grid, np.ones(n))
-    G = cd.GridFunction(grid, np.exp(-np.arange(n) / n))
-    assert np.array_equal(np.concatenate([o for _, o, _ in plan.blocks(one)]), ref["weights"])
-    assert np.array_equal(np.concatenate([o for _, o, _ in plan.blocks(G)]),
-                          ref["weights"] * reference_samples(ref, G))
-    assert np.array_equal(np.concatenate([x for *_, x in plan.blocks(G)]), ref["x"])
+    # the plan is the concatenation of the pair blocks that the convolution
+    # streams
+    blocks = list(grids._pair_blocks(grid, grids._row_layout(grid)))
+    for i, name in enumerate(("row_pairs", "pair_a", "pair_first", "pair_count"), start=1):
+        assert np.array_equal(np.concatenate([b[i] for b in blocks]), getattr(plan, name)), name
+    # the convolution weighs each point by its trapezoid weight * F(y) and
+    # interpolates F(z_j - y) as the reference does, for distinct samples
+    _assert_matches_reference(cd.GridFunction(grid, np.exp(-np.arange(n) / n)))
     # per point, the pair's interval is the floor rule's, except where x is
     # a node z_b (the first point of a row, x = z_j): the plan puts it in
     # interval b at fraction 0, the floor rule by rounding sometimes in
@@ -271,6 +271,13 @@ def test_half_range_plan_half_endpoint_on_a_node():
     assert np.isin(0.5 * grid.nodes[[2, 4, 6]], grid.nodes).all()
     _check_pairs_tile_rows(plan)
     assert np.array_equal(plan.pair_count[np.cumsum(plan.row_pairs)[[1, 3, 5]] - 1], [1, 1, 1])
+    # the convolution matches the per-point reference on this grid too.
+    # Grid.bracket, which the reference uses, assumes nodes uniform in w;
+    # these are not, and its one miss is x = 1.5, bracketed in [2, 3]: F is
+    # flat on [1, 2], so the miss does not show.  F(8) = 0 makes the last
+    # interval linear.
+    F = cd.GridFunction(grid, np.array([1.0, 0.5, 0.5, 0.3, 0.2, 0.05, 0.0]))
+    _assert_matches_reference(F)
 
 
 def _check_pairs_tile_rows(plan):
@@ -340,15 +347,16 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
     for name, value in vars(whole_rule).items():
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
-    # the convolution's blocks tile the rows and their points in order
-    G = _plan_data(cd.build_grid(1e6, n, 0.5))
-    blocks = list(blocked.blocks(G))
+    # the pair blocks tile the rows, and each block's pairs its points
+    grid = cd.build_grid(1e6, n, 0.5)
+    blocks = list(grids._pair_blocks(grid, grids._row_layout(grid)))
     assert len(blocks) > 3
     assert np.array_equal(np.concatenate([np.arange(n - 1)[rows] for rows, *_ in blocks]),
                           np.arange(n - 1))
-    for rows, omega, x in blocks:
-        assert blocked.counts[rows].sum() == omega.size == x.size
-    assert (sum(o.size for _, o, _ in blocks)) == blocked.size
+    for rows, per_row, a, first, count in blocks:
+        assert per_row.sum() == a.size == first.size == count.size
+        assert count.sum() == blocked.counts[rows].sum()
+        assert count.sum() <= block or rows.stop == rows.start + 1
     # the kernel sums keep their bits across row blocks of pairs: one block
     # of every row, small blocks (a row of more pairs than a block is a
     # block of its own) and the plan's blocks
@@ -364,10 +372,11 @@ def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
     # arrays as long as the points or pairs: traced peak in units of one
     # point-length float array, on a built plan of the README pair
-    # (measured: convolution 0.17, pair rule 1.10, of which its output, the
-    # rules of 205k pairs, is 0.54, kernel sums 0.11; 2.11 when the
-    # convolution formed whole point arrays, 3.23 and 0.32 when the pair
-    # rule and the kernel sums formed whole pair arrays)
+    # (measured: convolution 0.15, about one block's 2.3 MB of temporaries;
+    # pair rule 1.10, of which its output, the rules of 205k pairs, is 0.54
+    # and one block of 2^15 pairs 0.49, that is 7.4 MB; kernel sums 0.11,
+    # 1.6 MB; 2.11 when the convolution formed whole point arrays, 3.23 and
+    # 0.32 when the pair rule and the kernel sums formed whole pair arrays)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
@@ -408,6 +417,13 @@ def _reference_half_convolution(F, G):
     return out
 
 
+def _assert_matches_reference(F):
+    got = cd.half_convolution_at_nodes(F)
+    want = _reference_half_convolution(F, F)
+    scale = np.where(want == 0.0, 1.0, np.abs(want))
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
 def _tail_cut(values, grid, zcut):
     out = values.copy()
     out[grid.nodes > zcut] = 0.0
@@ -430,3 +446,35 @@ def test_half_convolution_at_nodes_matches_per_point(case):
     assert got[0] == 0.0
     scale = np.where(want == 0.0, 1.0, np.abs(want))
     assert np.max(np.abs(got - want) / scale) <= 1e-14
+
+
+@pytest.mark.parametrize("mutant", ["last_w", "half_w", "interval"])
+def test_convolution_mutants_fail(monkeypatch, mutant):
+    # a convolution that drops a row-end weight (the row's last node and
+    # half endpoint take last_w and half_w, not node_w), or that puts each
+    # pair one interval lower, misses the per-point reference of
+    # test_half_convolution_at_nodes_matches_per_point by far more than its
+    # 1e-14: measured, by up to 0.50, 0.50 and 0.025 relative
+    if mutant == "interval":
+        pair_blocks = grids._pair_blocks
+
+        def lower(grid, layout):
+            for rows, per_row, a, first, count in pair_blocks(grid, layout):
+                yield rows, per_row, np.maximum(a - 1, 0), first, count
+
+        monkeypatch.setattr(grids, "_pair_blocks", lower)
+    else:
+        row_layout = grids._row_layout
+
+        def dropped(grid):
+            layout = row_layout(grid)
+            setattr(layout, mutant, np.zeros_like(getattr(layout, mutant)))
+            return layout
+
+        monkeypatch.setattr(grids, "_row_layout", dropped)
+    grid = cd.build_grid(1e4, 1025, 0.5)
+    F = cd.GridFunction(grid, cd.supersolution_value(cd.ModelParams(0.5, 0.01), grid.nodes),
+                        tail_exponent=2.96)
+    got = cd.half_convolution_at_nodes(F)
+    want = _reference_half_convolution(F, F)
+    assert np.max(np.abs(got[1:] / want[1:] - 1.0)) > 1e-3
