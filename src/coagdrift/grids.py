@@ -17,19 +17,19 @@ Quadrature conventions:
   pointwise comparison arguments of the iteration survive discretization.
 
 The half-range quadrature at all nodes has one row of points per node,
-O(N^2) points in all.  The tau sweep reads it through a plan built once per
-grid: the points of one row z_j whose argument z_j - y falls in the same
-grid interval are a run of consecutive y nodes and form a pair.  Per block
-of rows, ``_pair_blocks`` finds per pair its interval, first point and
-point count by searchsorted on node ranges, and per row its number of
-pairs.  The plan concatenates them; none of its arrays is as long as the
-points.  The z fraction of the argument is affine in y along a pair, so
-the Gauss rule of a pair, per datum, takes its moments from a disjoint
-sparse table of node moments (about 2 MB at 4097 nodes).  The rules and
-the kernel sums (at most two exp per pair) walk blocks of whole rows of
-pairs.  The convolution builds no plan: it runs once per solve and in
-``verify``, streams the pair blocks and forms one exponent per pair and
-one exp per point.
+O(N^2) points in all.  The points of one row z_j whose argument z_j - y
+falls in the same grid interval are a run of consecutive y nodes and form
+a pair.  The plan of a grid holds only per-row and per-node arrays: the
+points per row, the trapezoid weights and the candidate intervals per row.
+Per block of rows, ``_pair_blocks`` finds per pair its interval, first
+point and point count by searchsorted on node ranges, and per row its
+number of pairs; both users stream these blocks and keep no pair list.
+The z fraction of the argument is affine in y along a pair, so the Gauss
+rule of a pair, per datum, takes its moments from a disjoint sparse table
+of node moments (about 2 MB at 4097 nodes), and the kernel sums spend at
+most two exp per pair.  The convolution runs once per solve and in
+``verify``: it forms one exponent per pair and one exp per point, and
+caches no plan on the grid.
 """
 
 from __future__ import annotations
@@ -94,22 +94,20 @@ class Grid:
         return (1.0 + (1.0 - self.v) * np.asarray(z, dtype=float)) / (1.0 - self.v)
 
     def bracket(self, z):
-        """Bracketing interval index and both interpolation fractions.
+        """Bracketing interval index and linear fraction in z.
 
-        Returns (idx, lam_z, lam_w) with nodes[idx] <= z <= nodes[idx+1]
-        (clipped at the ends), lam_z the linear fraction in z and lam_w the
-        linear fraction in w.  The w grid is uniform, so the index is a
-        single floor division.
+        Returns (idx, lam_z) with nodes[idx] <= z < nodes[idx+1] (clipped at
+        the ends, so zmax lies in the last interval at fraction 1): the
+        interval rule of the half-range pairs.
         """
         z = np.asarray(z, dtype=float)
-        t = self.w_of(z) / self.dw
-        idx = np.clip(t.astype(np.int64), 0, self.n - 2)
+        idx = np.clip(np.searchsorted(self.nodes, z, side="right") - 1, 0, self.n - 2)
         lam_z = np.clip((z - self.nodes[idx]) / np.diff(self.nodes)[idx], 0.0, 1.0)
-        return idx, lam_z, np.clip(t - idx, 0.0, 1.0)
+        return idx, lam_z
 
     def half_range_plan(self) -> "_HalfRangePlan":
         if self._plan is None:
-            self._plan = _build_half_range_plan(self)
+            self._plan = _row_layout(self)
         return self._plan
 
 
@@ -199,7 +197,7 @@ class GridFunction:
         out = np.empty_like(z)
         inside = z <= self.grid.zmax
         if np.any(inside):
-            idx, lam_z, _ = self.grid.bracket(z[inside])
+            idx, lam_z = self.grid.bracket(z[inside])
             out[inside] = self.interp_at_brackets(idx, lam_z)
         if np.any(~inside):
             f_end = self.values[-1]
@@ -311,25 +309,7 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 # half-range quadrature: the convolution and the pair rules of the tau sweep
 # ----------------------------------------------------------------------
 
-@dataclass(eq=False)
-class _RowLayout:
-    """Rows of the quadrature 2 int_0^{z_j/2} A(z_j - y) B(y) dy at every
-    node z_j, j >= 1.
-
-    Row j - 1 holds the y sub-grid (z_0, ..., z_{k_j - 1}, z_j/2) of node
-    z_j, so a point's sample index is its offset in its row, and B is
-    interpolated only at the half endpoint.  Its trapezoid weight is the
-    node's ``node_w``, except at the row's last node and half endpoint,
-    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).
-    """
-
-    counts: np.ndarray
-    node_w: np.ndarray
-    last_w: np.ndarray
-    half_w: np.ndarray
-
-
-def _row_layout(grid: Grid) -> _RowLayout:
+def _row_layout(grid: Grid) -> _HalfRangePlan:
     z = grid.nodes
     half = 0.5 * z[1:]
     ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
@@ -337,48 +317,51 @@ def _row_layout(grid: Grid) -> _RowLayout:
     # the last node and the half endpoint see the gap up to z_j/2 instead
     gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
     tail = half - z[ks - 1]
-    return _RowLayout(counts=ks + 1, node_w=0.5 * (gap[:-1] + gap[1:]),
-                      last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail)
+    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
+    return _HalfRangePlan(counts=ks + 1, node_w=0.5 * (gap[:-1] + gap[1:]),
+                          last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail,
+                          spans=top - ks + 2)
 
 
-# Points (or pairs) per block of rows in every pass over the points or
-# pairs.  Traced at 4097 nodes, a block's temporaries take about 2.5 MB in
-# the convolution, 7.4 MB in ``pair_rule`` (about 230 B per pair) and
-# 1.6 MB in ``kernel_sums``.  There, blocks of 2^14 to 2^17 time the
-# convolution within 10%; the pair rule is fastest at 2^15 (117 ms, 161 ms
-# at 2^17).
-_PLAN_BLOCK_POINTS = 1 << 15
+# Points per block of rows in every pass over the points or pairs, where a
+# pair counts as four points.  Timed at 4097 nodes (7.6M points, 0.81M
+# candidate intervals, 61 blocks), blocks of 2^16 to 2^18 points time the
+# convolution and the pair rule within 15%, and the pair rule takes 40%
+# longer at 2^15.  A block's temporaries take about 6 MB in the
+# convolution, 10 MB in ``pair_rule`` and 1.6 MB in ``kernel_sums``.
+_PLAN_BLOCK_POINTS = 1 << 17
 
 
-def _row_blocks(counts):
+def _row_blocks(counts, points=1):
     """(rows, items) slices of consecutive blocks of whole rows, of at most
-    ``_PLAN_BLOCK_POINTS`` items each; a longer row is a block of its own."""
+    ``_PLAN_BLOCK_POINTS`` points each, an item counting as ``points``
+    points; a longer row is a block of its own."""
     ends = np.cumsum(counts)
+    limit = _PLAN_BLOCK_POINTS // points
     r0 = 0
     while r0 < counts.size:
         start = int(ends[r0] - counts[r0])
-        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _PLAN_BLOCK_POINTS, side="right")))
+        r1 = max(r0 + 1, int(np.searchsorted(ends, start + limit, side="right")))
         yield slice(r0, r1), slice(start, int(ends[r1 - 1]))
         r0 = r1
 
 
-def _pair_blocks(grid: Grid, layout: _RowLayout):
-    """The pairs of each block of rows of ``_row_blocks(layout.counts)``:
-    (rows, pairs per row, and per pair its interval, first point and point
-    count), from node ranges with no pass over the points.  In row j the
-    nodes y_i with x = z_j - y_i in [z_a, z_{a+1}) run from the first with
-    y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the intervals
-    a from min(j, n - 2) down to k_j - 1, where the half endpoint lies: one
-    searchsorted per interval, and intervals without a point are skipped."""
+def _pair_blocks(grid: Grid, plan: _HalfRangePlan):
+    """The pairs of each block of rows of ``plan``, a candidate interval
+    counting as four points: (rows, pairs per row, and per pair its
+    interval, first point and point count), from node ranges with no pass
+    over the points.  In row j the nodes y_i with x = z_j - y_i in
+    [z_a, z_{a+1}) run from the first with y_i > z_j - z_{a+1} to the first
+    with y_i > z_j - z_a, for the row's candidate intervals a from
+    min(j, n - 2) down to k_j - 1: one searchsorted per interval, and
+    intervals without a point are skipped."""
     z = grid.nodes
-    k = layout.counts - 1
-    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
-    spans = top - k + 2  # the intervals k_j - 1 to top of row j
-    for rows, _ in _row_blocks(layout.counts):
-        span = spans[rows]
+    k = plan.counts - 1
+    for rows, _ in _row_blocks(np.maximum(plan.counts, 4 * plan.spans)):
+        span = plan.spans[rows]
         row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
         row_start = row_end - span + 1
-        b = np.repeat(top[rows] + 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
+        b = np.repeat(k[rows] + span - 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
         first = np.searchsorted(z, np.repeat(z[rows.start + 1:rows.stop + 1], span) - z[b],
                                 side="right")
         first[row_start] = 0  # x = zmax lies in the last interval
@@ -403,7 +386,7 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     one exp per point.  Intervals with a nonpositive endpoint interpolate
     the values linearly instead.  The pairs are streamed from
     ``_pair_blocks``, and the points weighted by trapezoid weight * F(y) and
-    summed per row, a block of rows at a time: no plan is built or kept.
+    summed per row, a block of rows at a time: no plan is cached on the grid.
     """
     grid = F.grid
     z = grid.nodes
@@ -450,33 +433,33 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class _HalfRangePlan(_RowLayout):
-    """The pairs of the half-range quadrature on its rows, for the tau sweep.
+class _HalfRangePlan:
+    """Rows of the quadrature 2 int_0^{z_j/2} A(z_j - y) B(y) dy at every
+    node z_j, j >= 1, and the pairs of the tau sweep on them.
+
+    Row j - 1 holds the y sub-grid (z_0, ..., z_{k_j - 1}, z_j/2) of node
+    z_j, so a point's sample index is its offset in its row, and B is
+    interpolated only at the half endpoint.  Its trapezoid weight is the
+    node's ``node_w``, except at the row's last node and half endpoint,
+    whose gaps end at z_j/2 (``last_w`` and ``half_w`` per row).
 
     Within a row x = z_j - y decreases, so the points whose x falls in one
-    grid interval [z_a, z_{a+1}) are a run of consecutive y nodes.  The runs
-    are the pairs: row j - 1 holds the next ``row_pairs[j - 1]`` of them,
-    and pair p holds ``pair_count[p]`` points from node ``pair_first[p]``,
-    in interval ``pair_a[p]``.  The row's half endpoint ends its last pair,
-    in interval k_j - 1, which holds only it when no node of the row falls
-    there.  The interval is that of the floor rule of ``Grid.bracket``
-    without its rounding, so a point whose x is the node z_b lies in
-    interval b at fraction 0.  That is the first point of every row,
-    x = z_j, except the last row's, whose x = zmax lies in the last
-    interval at fraction 1.  The floor rule puts some of those points in
-    interval j - 1 at fraction 1 instead; here each stays a pair of one
-    point, which the two-node rule reproduces exactly.  (The half endpoint
-    lies at fraction 1 of its interval if z_j/2 is the node z_{k_j}.)
-
-    The plan holds per-pair and per-row arrays only, no per-point one: the
-    z fraction of x is affine in y along a pair, so ``pair_rule`` takes each
-    pair's moments from sums over its node range.
+    grid interval [z_a, z_{a+1}) are a run of consecutive y nodes: the
+    pairs.  The interval is that of ``Grid.bracket``.  Row j - 1 has
+    ``spans[j - 1]`` candidate intervals, from min(j, n - 2), where x = z_j
+    lies, down to k_j - 1, where the half endpoint ends the row's last pair
+    (at fraction 1 if z_j/2 is the node z_{k_j}); they bound its pairs.
+    The plan holds per-row and per-node arrays only: ``_pair_blocks``
+    yields the pairs one block of rows at a time, and the z fraction of x
+    is affine in y along a pair, so ``pair_rule`` takes each pair's moments
+    from sums over its node range.
     """
 
-    row_pairs: np.ndarray
-    pair_a: np.ndarray
-    pair_first: np.ndarray
-    pair_count: np.ndarray
+    counts: np.ndarray
+    node_w: np.ndarray
+    last_w: np.ndarray
+    half_w: np.ndarray
+    spans: np.ndarray
 
     @property
     def size(self) -> int:
@@ -494,7 +477,7 @@ class _HalfRangePlan(_RowLayout):
         from y to lam, plus the row's last node (``last_w``) and half
         endpoint (``half_w``).  The two-node rule is formed in lam, and its
         nodes are mapped to w fractions exactly, one log1p each.  The pairs
-        are walked in blocks of whole rows.  Pairs of zero mass are left
+        are streamed from ``_pair_blocks``.  Pairs of zero mass are left
         out: they contribute 0.  A rule that is not finite is a consistency
         error, not a pair to drop.
         """
@@ -506,15 +489,14 @@ class _HalfRangePlan(_RowLayout):
         k = self.counts - 1  # nodes below z_j/2, per row
         table = _moment_table(self.node_w[:k[-1]] * G.values[:k[-1]], z[:k[-1]])
         ends = (self.last_w * G.values[k - 1], self.half_w * G(0.5 * z[1:]))
-        nodes = np.empty((2, self.pair_a.size))
+        nodes = np.empty((2, int(self.spans.sum())))  # a pair per candidate interval at most
         weights = np.empty_like(nodes)
-        a_live = np.empty_like(self.pair_a)
-        counts = np.empty_like(self.row_pairs)
+        a_live = np.empty(nodes.shape[1], dtype=k.dtype)
+        counts = np.empty_like(k)
         p_live = 0
-        for rows, pairs in _row_blocks(self.row_pairs):
-            per_row = self.row_pairs[rows]
-            a = self.pair_a[pairs]
-            moments, origin, width = self._pair_moments(table, ends, z, rows, pairs)
+        for rows, per_row, a, first, count in _pair_blocks(grid, self):
+            moments, origin, width = self._pair_moments(table, ends, z, rows, per_row,
+                                                        first, count)
             dza = dz[a]
             lam0 = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
             lam0 -= origin
@@ -541,17 +523,15 @@ class _HalfRangePlan(_RowLayout):
         live = slice(0, p_live)
         return _PairRule(counts, a_live[live], nodes[:, live], weights[:, live])
 
-    def _pair_moments(self, table, ends, z, rows, pairs):
-        """Moments 0-3 in y of the measures of the pairs ``pairs`` on the
-        rows ``rows``, about a position ``origin`` in each pair, and each
-        pair's width in y.  ``ends`` holds per row the masses of the last
-        node and of the half endpoint, which ``table`` leaves out."""
-        per_row = self.row_pairs[rows]
+    def _pair_moments(self, table, ends, z, rows, per_row, first, count):
+        """Moments 0-3 in y of the measures of the pairs of the rows
+        ``rows`` (``per_row`` of them per row, from node ``first`` with
+        ``count`` points each), about a position ``origin`` in each pair,
+        and each pair's width in y.  ``ends`` holds per row the masses of
+        the last node and of the half endpoint, which ``table`` leaves out."""
         k = self.counts[rows] - 1
         half_z = 0.5 * z[rows.start + 1:rows.stop + 1]
         last_pair = np.cumsum(per_row) - 1  # of each row, in the block
-        first = self.pair_first[pairs]
-        count = self.pair_count[pairs]
         only_half = count[last_pair] == 1  # a last pair of the half endpoint alone
         holds_last = last_pair - only_half  # the pair of the row's last node
         last_node = first + count - 1
@@ -572,14 +552,6 @@ class _HalfRangePlan(_RowLayout):
         width[last_pair] = half_z
         width -= y0
         return moments, origin, width
-
-
-def _build_half_range_plan(grid: Grid) -> _HalfRangePlan:
-    """The plan: the pairs of ``_pair_blocks``, concatenated."""
-    layout = _row_layout(grid)
-    parts = zip(*(block[1:] for block in _pair_blocks(grid, layout)))
-    return _HalfRangePlan(**vars(layout), **dict(zip(
-        ("row_pairs", "pair_a", "pair_first", "pair_count"), map(np.concatenate, parts))))
 
 
 @dataclass(frozen=True)
@@ -740,7 +712,7 @@ class _PairRule:
         does not depend on the block size.
         """
         out = np.zeros(cum.size)
-        for rows, pairs in _row_blocks(self.counts):
+        for rows, pairs in _row_blocks(self.counts, 4):
             per_row = self.counts[rows]
             a = self.a[pairs]
             slope = cum[a]

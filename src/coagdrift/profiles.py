@@ -79,7 +79,6 @@ class SolveReport:
     tail_exponent_fit: float
     tail_fit_deviation: float
     tail_prefactor_fit: float
-    v_effective: float
     certified: bool
     forced: bool
     seed_nodes: int
@@ -171,19 +170,20 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, force
     return F, outer_iterations, inner_total, update_norm, False
 
 
-def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
+def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions, forced: bool):
     """Seed of the solve on ``grid`` and the node count it came from: the
     converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
     the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
     Falls back to the exponential seed (0 nodes) where the coarse grid has
     fewer than _MIN_COARSE_NODES nodes, or its solve, which stops by the
-    rule of ``_picard``, does not converge or raises.  Nothing of the
-    coarse grid, or its plan, outlives the call."""
+    rule of ``_picard`` and takes the fine solve's barrier (``forced``), does
+    not converge or raises.  Nothing of the coarse grid, or its plan,
+    outlives the call."""
     n = (grid.n - 1) // 4 + 1
     if n >= _MIN_COARSE_NODES:
         try:
             coarse = build_grid(opts.zmax, n, params.v)
-            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, False)
+            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, forced)
             if converged:
                 seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
                 return _with_mass(seed, params.m0), n
@@ -199,7 +199,7 @@ def outer_solve(
     with residual certification of the result.
 
     The iteration starts from the converged profile of a 4x coarser grid
-    (see ``_coarse_seed``); a forced run starts from the exponential seed.
+    (see ``_coarse_seed``), forced or not.
     Raises a convergence error carrying the last iterate when the update
     norm stops short of ``opts.tol`` (see ``_picard``).  Above the
     admissibility threshold the solve refuses to run unless ``opts.force``
@@ -207,10 +207,7 @@ def outer_solve(
     """
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
-    if forced:
-        G, seed_nodes = seed_profile(params, grid), 0
-    else:
-        G, seed_nodes = _coarse_seed(params, grid, opts)
+    G, seed_nodes = _coarse_seed(params, grid, opts, forced)
     F, outer_iterations, inner_total, update_norm, converged = _picard(params, G, opts, forced)
 
     report = _certify(F, params, opts, outer_iterations, inner_total,
@@ -324,7 +321,6 @@ def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
         tail_exponent_fit=fit.exponent,
         tail_fit_deviation=fit.max_deviation,
         tail_prefactor_fit=fit.prefactor,
-        v_effective=cert.M0 / cert.M1,
         certified=bool(converged and fp_residual <= opts.tol and cert.ok),
         forced=forced,
         seed_nodes=seed_nodes,

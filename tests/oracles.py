@@ -76,7 +76,8 @@ def barrier_sweeps(G, params, cap, opts):
 def reference_plan(grid):
     """The half-range quadrature built one row at a time, as flat per-point
     arrays: trapezoid weights, sample indices (-1 at the half endpoint, where
-    G is interpolated), x = z_j - y and its brackets by ``Grid.bracket``."""
+    G is interpolated), x = z_j - y, its bracket by ``Grid.bracket`` and its
+    fraction in w in that interval."""
     z = grid.nodes
     half = 0.5 * z[1:]
     ks = np.searchsorted(z, half, side="left")
@@ -95,7 +96,9 @@ def reference_plan(grid):
         y_node_idx.append(np.append(np.arange(k), -1))
         x_flat.append(z[j] - y)
     x = np.concatenate(x_flat)
-    x_idx, x_lam_z, x_lam_w = grid.bracket(x)
+    x_idx, x_lam_z = grid.bracket(x)
+    w = grid.w_of(z)
+    x_lam_w = np.clip((grid.w_of(x) - w[x_idx]) / np.diff(w)[x_idx], 0.0, 1.0)
     return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
                 y_node_idx=np.concatenate(y_node_idx), x=x, x_idx=x_idx,
                 x_lam_z=x_lam_z, x_lam_w=x_lam_w)

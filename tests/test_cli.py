@@ -374,15 +374,15 @@ def test_cli_warning_prints_one_line(tmp_path):
 
 
 def test_solve_reports_its_seed(solved_file, tmp_path):
-    # the README solve at 1025 nodes is seeded by the 257-node solve; a
-    # forced run starts from the exponential seed
+    # the README solve at 1025 nodes is seeded by the 257-node solve, and so
+    # is a forced run
     payload = json.loads(solved_file.with_suffix(".json").read_text())
     assert payload["report"]["seed_nodes"] == 257
     assert payload["report"]["outer_iterations"] <= 2
     out = tmp_path / "forced.csv"
     with pytest.warns(RuntimeWarning, match="admissibility threshold"):
         main(solve_args(out, m0="0.02", extra=["--force"]))
-    assert json.loads(out.with_suffix(".json").read_text())["report"]["seed_nodes"] == 0
+    assert json.loads(out.with_suffix(".json").read_text())["report"]["seed_nodes"] == 257
 
 
 def test_warning_raised_as_error_exits_3(tmp_path, capsys):

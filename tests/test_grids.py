@@ -219,6 +219,14 @@ def test_log_integral_additivity_on_nodes():
 PLAN_SIZES = (2, 3, 5, 65, 2049)
 
 
+def _pairs(grid):
+    """The pairs that ``_pair_blocks`` streams on the grid's plan,
+    concatenated: pairs per row, and per pair its interval, first point and
+    point count."""
+    blocks = list(grids._pair_blocks(grid, grid.half_range_plan()))
+    return [np.concatenate([b[i] for b in blocks]) for i in range(1, 5)]
+
+
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_matches_row_loop(n):
     grid = cd.build_grid(1e6, n, 0.5)
@@ -226,29 +234,18 @@ def test_half_range_plan_matches_row_loop(n):
     plan = grid.half_range_plan()
     assert np.array_equal(plan.counts, ref["counts"])
     assert plan.size == ref["x"].size
-    # the plan is the concatenation of the pair blocks that the convolution
-    # streams
-    blocks = list(grids._pair_blocks(grid, grids._row_layout(grid)))
-    for i, name in enumerate(("row_pairs", "pair_a", "pair_first", "pair_count"), start=1):
-        assert np.array_equal(np.concatenate([b[i] for b in blocks]), getattr(plan, name)), name
     # the convolution weighs each point by its trapezoid weight * F(y) and
     # interpolates F(z_j - y) as the reference does, for distinct samples
     _assert_matches_reference(cd.GridFunction(grid, np.exp(-np.arange(n) / n)))
-    # per point, the pair's interval is the floor rule's, except where x is
-    # a node z_b (the first point of a row, x = z_j): the plan puts it in
-    # interval b at fraction 0, the floor rule by rounding sometimes in
-    # interval b - 1 at fraction 1
-    a = np.repeat(plan.pair_a, plan.pair_count)
+    # per point, the pair's interval is that of Grid.bracket: x in
+    # [z_a, z_{a+1}), and x = zmax in the last interval
+    _, a, _, count = _pairs(grid)
+    a = np.repeat(a, count)
     x, z = ref["x"], grid.nodes
-    differ = a != ref["x_idx"]
-    firsts = np.cumsum(plan.counts) - plan.counts
-    assert np.all(np.isin(np.flatnonzero(differ), firsts))
-    assert np.array_equal(z[a[differ]], x[differ])
-    assert np.all(ref["x_idx"][differ] == a[differ] - 1)
-    assert np.all(ref["x_lam_w"][differ] > 1.0 - 1e-12)
-    # the rule itself: x in [z_a, z_{a+1}), and x = zmax in the last interval
+    assert np.array_equal(a, ref["x_idx"])
     assert np.all(z[a] <= x)
     assert np.all((x < z[a + 1]) | ((x == z[-1]) & (a == n - 2)))
+    firsts = np.cumsum(plan.counts) - plan.counts
     assert np.all(z[a][firsts[:-1]] == z[1:-1])  # x = z_j at fraction 0
 
 
@@ -260,53 +257,55 @@ def test_half_range_plan_covers_short_segments():
 
 @pytest.mark.parametrize("n", PLAN_SIZES)
 def test_half_range_plan_pairs_tile_rows(n):
-    _check_pairs_tile_rows(cd.build_grid(1e6, n, 0.5).half_range_plan())
+    _check_pairs_tile_rows(cd.build_grid(1e6, n, 0.5))
 
 
 def test_half_range_plan_half_endpoint_on_a_node():
     # z_j/2 is the node z_{k_j} at j = 2, 4 and 6: the half endpoint still
     # ends its row's last pair, in interval k_j - 1 at fraction 1
     grid = cd.Grid(nodes=np.array([0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]), v=0.5)
-    plan = grid.half_range_plan()
     assert np.isin(0.5 * grid.nodes[[2, 4, 6]], grid.nodes).all()
-    _check_pairs_tile_rows(plan)
-    assert np.array_equal(plan.pair_count[np.cumsum(plan.row_pairs)[[1, 3, 5]] - 1], [1, 1, 1])
-    # the convolution matches the per-point reference on this grid too.
-    # Grid.bracket, which the reference uses, assumes nodes uniform in w;
-    # these are not, and its one miss is x = 1.5, bracketed in [2, 3]: F is
-    # flat on [1, 2], so the miss does not show.  F(8) = 0 makes the last
-    # interval linear.
-    F = cd.GridFunction(grid, np.array([1.0, 0.5, 0.5, 0.3, 0.2, 0.05, 0.0]))
+    _check_pairs_tile_rows(grid)
+    row_pairs, _, _, pair_count = _pairs(grid)
+    assert np.array_equal(pair_count[np.cumsum(row_pairs)[[1, 3, 5]] - 1], [1, 1, 1])
+    # the convolution matches the per-point reference on these nodes, which
+    # are not uniform in w, and F is interpolated in the interval that holds
+    # the point.  F(8) = 0 makes the last interval linear.
+    F = cd.GridFunction(grid, np.array([1.0, 0.6, 0.5, 0.3, 0.2, 0.05, 0.0]))
+    assert F(1.5) == pytest.approx(math.sqrt(0.6 * 0.5), rel=1e-15)
     _assert_matches_reference(F)
 
 
-def _check_pairs_tile_rows(plan):
-    n = plan.counts.size + 1
+def _check_pairs_tile_rows(grid):
+    plan = grid.half_range_plan()
+    row_pairs, pair_a, pair_first, pair_count = _pairs(grid)
+    n = grid.n
     k = plan.counts - 1
-    assert np.all(plan.pair_count >= 1) and np.all(plan.row_pairs >= 1)
-    assert plan.row_pairs.size == n - 1 and plan.row_pairs.sum() == plan.pair_count.size
+    assert np.all(pair_count >= 1) and np.all(row_pairs >= 1)
+    assert row_pairs.size == n - 1 and row_pairs.sum() == pair_count.size
+    assert np.all(row_pairs <= plan.spans)  # at most one pair per candidate interval
     # each row's pairs tile its points in order: the nodes from 0 to
     # k_j - 1, then the half endpoint (point k_j), which ends the last pair
-    row = np.repeat(np.arange(n - 1), plan.row_pairs)
-    row_first = np.cumsum(plan.row_pairs) - plan.row_pairs
-    row_last = row_first + plan.row_pairs - 1
-    assert np.all(plan.pair_first[row_first] == 0)
-    after = plan.pair_first + plan.pair_count
-    assert np.array_equal(after[:-1][np.diff(row) == 0], plan.pair_first[1:][np.diff(row) == 0])
+    row = np.repeat(np.arange(n - 1), row_pairs)
+    row_first = np.cumsum(row_pairs) - row_pairs
+    row_last = row_first + row_pairs - 1
+    assert np.all(pair_first[row_first] == 0)
+    after = pair_first + pair_count
+    assert np.array_equal(after[:-1][np.diff(row) == 0], pair_first[1:][np.diff(row) == 0])
     assert np.array_equal(after[row_last], k + 1)
     # intervals fall along a row, and its last pair lies in k_j - 1
-    assert np.all(np.diff(plan.pair_a)[np.diff(row) == 0] < 0)
-    assert np.array_equal(plan.pair_a[row_last], k - 1)
+    assert np.all(np.diff(pair_a)[np.diff(row) == 0] < 0)
+    assert np.array_equal(pair_a[row_last], k - 1)
 
 
 def test_half_range_plan_holds_no_point_array():
-    # every array of the plan is per node, per row or per pair: at 2049
-    # nodes the plan has 1.9M points in 205k pairs
+    # every array of the plan is per node or per row; its pairs are
+    # streamed: at 2049 nodes the plan has 1.9M points in 205k pairs
     grid = cd.build_grid(1e6, 2049, 0.5)
     plan = grid.half_range_plan()
-    assert 9 * plan.pair_a.size < plan.size
+    assert 9 * _pairs(grid)[1].size < plan.size
     for name, value in vars(plan).items():
-        assert value.size in (grid.n, grid.n - 1, plan.pair_a.size), name
+        assert value.size in (grid.n, grid.n - 1), name
 
 
 def _plan_data(grid):
@@ -322,10 +321,23 @@ def _kernel_table(grid):
     return cd.cumulative_log_integral(tau, corrected=False)
 
 
+def _check_blocks(grid, points):
+    """The pair blocks tile the rows and each block's pairs its points; a
+    block holds at most ``points`` points and a quarter as many pairs, or a
+    single row."""
+    plan = grid.half_range_plan()
+    blocks = list(grids._pair_blocks(grid, plan))
+    assert np.array_equal(np.concatenate([np.arange(grid.n - 1)[rows] for rows, *_ in blocks]),
+                          np.arange(grid.n - 1))
+    for rows, per_row, a, first, count in blocks:
+        assert per_row.sum() == a.size == first.size == count.size
+        assert count.sum() == plan.counts[rows].sum()
+        assert (count.sum() <= points and 4 * a.size <= points) or rows.stop == rows.start + 1
+    return blocks
+
+
 @pytest.mark.parametrize("n, block", [(65, 7), (65, 300), (2049, 50_000)])
 def test_half_range_plan_blocked_build(monkeypatch, n, block):
-    from coagdrift import grids
-
     def build_and_pass():
         grid = cd.build_grid(1e6, n, 0.5)
         G = _plan_data(grid)
@@ -337,32 +349,25 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         return rule.kernel_sums(_kernel_table(cd.build_grid(1e6, n, 0.5)))
 
     whole, whole_rule, whole_conv = build_and_pass()
+    grid = cd.build_grid(1e6, n, 0.5)
+    _check_blocks(grid, 1 << 17)  # at most 2^17 points and 2^15 pairs
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
     assert whole.size > 3 * block  # several blocks
     assert whole.counts.max() > block or block > 7  # and rows longer than one
     blocked, rule, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
-    assert whole_rule.a.size < whole.pair_a.size  # the zero tail left pairs out
+    assert whole_rule.a.size < _pairs(grid)[1].size  # the zero tail left pairs out
     for name, value in vars(whole_rule).items():
         assert np.array_equal(getattr(rule, name), value), name
     assert np.array_equal(conv, whole_conv)
-    # the pair blocks tile the rows, and each block's pairs its points
-    grid = cd.build_grid(1e6, n, 0.5)
-    blocks = list(grids._pair_blocks(grid, grids._row_layout(grid)))
-    assert len(blocks) > 3
-    assert np.array_equal(np.concatenate([np.arange(n - 1)[rows] for rows, *_ in blocks]),
-                          np.arange(n - 1))
-    for rows, per_row, a, first, count in blocks:
-        assert per_row.sum() == a.size == first.size == count.size
-        assert count.sum() == blocked.counts[rows].sum()
-        assert count.sum() <= block or rows.stop == rows.start + 1
+    assert len(_check_blocks(grid, block)) > 3
     # the kernel sums keep their bits across row blocks of pairs: one block
     # of every row, small blocks (a row of more pairs than a block is a
     # block of its own) and the plan's blocks
-    sums = kernel_sums(whole_rule, whole_rule.a.size)
+    sums = kernel_sums(whole_rule, 4 * whole_rule.a.size)
     assert whole_rule.counts.max() > 3
-    assert np.array_equal(kernel_sums(whole_rule, 3), sums)
+    assert np.array_equal(kernel_sums(whole_rule, 12), sums)
     assert np.array_equal(kernel_sums(rule, block), sums)
 
 
@@ -372,11 +377,12 @@ def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
     # arrays as long as the points or pairs: traced peak in units of one
     # point-length float array, on a built plan of the README pair
-    # (measured: convolution 0.15, about one block's 2.3 MB of temporaries;
-    # pair rule 1.10, of which its output, the rules of 205k pairs, is 0.54
-    # and one block of 2^15 pairs 0.49, that is 7.4 MB; kernel sums 0.11,
-    # 1.6 MB; 2.11 when the convolution formed whole point arrays, 3.23 and
-    # 0.32 when the pair rule and the kernel sums formed whole pair arrays)
+    # (measured: convolution 0.33, one block's 5.1 MB of temporaries; pair
+    # rule 1.14, of which its output, sized by the 205k candidate intervals,
+    # is 0.54 and the temporaries of one block of 2^17 points about 0.6;
+    # kernel sums 0.11, 1.6 MB; 2.11 when the convolution formed whole point
+    # arrays, 3.23 and 0.32 when the pair rule and the kernel sums formed
+    # whole pair arrays)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)

@@ -151,7 +151,7 @@ def test_outer_solve_report(solved, default_params):
     assert report.M0 == pytest.approx(params.m0, rel=1e-12)
     assert report.M1 == pytest.approx(params.m0 / params.v, rel=5e-3)
     assert report.F0 == pytest.approx(params.m0 * (1 - params.m0), rel=1e-6)
-    assert report.v_effective == pytest.approx(params.v, rel=5e-3)
+    assert report.M0 / report.M1 == pytest.approx(params.v, rel=5e-3)
     assert report.tail_prefactor_fit > 0.0
     assert report.outer_iterations >= 1
     assert report.inner_iterations_total >= report.outer_iterations
@@ -266,11 +266,11 @@ def test_solve_options_validation():
         cd.OuterSolveOptions(tol=-1.0)
 
 
-def _from_exponential_seed(params, opts, forced=False):
+def _from_exponential_seed(params, opts):
     """The outer iteration on the grid of ``opts`` started at seed_profile:
     (F, outer iterations, inner iterations, update norm, converged)."""
     grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
-    return profiles._picard(params, cd.seed_profile(params, grid), opts, forced)
+    return profiles._picard(params, cd.seed_profile(params, grid), opts, False)
 
 
 def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
@@ -306,16 +306,13 @@ def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
 @pytest.mark.parametrize("v, m0, opts", [
     # the coarse grid would hold 65 < 129 nodes
     (0.5, 0.005, cd.OuterSolveOptions(zmax=1e5, nodes=257)),
-    # forced: a coarse level would repeat the forced-run warnings
-    (0.5, 0.02, cd.OuterSolveOptions(zmax=1e4, nodes=1025, force=True)),
 ])
 def test_outer_solve_exponential_seed_paths(v, m0, opts):
     params = cd.ModelParams(v, m0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         F, report = cd.outer_solve(params, opts)
-        ref, iterations, inner, norm, converged = _from_exponential_seed(
-            params, opts, forced=opts.force)
+        ref, iterations, inner, norm, converged = _from_exponential_seed(params, opts)
     assert report.seed_nodes == 0
     assert np.array_equal(F.values, ref.values)
     assert (report.outer_iterations, report.inner_iterations_total) == (iterations, inner)
