@@ -21,21 +21,22 @@ O(N^2) points in all.  The points of one row z_j whose argument z_j - y
 falls in the same grid interval are a run of consecutive y nodes and form
 a pair.  The plan of a grid holds only per-row and per-node arrays: the
 points per row, the trapezoid weights and the candidate intervals per row.
-Per block of rows, ``_pair_blocks`` finds per pair its interval, first
-point and point count by searchsorted on node ranges, and per row its
-number of pairs; both users stream these blocks and keep no pair list.
-The z fraction of the argument is affine in y along a pair, so the Gauss
-rule of a pair, per datum, takes its moments from a disjoint sparse table
-of node moments (about 2 MB at 4097 nodes), and the kernel sums spend at
-most two exp per pair.  The convolution runs once per solve and in
-``verify``: it forms one exponent per pair and one exp per point, and
-caches no plan on the grid.
+It is built in O(N) on every call, and no grid caches one.  Per block of
+whole rows, ``_pair_blocks`` finds per pair its interval, first point and
+point count by searchsorted on node ranges, and per row its number of
+pairs; every pass over the pairs walks these blocks, and none keeps a pair
+list.  The z fraction of the argument is affine in y along a pair, so the
+Gauss rule of a pair, per datum, takes its moments from a disjoint sparse
+table of node moments (about 2 MB at 4097 nodes).  The pair rule keeps the
+rules of the live pairs per block, and the kernel sums walk those blocks
+with at most two exp per pair.  The convolution runs once per solve and in
+``verify``: it forms one exponent per pair and one exp per point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +64,6 @@ class Grid:
 
     nodes: np.ndarray
     v: float
-    _plan: "_HalfRangePlan | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
@@ -86,9 +86,6 @@ class Grid:
     def dw(self) -> float:
         return float(np.log1p((1.0 - self.v) * self.zmax) / (self.n - 1))
 
-    def w_of(self, z):
-        return np.log1p((1.0 - self.v) * np.asarray(z, dtype=float))
-
     def sprime(self, z):
         """dz/dw = (1 + (1-v) z)/(1-v)."""
         return (1.0 + (1.0 - self.v) * np.asarray(z, dtype=float)) / (1.0 - self.v)
@@ -106,9 +103,19 @@ class Grid:
         return idx, lam_z
 
     def half_range_plan(self) -> "_HalfRangePlan":
-        if self._plan is None:
-            self._plan = _row_layout(self)
-        return self._plan
+        """The rows of the half-range quadrature, built anew on every call:
+        O(N), and no grid caches a plan."""
+        z = self.nodes
+        half = 0.5 * z[1:]
+        ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
+        # trapezoid weight of each node between its two gaps; in a row only
+        # the last node and the half endpoint see the gap up to z_j/2 instead
+        gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
+        tail = half - z[ks - 1]
+        top = np.minimum(np.arange(1, self.n), self.n - 2)  # the interval of x = z_j
+        return _HalfRangePlan(counts=ks + 1, node_w=0.5 * (gap[:-1] + gap[1:]),
+                              last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail,
+                              spans=top - ks + 2)
 
 
 def _smallest_zmax(n: int, v: float) -> float:
@@ -309,55 +316,36 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 # half-range quadrature: the convolution and the pair rules of the tau sweep
 # ----------------------------------------------------------------------
 
-def _row_layout(grid: Grid) -> _HalfRangePlan:
-    z = grid.nodes
-    half = 0.5 * z[1:]
-    ks = np.searchsorted(z, half, side="left")  # nodes strictly below z_j/2
-    # trapezoid weight of each node between its two gaps; in a row only
-    # the last node and the half endpoint see the gap up to z_j/2 instead
-    gap = np.diff(z, prepend=0.0, append=z[-1])  # zero beyond both ends
-    tail = half - z[ks - 1]
-    top = np.minimum(np.arange(1, grid.n), grid.n - 2)  # the interval of x = z_j
-    return _HalfRangePlan(counts=ks + 1, node_w=0.5 * (gap[:-1] + gap[1:]),
-                          last_w=0.5 * (gap[ks - 1] + tail), half_w=0.5 * tail,
-                          spans=top - ks + 2)
-
-
-# Points per block of rows in every pass over the points or pairs, where a
-# pair counts as four points.  Timed at 4097 nodes (7.6M points, 0.81M
-# candidate intervals, 61 blocks), blocks of 2^16 to 2^18 points time the
-# convolution and the pair rule within 15%, and the pair rule takes 40%
-# longer at 2^15.  A block's temporaries take about 6 MB in the
-# convolution, 10 MB in ``pair_rule`` and 1.6 MB in ``kernel_sums``.
+# Points per block of rows of ``_pair_blocks``, the one blocking of every
+# pass over the points or pairs, where a candidate interval counts as four
+# points.  Timed at 4097 nodes (7.6M points, 0.81M candidate intervals, 61
+# blocks), blocks of 2^16 to 2^18 points time the convolution and the pair
+# rule within 15%, and the pair rule takes 40% longer at 2^15.  Traced
+# there, a block's temporaries take about 5.6 MB in the convolution and
+# 1.6 MB in ``kernel_sums``, and ``pair_rule`` peaks 4.5 MB above the
+# 18 MB of rules it keeps.
 _PLAN_BLOCK_POINTS = 1 << 17
 
 
-def _row_blocks(counts, points=1):
-    """(rows, items) slices of consecutive blocks of whole rows, of at most
-    ``_PLAN_BLOCK_POINTS`` points each, an item counting as ``points``
-    points; a longer row is a block of its own."""
-    ends = np.cumsum(counts)
-    limit = _PLAN_BLOCK_POINTS // points
-    r0 = 0
-    while r0 < counts.size:
-        start = int(ends[r0] - counts[r0])
-        r1 = max(r0 + 1, int(np.searchsorted(ends, start + limit, side="right")))
-        yield slice(r0, r1), slice(start, int(ends[r1 - 1]))
-        r0 = r1
-
-
 def _pair_blocks(grid: Grid, plan: _HalfRangePlan):
-    """The pairs of each block of rows of ``plan``, a candidate interval
-    counting as four points: (rows, pairs per row, and per pair its
-    interval, first point and point count), from node ranges with no pass
-    over the points.  In row j the nodes y_i with x = z_j - y_i in
-    [z_a, z_{a+1}) run from the first with y_i > z_j - z_{a+1} to the first
-    with y_i > z_j - z_a, for the row's candidate intervals a from
-    min(j, n - 2) down to k_j - 1: one searchsorted per interval, and
-    intervals without a point are skipped."""
+    """The pairs of each block of whole rows of ``plan``: (rows, pairs per
+    row, and per pair its interval, first point and point count), from node
+    ranges with no pass over the points.  A block holds at most
+    ``_PLAN_BLOCK_POINTS`` points, a candidate interval counting as four; a
+    longer row is a block of its own.  In row j the nodes y_i with
+    x = z_j - y_i in [z_a, z_{a+1}) run from the first with
+    y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the row's
+    candidate intervals a from min(j, n - 2) down to k_j - 1: one
+    searchsorted per interval, and intervals without a point are skipped."""
     z = grid.nodes
     k = plan.counts - 1
-    for rows, _ in _row_blocks(np.maximum(plan.counts, 4 * plan.spans)):
+    size = np.maximum(plan.counts, 4 * plan.spans)
+    ends = np.cumsum(size)
+    r = 0
+    while r < k.size:
+        stop = np.searchsorted(ends, ends[r] - size[r] + _PLAN_BLOCK_POINTS, side="right")
+        rows = slice(r, max(r + 1, int(stop)))
+        r = rows.stop
         span = plan.spans[rows]
         row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
         row_start = row_end - span + 1
@@ -374,6 +362,17 @@ def _pair_blocks(grid: Grid, plan: _HalfRangePlan):
                first[live], count[live])
 
 
+def _z_fraction(z, dz, rows, per_row, a, y):
+    """The z fraction (z_j - y - z_a)/dz_a of x = z_j - y in interval a, per
+    pair of the rows ``rows`` (``per_row`` pairs each), at the position
+    ``y`` in each pair."""
+    lam = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
+    lam -= y
+    lam -= z[a]
+    lam /= dz[a]
+    return lam
+
+
 def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     """Self-convolution int_0^{z_j} F(z_j - y) F(y) dy at every grid node,
     vectorized, as its symmetric half-range form 2 int_0^{z_j/2}.
@@ -386,11 +385,11 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     one exp per point.  Intervals with a nonpositive endpoint interpolate
     the values linearly instead.  The pairs are streamed from
     ``_pair_blocks``, and the points weighted by trapezoid weight * F(y) and
-    summed per row, a block of rows at a time: no plan is cached on the grid.
+    summed per row, a block of rows at a time.
     """
     grid = F.grid
     z = grid.nodes
-    layout = _row_layout(grid)
+    layout = grid.half_range_plan()
     va = F.values[:-1]
     vb = F.values[1:]
     loglin = (va > 0.0) & (vb > 0.0)
@@ -401,9 +400,8 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     dz = np.diff(z)
     rate = slope / dz
     node = layout.node_w * F.values
-    last = layout.last_w * F.values[layout.counts - 2]
+    last, half = layout.end_masses(F)
     half_z = 0.5 * z[1:]
-    half = layout.half_w * F(half_z)
     all_loglin = bool(loglin.all())
     out = np.zeros(grid.n)
     for rows, per_row, a, _, count in _pair_blocks(grid, layout):
@@ -412,10 +410,7 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
         y = np.concatenate([z[:c] for c in counts.tolist()])  # the points of each row
         y[end] = half_z[rows]
         y0 = y[np.cumsum(count) - count]  # the pairs tile the points in order
-        lam = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
-        lam -= y0
-        lam -= z[a]
-        lam /= dz[a]
+        lam = _z_fraction(z, dz, rows, per_row, a, y0)
         np.clip(lam, 0.0, 1.0, out=lam)
         lam *= slope[a]
         lam += base[a]  # the exponent at y_0 (the value, in a linear interval)
@@ -488,21 +483,13 @@ class _HalfRangePlan:
         stretch = (1.0 - grid.v) * dz / (1.0 + (1.0 - grid.v) * z[:-1])
         k = self.counts - 1  # nodes below z_j/2, per row
         table = _moment_table(self.node_w[:k[-1]] * G.values[:k[-1]], z[:k[-1]])
-        ends = (self.last_w * G.values[k - 1], self.half_w * G(0.5 * z[1:]))
-        nodes = np.empty((2, int(self.spans.sum())))  # a pair per candidate interval at most
-        weights = np.empty_like(nodes)
-        a_live = np.empty(nodes.shape[1], dtype=k.dtype)
-        counts = np.empty_like(k)
-        p_live = 0
+        ends = self.end_masses(G)
+        blocks = []
         for rows, per_row, a, first, count in _pair_blocks(grid, self):
             moments, origin, width = self._pair_moments(table, ends, z, rows, per_row,
                                                         first, count)
-            dza = dz[a]
-            lam0 = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
-            lam0 -= origin
-            lam0 -= z[a]
-            lam0 /= dza
-            lam, w = _z_fraction_rule(moments, lam0, dza, width)
+            lam0 = _z_fraction(z, dz, rows, per_row, a, origin)
+            lam, w = _z_fraction_rule(moments, lam0, dz[a], width)
             lam *= stretch[a]
             np.log1p(lam, out=lam)
             lam /= grid.dw
@@ -513,15 +500,18 @@ class _HalfRangePlan:
             np.clip(lam, 0.0, 1.0, out=lam)
             live = w[0] > 0.0
             live |= w[1] > 0.0
-            counts[rows] = np.add.reduceat(live, np.cumsum(per_row) - per_row, dtype=counts.dtype)
-            out = slice(p_live, p_live + int(counts[rows].sum()))
-            if out.stop - out.start == live.size:
-                nodes[:, out], weights[:, out], a_live[out] = lam, w, a
-            else:
-                nodes[:, out], weights[:, out], a_live[out] = lam[:, live], w[:, live], a[live]
-            p_live = out.stop
-        live = slice(0, p_live)
-        return _PairRule(counts, a_live[live], nodes[:, live], weights[:, live])
+            # compress keeps the (2, pairs) arrays in C order; a [:, live]
+            # index would return them in F order, and kernel_sums then takes
+            # about 1.7 times as long
+            blocks.append((rows, np.add.reduceat(live, np.cumsum(per_row) - per_row,
+                                                 dtype=k.dtype),
+                           a[live], lam.compress(live, axis=1), w.compress(live, axis=1)))
+        return _PairRule(blocks)
+
+    def end_masses(self, G: GridFunction):
+        """Per row the masses trapezoid weight * G(y) of the last node and of
+        the half endpoint."""
+        return self.last_w * G.values[self.counts - 2], self.half_w * G(0.5 * G.grid.nodes[1:])
 
     def _pair_moments(self, table, ends, z, rows, per_row, first, count):
         """Moments 0-3 in y of the measures of the pairs of the rows
@@ -687,15 +677,13 @@ def _two_node_rule(lam0, moments, width):
 
 @dataclass(eq=False)
 class _PairRule:
-    """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``):
-    row j - 1 holds the next ``counts[j - 1]`` pairs; pair p lies in grid
-    interval ``a[p]``, and its measure becomes the ``weights[:, p]`` at the
-    w fractions ``nodes[:, p]``."""
+    """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``),
+    one entry of ``blocks`` per block of whole rows of ``_pair_blocks``:
+    (rows, live pairs per row, and per pair its grid interval a, the w
+    fractions of its two nodes and their weights, each of shape (2, pairs)).
+    Each array holds the block's live pairs only."""
 
-    counts: np.ndarray
-    a: np.ndarray
-    nodes: np.ndarray
-    weights: np.ndarray
+    blocks: list
 
     def kernel_sums(self, cum) -> np.ndarray:
         """h(z_j) = 2 int_0^{z_j/2} G(y) exp(I(z_j) - I(z_j - y)) dy at every
@@ -708,21 +696,20 @@ class _PairRule:
         in [0, 1] with a nonnegative weight, and its exponent equals
         c_j - ((1 - lam) c_a + lam c_{a+1}), a convex combination of
         differences that grow with tau, so h preserves order in tau.  The
-        pairs are summed per row in blocks of whole rows, so a row's sum
-        does not depend on the block size.
+        rule's blocks are walked in turn; a block holds whole rows, and
+        ``bincount`` sums a row's pairs in order, so a row's sum does not
+        depend on the block size.
         """
         out = np.zeros(cum.size)
-        for rows, pairs in _row_blocks(self.counts, 4):
-            per_row = self.counts[rows]
-            a = self.a[pairs]
+        for rows, per_row, a, nodes, weights in self.blocks:
             slope = cum[a]
             base = np.repeat(cum[rows.start + 1:rows.stop + 1], per_row)
             base -= slope
             slope -= cum[1:][a]  # in place: c_a - c_{a+1}
-            terms = self.nodes[:, pairs] * slope
+            terms = nodes * slope
             terms += base
             np.exp(terms, out=terms)
-            terms *= self.weights[:, pairs]
+            terms *= weights
             out[rows.start + 1:rows.stop + 1] = np.bincount(
                 np.repeat(np.arange(rows.stop - rows.start), per_row),
                 weights=terms[0] + terms[1], minlength=rows.stop - rows.start)

@@ -97,8 +97,8 @@ def reference_plan(grid):
         x_flat.append(z[j] - y)
     x = np.concatenate(x_flat)
     x_idx, x_lam_z = grid.bracket(x)
-    w = grid.w_of(z)
-    x_lam_w = np.clip((grid.w_of(x) - w[x_idx]) / np.diff(w)[x_idx], 0.0, 1.0)
+    w = np.log1p((1.0 - grid.v) * z)
+    x_lam_w = np.clip((np.log1p((1.0 - grid.v) * x) - w[x_idx]) / np.diff(w)[x_idx], 0.0, 1.0)
     return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
                 y_node_idx=np.concatenate(y_node_idx), x=x, x_idx=x_idx,
                 x_lam_z=x_lam_z, x_lam_w=x_lam_w)

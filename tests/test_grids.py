@@ -344,10 +344,6 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         plan = grid.half_range_plan()
         return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(G)
 
-    def kernel_sums(rule, points):
-        monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", points)
-        return rule.kernel_sums(_kernel_table(cd.build_grid(1e6, n, 0.5)))
-
     whole, whole_rule, whole_conv = build_and_pass()
     grid = cd.build_grid(1e6, n, 0.5)
     _check_blocks(grid, 1 << 17)  # at most 2^17 points and 2^15 pairs
@@ -357,32 +353,57 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
     blocked, rule, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
-    assert whole_rule.a.size < _pairs(grid)[1].size  # the zero tail left pairs out
-    for name, value in vars(whole_rule).items():
-        assert np.array_equal(getattr(rule, name), value), name
+    # the rule keeps the blocks of _pair_blocks, and its blocks concatenated
+    # (pairs per row, intervals, nodes and weights) keep their bits
+    assert len(rule.blocks) == len(_check_blocks(grid, block)) > 3
+    assert len(whole_rule.blocks) < len(rule.blocks)
+    whole_pairs, pairs = ([np.concatenate([b[i] for b in r.blocks], axis=-1) for i in range(1, 5)]
+                          for r in (whole_rule, rule))
+    for name, want, got in zip(("per_row", "a", "nodes", "weights"), whole_pairs, pairs):
+        assert np.array_equal(got, want), name
+    assert whole_pairs[0].max() > 3  # rows of several pairs
+    assert whole_pairs[1].size < _pairs(grid)[1].size  # the zero tail left pairs out
     assert np.array_equal(conv, whole_conv)
-    assert len(_check_blocks(grid, block)) > 3
-    # the kernel sums keep their bits across row blocks of pairs: one block
-    # of every row, small blocks (a row of more pairs than a block is a
-    # block of its own) and the plan's blocks
-    sums = kernel_sums(whole_rule, 4 * whole_rule.a.size)
-    assert whole_rule.counts.max() > 3
-    assert np.array_equal(kernel_sums(whole_rule, 12), sums)
-    assert np.array_equal(kernel_sums(rule, block), sums)
+    # a row's pairs are summed in order, so the kernel sums keep their bits
+    # across the block sizes
+    cum = _kernel_table(grid)
+    assert np.array_equal(rule.kernel_sums(cum), whole_rule.kernel_sums(cum))
+
+
+def test_pair_rule_arrays_are_their_own():
+    # the rule keeps only its live pairs: no array of it is a view of a
+    # buffer sized by the candidate intervals, which would keep the dead
+    # tail of that buffer alive with the rule; and each is in C order, in
+    # which kernel_sums reads it fastest
+    grid = cd.build_grid(1e6, 2049, 0.5)
+    rule = grid.half_range_plan().pair_rule(_plan_data(grid))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    found = list(arrays(list(vars(rule).values())))
+    for x in found:
+        assert x.base is None or x.base.nbytes == x.nbytes
+        assert x.flags.c_contiguous
+    assert len(found) > 4
 
 
 @pytest.mark.parametrize("call, bound", [
-    ("convolution", 0.5), ("pair_rule", 1.25), ("kernel_sums", 0.2)])
+    ("convolution", 0.5), ("pair_rule", 0.8), ("kernel_sums", 0.2)])
 def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
     # arrays as long as the points or pairs: traced peak in units of one
     # point-length float array, on a built plan of the README pair
     # (measured: convolution 0.33, one block's 5.1 MB of temporaries; pair
-    # rule 1.14, of which its output, sized by the 205k candidate intervals,
-    # is 0.54 and the temporaries of one block of 2^17 points about 0.6;
-    # kernel sums 0.11, 1.6 MB; 2.11 when the convolution formed whole point
-    # arrays, 3.23 and 0.32 when the pair rule and the kernel sums formed
-    # whole pair arrays)
+    # rule 0.67, its output of 120k live pairs and the temporaries of one
+    # block of 2^17 points; kernel sums 0.11, 1.5 MB; 2.11 when the
+    # convolution formed whole point arrays, 3.23 and 0.32 when the pair
+    # rule and the kernel sums formed whole pair arrays, and 1.14 when the
+    # pair rule's output was sized by the 205k candidate intervals)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
@@ -447,7 +468,7 @@ def test_half_convolution_at_nodes_matches_per_point(case):
         F = cd.GridFunction(grid, _tail_cut(barrier, grid, 50.0))
         assert np.any(F.values == 0.0)
     got = cd.half_convolution_at_nodes(F)
-    assert grid._plan is None  # the convolution builds and caches no plan
+    assert set(vars(grid)) == {"nodes", "v"}  # no grid caches a plan
     want = _reference_half_convolution(F, F)
     assert got[0] == 0.0
     scale = np.where(want == 0.0, 1.0, np.abs(want))
@@ -470,14 +491,14 @@ def test_convolution_mutants_fail(monkeypatch, mutant):
 
         monkeypatch.setattr(grids, "_pair_blocks", lower)
     else:
-        row_layout = grids._row_layout
+        half_range_plan = cd.Grid.half_range_plan
 
         def dropped(grid):
-            layout = row_layout(grid)
+            layout = half_range_plan(grid)
             setattr(layout, mutant, np.zeros_like(getattr(layout, mutant)))
             return layout
 
-        monkeypatch.setattr(grids, "_row_layout", dropped)
+        monkeypatch.setattr(cd.Grid, "half_range_plan", dropped)
     grid = cd.build_grid(1e4, 1025, 0.5)
     F = cd.GridFunction(grid, cd.supersolution_value(cd.ModelParams(0.5, 0.01), grid.nodes),
                         tail_exponent=2.96)

@@ -275,8 +275,8 @@ def _from_exponential_seed(params, opts):
 
 def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
     # the README pair at 1025 nodes starts from the 257-node solution, needs
-    # at most two outer iterations, and certifies; the coarse grid, with its
-    # plan, is gone before the fine plan is built
+    # at most two outer iterations, and certifies; the coarse grid is gone
+    # before the fine grid's first plan is built
     grids = []
     build = profiles.build_grid
 
@@ -286,11 +286,12 @@ def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
         return grid
 
     monkeypatch.setattr(profiles, "build_grid", recording_build)
-    alive_at_plan = []
+    alive_at_plan, planned = [], weakref.WeakSet()
     plan = cd.Grid.half_range_plan
 
     def recording_plan(grid):
-        if grid._plan is None:
+        if grid not in planned:  # the grid's first plan
+            planned.add(grid)
             alive_at_plan.append(sum(ref() is not None for ref in grids))
         return plan(grid)
 
