@@ -40,7 +40,6 @@ from .model import (
     ModelParams,
     admissible_threshold,
     derive_constants,
-    exponential_profile,
     supersolution_value,
 )
 from .profiles import (

@@ -69,6 +69,8 @@ class Grid:
         self.nodes = np.ascontiguousarray(self.nodes, dtype=float)
         if self.nodes.ndim != 1 or self.nodes.size < 2:
             raise ParameterDomainError("grid needs at least two nodes")
+        if not np.all(np.isfinite(self.nodes)):
+            raise ParameterDomainError("nodes must be finite")
         if self.nodes[0] != 0.0 or np.any(np.diff(self.nodes) <= 0.0):
             raise ParameterDomainError("nodes must be strictly increasing from 0")
         if not (0.0 < self.v < 1.0):
@@ -180,32 +182,36 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDomainError("values must be finite")
 
-    def interp_at_brackets(self, idx, lam_z) -> np.ndarray:
-        """Interpolate at points described by precomputed brackets.
-
-        Linear in log-value when both bracketing samples are positive,
-        linear in the value otherwise.
-        """
-        va = self.values[idx]
-        vb = self.values[idx + 1]
-        pos = (va > 0.0) & (vb > 0.0)
-        la = np.log(np.where(pos, va, 1.0))
-        lb = np.log(np.where(pos, vb, 1.0))
-        loglin = np.exp((1.0 - lam_z) * la + lam_z * lb)
-        lin = (1.0 - lam_z) * va + lam_z * vb
-        return np.where(pos, loglin, lin)
+    def _interpolant(self, idx):
+        """The interpolation rule on the grid intervals ``idx``: (loglin, a,
+        b), where ``loglin`` marks the intervals whose two samples are
+        positive, and a and b are the log-values of the interval's two
+        samples where ``loglin`` holds and the values elsewhere.  At z
+        fraction lam the interpolant is (1 - lam) a + lam b, exponentiated
+        where ``loglin`` holds: linear in log-value, exact on the exponential
+        family, and linear in the value at a sample that is not positive."""
+        a = self.values[idx]
+        b = self.values[idx + 1]
+        loglin = (a > 0.0) & (b > 0.0)
+        np.log(a, out=a, where=loglin)
+        np.log(b, out=b, where=loglin)
+        return loglin, a, b
 
     def __call__(self, z):
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
-        if np.any(z < 0.0):
+        if not np.all(z >= 0.0):
             raise ParameterDomainError("evaluation points must be nonnegative")
         out = np.empty_like(z)
         inside = z <= self.grid.zmax
         if np.any(inside):
             idx, lam_z = self.grid.bracket(z[inside])
-            out[inside] = self.interp_at_brackets(idx, lam_z)
+            loglin, a, b = self._interpolant(idx)
+            a *= 1.0 - lam_z
+            b *= lam_z
+            a += b
+            out[inside] = np.exp(a, out=a, where=loglin)
         if np.any(~inside):
             f_end = self.values[-1]
             if f_end == 0.0:
@@ -220,14 +226,13 @@ class TauFunction:
     """Log-derivative representation tau(z) = -z F'(z)/F(z) of a profile.
 
     ``slope0`` is the limit of tau(s)/s as s -> 0 (the integrand of the
-    log-integral is continued with it) and ``limit_inf`` the asserted limit
-    at infinity.
+    log-integral is continued with it).  It carries no tail exponent: the
+    tail of a reconstructed profile decays with ``ModelParams.tau_inf``.
     """
 
     grid: Grid
     values: np.ndarray
     slope0: float
-    limit_inf: float
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=float)
@@ -377,7 +382,7 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     """Self-convolution int_0^{z_j} F(z_j - y) F(y) dy at every grid node,
     vectorized, as its symmetric half-range form 2 int_0^{z_j/2}.
 
-    F(z_j - y) is interpolated as in ``GridFunction.interp_at_brackets``,
+    F(z_j - y) is interpolated by the rule of ``GridFunction._interpolant``,
     in the interval of the pair that holds the point: per grid interval a
     the base log F(z_a), the increment log F(z_{a+1}) - log F(z_a) and its
     rate per unit z are formed once.  Per pair the exponent E at its first
@@ -390,13 +395,8 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     grid = F.grid
     z = grid.nodes
     layout = grid.half_range_plan()
-    va = F.values[:-1]
-    vb = F.values[1:]
-    loglin = (va > 0.0) & (vb > 0.0)
-    la = np.log(va, out=np.zeros_like(va), where=loglin)
-    lb = np.log(vb, out=np.zeros_like(vb), where=loglin)
-    base = np.where(loglin, la, va)
-    slope = np.where(loglin, lb - la, vb - va)
+    loglin, base, slope = F._interpolant(np.arange(grid.n - 1))
+    slope -= base
     dz = np.diff(z)
     rate = slope / dz
     node = layout.node_w * F.values

@@ -6,10 +6,10 @@ with mean-field drift reads
     -(z(1-v) + 1) F'(z) = (2 - v - 2*m0) F(z) + int_0^z F(z-y) F(y) dy
 
 with m0 = int F and the mean-field scaling v in (0, 1).  This module holds
-the parameter pair (v, m0), the constants derived from it, the explicit
-exponentially decaying solution family, the algebraically decaying
-supersolution, and the admissibility threshold for the constant barrier used
-by the monotone iteration.
+the parameter pair (v, m0), the constants derived from it, the algebraically
+decaying supersolution, and the admissibility threshold for the constant
+barrier used by the monotone iteration.  The explicit exponentially decaying
+solution family is ``profiles.exponential_grid_function``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "DerivedConstants",
     "derive_constants",
     "iteration_barrier",
-    "exponential_profile",
     "supersolution_value",
     "admissible_threshold",
 ]
@@ -181,21 +180,6 @@ def iteration_barrier(params: ModelParams, force: bool = False) -> tuple[float, 
         if not force:
             raise
         return OVERRIDE_CAP_FACTOR * params.tau_inf, False
-
-
-def exponential_profile(v: float, z):
-    """Exponentially decaying solution family (1-v) * v * e^(-v z).
-
-    Solves the profile equation exactly with m0 = 1 - v; its moments give
-    M0 = 1 - v and M1 = (1-v)/v, hence v = M0/M1.
-    """
-    if not (0.0 < v < 1.0):
-        raise ParameterDomainError(f"v must lie in (0, 1), got {v}")
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0):
-        raise ParameterDomainError("z must be nonnegative")
-    out = (1.0 - v) * v * np.exp(-v * z)
-    return out if out.ndim else float(out)
 
 
 def supersolution_value(params: ModelParams, z):

@@ -19,7 +19,7 @@ from .grids import (
     half_convolution_at_nodes,
     moment,
 )
-from .model import ModelParams, exponential_profile, iteration_barrier, supersolution_value
+from .model import ModelParams, iteration_barrier, supersolution_value
 from .tau_iteration import InnerSolveOptions, inner_solve, reconstruct_profile
 
 __all__ = [
@@ -114,9 +114,15 @@ class OuterSolveOptions:
 
 
 def exponential_grid_function(v: float, grid: Grid) -> GridFunction:
-    """Exponential solution family sampled on the grid (tail decays faster
-    than any power, so the tail exponent is infinite)."""
-    return GridFunction(grid, exponential_profile(v, grid.nodes), tail_exponent=math.inf)
+    """The exponential solution family (1-v) v e^(-v z) sampled on the grid.
+
+    It solves the profile equation exactly with m0 = 1 - v; its moments are
+    M0 = 1 - v and M1 = (1-v)/v, hence v = M0/M1.  Its tail decays faster
+    than any power, so the tail exponent is infinite.
+    """
+    if not (0.0 < v < 1.0):
+        raise ParameterDomainError(f"v must lie in (0, 1), got {v}")
+    return GridFunction(grid, (1.0 - v) * v * np.exp(-v * grid.nodes), tail_exponent=math.inf)
 
 
 def seed_profile(params: ModelParams, grid: Grid) -> GridFunction:
@@ -141,11 +147,11 @@ def _weighted_sup(values: np.ndarray, weight: np.ndarray) -> float:
         return float(np.max(np.multiply(a, weight, out=np.zeros_like(a), where=a != 0.0)))
 
 
-def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, forced: bool):
+def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions):
     """Picard iteration of the auxiliary solution map from the datum G, on
-    G's grid.  It stops when the update norm reaches ``opts.tol``, as soon
-    as the norm does not fall below the previous one, or after
-    ``opts.max_outer`` iterations.
+    G's grid, each inner solve from the barrier of ``opts.force``.  It stops
+    when the update norm reaches ``opts.tol``, as soon as the norm does not
+    fall below the previous one, or after ``opts.max_outer`` iterations.
 
     Returns the last iterate, the outer and inner iteration counts, the
     last update norm and whether the norm reached ``opts.tol``.
@@ -155,7 +161,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, force
     prev_norm = math.inf
     inner_total = 0
     for outer_iterations in range(1, opts.max_outer + 1):
-        result = inner_solve(G, params, opts.inner, force=forced)
+        result = inner_solve(G, params, opts.inner, force=opts.force)
         inner_total += result.iterations
         F = reconstruct_profile(result.tau, params)
         delta = F.values - G.values
@@ -170,20 +176,20 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions, force
     return F, outer_iterations, inner_total, update_norm, False
 
 
-def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions, forced: bool):
+def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
     """Seed of the solve on ``grid`` and the node count it came from: the
     converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
     the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
     Falls back to the exponential seed (0 nodes) where the coarse grid has
     fewer than _MIN_COARSE_NODES nodes, or its solve, which stops by the
-    rule of ``_picard`` and takes the fine solve's barrier (``forced``), does
+    rule of ``_picard`` and takes the fine solve's barrier, does
     not converge or raises.  Nothing of the coarse grid, or its plan,
     outlives the call."""
     n = (grid.n - 1) // 4 + 1
     if n >= _MIN_COARSE_NODES:
         try:
             coarse = build_grid(opts.zmax, n, params.v)
-            F, *_, converged = _picard(params, seed_profile(params, coarse), opts, forced)
+            F, *_, converged = _picard(params, seed_profile(params, coarse), opts)
             if converged:
                 seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
                 return _with_mass(seed, params.m0), n
@@ -207,8 +213,8 @@ def outer_solve(
     """
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
-    G, seed_nodes = _coarse_seed(params, grid, opts, forced)
-    F, outer_iterations, inner_total, update_norm, converged = _picard(params, G, opts, forced)
+    G, seed_nodes = _coarse_seed(params, grid, opts)
+    F, outer_iterations, inner_total, update_norm, converged = _picard(params, G, opts)
 
     report = _certify(F, params, opts, outer_iterations, inner_total,
                       update_norm, forced, converged, seed_nodes)
@@ -357,7 +363,7 @@ def recover_tau(F: GridFunction) -> TauFunction:
     tau_vals = np.zeros(grid.n)
     tau_vals[1:j0] = -z[1:j0] * (1.0 - grid.v) / (1.0 + (1.0 - grid.v) * z[1:j0]) * dlog[1:j0]
     slope0 = -(1.0 - grid.v) * dlog[0]
-    return TauFunction(grid, tau_vals, slope0=slope0, limit_inf=float(tau_vals[j0 - 1]))
+    return TauFunction(grid, tau_vals, slope0=slope0)
 
 
 def residual_selfsimilar(F: GridFunction, params: ModelParams) -> GridFunction:

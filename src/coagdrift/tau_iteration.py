@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DivergentMomentError,
-    NumericalConsistencyError,
-    ParameterDomainError,
-)
+from .errors import ConvergenceError, NumericalConsistencyError, ParameterDomainError
 from .grids import (
     GridFunction,
     TauFunction,
@@ -72,13 +67,13 @@ class InnerSolveOptions:
 
 @dataclass
 class InnerSolveResult:
-    """Converged tau plus iteration diagnostics."""
+    """Converged tau plus iteration diagnostics: the sweep count and the
+    sup-norm of the last sweep.  The barrier the sweep started from is
+    ``model.iteration_barrier``'s."""
 
     tau: TauFunction
     iterations: int
     residual: float
-    barrier: float
-    certified: bool
 
 
 def _step(rule, tau: TauFunction, params: ModelParams) -> np.ndarray:
@@ -135,12 +130,7 @@ def inner_solve(
     slack = MONOTONICITY_SLACK * cap
     linear_coeff = params.linear_coefficient
 
-    tau = TauFunction(
-        grid=grid,
-        values=np.full(grid.n, cap),
-        slope0=linear_coeff,
-        limit_inf=cap,
-    )
+    tau = TauFunction(grid=grid, values=np.full(grid.n, cap), slope0=linear_coeff)
 
     residual = np.inf
     warned = False
@@ -160,20 +150,9 @@ def inner_solve(
                 warned = True
         residual = float(np.max(np.abs(new_vals - tau.values)))
         np.clip(new_vals, 0.0, cap, out=new_vals)
-        tau = TauFunction(
-            grid=grid,
-            values=new_vals,
-            slope0=linear_coeff,
-            limit_inf=params.tau_inf,
-        )
+        tau = TauFunction(grid=grid, values=new_vals, slope0=linear_coeff)
         if residual <= opts.tol:
-            return InnerSolveResult(
-                tau=tau,
-                iterations=iteration,
-                residual=residual,
-                barrier=cap,
-                certified=certified,
-            )
+            return InnerSolveResult(tau=tau, iterations=iteration, residual=residual)
     raise ConvergenceError(
         f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
         f"(last residual {residual:.3e})",
@@ -187,13 +166,10 @@ def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:
     equals m0 exactly under the package quadrature.
 
     The shape exp(-int_0^z tau/s ds) uses the endpoint-corrected cumulative
-    table; the tail beyond the grid decays with exponent ``tau.limit_inf``.
+    table; the tail beyond the grid decays with exponent ``params.tau_inf``,
+    which is at least 2 for every v in (0, 1), so the mass is finite.
     """
-    if not tau.limit_inf > 1.0:
-        raise DivergentMomentError(
-            f"normalization integral diverges: tail exponent {tau.limit_inf} <= 1"
-        )
     if np.min(tau.values) < 0.0:
         raise ParameterDomainError("tau must be nonnegative")
     shape_vals = np.exp(-cumulative_log_integral(tau, corrected=True))
-    return _with_mass(GridFunction(tau.grid, shape_vals, tail_exponent=tau.limit_inf), params.m0)
+    return _with_mass(GridFunction(tau.grid, shape_vals, tail_exponent=params.tau_inf), params.m0)

@@ -47,8 +47,7 @@ def tau_map(G, tau, params):
     """Single application of the fixed-point map to tau with datum G, as
     ``inner_solve`` applies it: with the pair rule of G's half-range plan."""
     values = _step(G.grid.half_range_plan().pair_rule(G), tau, params)
-    return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient,
-                          limit_inf=params.tau_inf)
+    return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
 
 
 def barrier_sweeps(G, params, cap, opts):
@@ -59,8 +58,7 @@ def barrier_sweeps(G, params, cap, opts):
     Returns the steps as (iterate, image) value pairs, the image before
     clipping, and the last iterate after clipping.
     """
-    tau = cd.TauFunction(G.grid, np.full(G.grid.n, cap),
-                         slope0=params.linear_coefficient, limit_inf=cap)
+    tau = cd.TauFunction(G.grid, np.full(G.grid.n, cap), slope0=params.linear_coefficient)
     steps = []
     for _ in range(opts.max_iter):
         image = tau_map(G, tau, params)
@@ -96,12 +94,11 @@ def reference_plan(grid):
         y_node_idx.append(np.append(np.arange(k), -1))
         x_flat.append(z[j] - y)
     x = np.concatenate(x_flat)
-    x_idx, x_lam_z = grid.bracket(x)
+    x_idx = grid.bracket(x)[0]
     w = np.log1p((1.0 - grid.v) * z)
     x_lam_w = np.clip((np.log1p((1.0 - grid.v) * x) - w[x_idx]) / np.diff(w)[x_idx], 0.0, 1.0)
     return dict(starts=starts, counts=ks + 1, weights=np.concatenate(weights),
-                y_node_idx=np.concatenate(y_node_idx), x=x, x_idx=x_idx,
-                x_lam_z=x_lam_z, x_lam_w=x_lam_w)
+                y_node_idx=np.concatenate(y_node_idx), x=x, x_idx=x_idx, x_lam_w=x_lam_w)
 
 
 def reference_samples(ref, G):

@@ -68,6 +68,17 @@ def test_grid_function_validation():
         cd.GridFunction(grid, np.ones(5))
     with pytest.raises(cd.ParameterDomainError):
         cd.GridFunction(grid, np.full(16, np.nan))
+    # NaN passes no ordering test, so a NaN node would pass diff <= 0 and an
+    # infinite one would give an infinite dw
+    for nodes in ([0.0, np.nan, 2.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(cd.ParameterDomainError, match="finite"):
+            cd.Grid(nodes=nodes, v=0.5)
+    # a NaN evaluation point is refused like a negative one; +inf is the tail
+    F = cd.GridFunction(grid, np.exp(-grid.nodes), tail_exponent=3.0)
+    for z in (-1.0, np.nan, [1.0, np.nan]):
+        with pytest.raises(cd.ParameterDomainError, match="nonnegative"):
+            F(z)
+    assert F(np.inf) == 0.0
 
 
 def test_interpolation_exact_on_exponentials():
@@ -178,14 +189,14 @@ def test_full_convolution_quadrature_agrees():
         assert half[j] == pytest.approx(full, abs=1e-8, rel=1e-6)
 
 
-def _tau_linear(grid, v, limit=5.0):
+def _tau_linear(grid, v):
     # tau(s) = v s, the exponential family's log-derivative
-    return cd.TauFunction(grid, v * grid.nodes, slope0=v, limit_inf=limit)
+    return cd.TauFunction(grid, v * grid.nodes, slope0=v)
 
 
 def test_log_integral_constant_tau():
     grid = cd.build_grid(1e3, 1025, 0.5)
-    tau = cd.TauFunction(grid, np.full(grid.n, 2.0), slope0=2.0, limit_inf=2.0)
+    tau = cd.TauFunction(grid, np.full(grid.n, 2.0), slope0=2.0)
     # node differences of the endpoint-corrected cumulative table
     cum = cd.cumulative_log_integral(tau)
     z1, z2 = float(grid.nodes[100]), float(grid.nodes[800])
@@ -317,7 +328,7 @@ def _plan_data(grid):
 
 def _kernel_table(grid):
     """The plain cumulative log-integral table of tau = 3, for kernel_sums."""
-    tau = cd.TauFunction(grid, np.full(grid.n, 3.0), slope0=1.0, limit_inf=3.0)
+    tau = cd.TauFunction(grid, np.full(grid.n, 3.0), slope0=1.0)
     return cd.cumulative_log_integral(tau, corrected=False)
 
 
@@ -437,7 +448,7 @@ def _reference_half_convolution(F, G):
     """Per-point interpolation of F (the GridFunction rule) on the
     reference plan."""
     ref = reference_plan(F.grid)
-    a = F.interp_at_brackets(ref["x_idx"], ref["x_lam_z"])
+    a = F(ref["x"])
     out = np.zeros(F.grid.n)
     out[1:] = 2.0 * np.add.reduceat(ref["weights"] * a * reference_samples(ref, G),
                                     ref["starts"])

@@ -158,15 +158,13 @@ def test_alpha_property_matches_derived_constants(v, m0):
 
 
 def test_exponential_profile_values():
-    assert cd.exponential_profile(0.5, 0.0) == pytest.approx(0.25, abs=1e-15)
-    z = np.array([0.0, 1.0, 2.0])
-    np.testing.assert_allclose(
-        cd.exponential_profile(0.5, z), 0.25 * np.exp(-0.5 * z), rtol=1e-15
-    )
+    grid = cd.build_grid(2.0, 3, 0.5)
+    F = cd.exponential_grid_function(0.5, grid)
+    assert F.values[0] == pytest.approx(0.25, abs=1e-15)
+    np.testing.assert_allclose(F.values, 0.25 * np.exp(-0.5 * grid.nodes), rtol=1e-15)
+    assert F.tail_exponent == math.inf
     with pytest.raises(cd.ParameterDomainError):
-        cd.exponential_profile(0.5, -1.0)
-    with pytest.raises(cd.ParameterDomainError):
-        cd.exponential_profile(1.2, 1.0)
+        cd.exponential_grid_function(1.2, grid)
 
 
 def test_exponential_profile_moments():

@@ -270,7 +270,7 @@ def _from_exponential_seed(params, opts):
     """The outer iteration on the grid of ``opts`` started at seed_profile:
     (F, outer iterations, inner iterations, update norm, converged)."""
     grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
-    return profiles._picard(params, cd.seed_profile(params, grid), opts, False)
+    return profiles._picard(params, cd.seed_profile(params, grid), opts)
 
 
 def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
@@ -363,8 +363,8 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     calls = []
     picard = profiles._picard
 
-    def recording_picard(params, G, opts, forced):
-        result = picard(params, G, opts, forced)
+    def recording_picard(params, G, opts):
+        result = picard(params, G, opts)
         calls.append((G.grid.n, result[1], result[-1]))
         return result
 

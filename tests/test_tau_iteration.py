@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
+from coagdrift.model import iteration_barrier
 from oracles import barrier_sweeps, reference_plan, reference_samples, tau_map
 
 
@@ -19,7 +20,7 @@ def setup():
 
 
 def _const_tau(grid, value, slope0):
-    return cd.TauFunction(grid, np.full(grid.n, value), slope0=slope0, limit_inf=value)
+    return cd.TauFunction(grid, np.full(grid.n, value), slope0=slope0)
 
 
 def test_operator_positivity_and_zero_at_origin(setup):
@@ -33,9 +34,8 @@ def test_operator_positivity_and_zero_at_origin(setup):
 
 def test_operator_monotone_in_tau(setup):
     params, grid, seed, _ = setup
-    lo = cd.TauFunction(grid, 0.5 * grid.nodes / (1.0 + grid.nodes) * 3.0,
-                        slope0=1.5, limit_inf=3.0)
-    hi = cd.TauFunction(grid, lo.values + 0.3, slope0=1.5, limit_inf=3.3)
+    lo = cd.TauFunction(grid, 0.5 * grid.nodes / (1.0 + grid.nodes) * 3.0, slope0=1.5)
+    hi = cd.TauFunction(grid, lo.values + 0.3, slope0=1.5)
     out_lo = tau_map(seed, lo, params)
     out_hi = tau_map(seed, hi, params)
     assert np.all(out_lo.values <= out_hi.values + 1e-14)
@@ -74,7 +74,6 @@ def test_operator_h_upper_bound(setup):
 def test_inner_solve_monotone_decrease(setup):
     params, grid, seed, constants = setup
     result = cd.inner_solve(seed, params)
-    assert result.certified
     slack = 1e-13 * constants.tau_star
     steps, last = barrier_sweeps(seed, params, constants.tau_star, cd.InnerSolveOptions())
     assert len(steps) == result.iterations
@@ -117,20 +116,15 @@ def test_reconstruct_exponential_tau():
     v, m0 = 0.5, 0.4
     params = cd.ModelParams(v, m0)
     grid = cd.build_grid(1e3, 2049, v)
-    tau = cd.TauFunction(grid, v * grid.nodes, slope0=v, limit_inf=5.0)
+    tau = cd.TauFunction(grid, v * grid.nodes, slope0=v)
     F = cd.reconstruct_profile(tau, params)
+    # the tail exponent is the model's, not one the tau carries
+    assert F.tail_exponent == params.tau_inf
     sel = grid.nodes < 40.0
     want = m0 * v * np.exp(-v * grid.nodes[sel])
     np.testing.assert_allclose(F.values[sel], want, rtol=1e-6)
     assert cd.moment(F, 0) == pytest.approx(m0, rel=1e-14)
     assert np.all(np.diff(F.values) <= 0.0)
-
-
-def test_reconstruct_divergent_normalization(setup):
-    params, grid, _, _ = setup
-    tau = cd.TauFunction(grid, np.full(grid.n, 0.9), slope0=1.0, limit_inf=0.9)
-    with pytest.raises(cd.DivergentMomentError):
-        cd.reconstruct_profile(tau, params)
 
 
 def test_forced_inner_solve_above_threshold():
@@ -141,9 +135,9 @@ def test_forced_inner_solve_above_threshold():
         cd.inner_solve(seed, params)
     with pytest.warns(RuntimeWarning):
         result = cd.inner_solve(seed, params, force=True)
-    assert not result.certified
-    assert result.barrier == pytest.approx(2.0 * params.tau_inf)
-    assert np.all(result.tau.values >= 0.0)
+    cap, certified = iteration_barrier(params, True)
+    assert not certified and cap == pytest.approx(2.0 * params.tau_inf)
+    assert np.all(result.tau.values >= 0.0) and np.all(result.tau.values <= cap)
 
 
 def _reference_sweep(grid, G, cum, linear_coeff, v):
@@ -234,4 +228,5 @@ def test_inner_solve_kernel_overflow_is_typed():
     # sweep, so the solve ends below the barrier
     params = cd.ModelParams(0.99902, 1e-320)
     result = cd.inner_solve(cd.seed_profile(params, cd.build_grid(1e6, 3, 0.99902)), params)
-    assert np.all(result.tau.values >= 0.0) and np.all(result.tau.values <= result.barrier)
+    cap = iteration_barrier(params)[0]
+    assert np.all(result.tau.values >= 0.0) and np.all(result.tau.values <= cap)
