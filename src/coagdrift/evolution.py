@@ -15,6 +15,12 @@ Boundary behaviour: the characteristic speed at x = 0 is -1, so mass leaves
 through the left boundary (pure outflow, no re-injection); inflow is zero at
 both ends and outflow at the right cutoff is accepted and visible in the
 diagnostics.
+
+Memory: a step allocates only the cell averages of the state it returns.
+Its flux, right-hand side and FFT buffers live in a workspace of scratch
+buffers for the cell grid, which every state stepped from a state shares
+with it.  So one run must not be stepped from several threads at once;
+each ``simulate`` call steps on a workspace of its own.
 """
 
 from __future__ import annotations
@@ -71,6 +77,16 @@ class EvolutionState:
             raise ParameterDomainError("edges must increase strictly from 0")
         if not self.m1_target > 0.0:
             raise ParameterDomainError("m1_target must be positive")
+        self._work = None
+
+    def _successor(self, f: np.ndarray, t: float, work) -> "EvolutionState":
+        """Cell averages ``f`` at time ``t`` on this state's edges and
+        ``m1_target``, which were checked when this state was built, with
+        the workspace ``work``."""
+        new = object.__new__(EvolutionState)
+        new.edges, new.f, new.t, new.m1_target, new._work = (
+            self.edges, f, t, self.m1_target, work)
+        return new
 
     @property
     def centers(self) -> np.ndarray:
@@ -133,8 +149,26 @@ def init_from_profile(
     return EvolutionState(edges=edges, f=f, t=t0, m1_target=state_m1)
 
 
-def _gain_term(f: np.ndarray, dx: float) -> np.ndarray:
-    """Coagulation gain (f*f)(x_i) at cell centers.
+class _Workspace:
+    """Scratch buffers of one step on a grid of ``cells`` cells: the drift
+    speed, then the flux, at the edges; the right-hand side; the gain and
+    loss terms; the spectrum and inverse transform of the gain's FFT."""
+
+    def __init__(self, cells: int):
+        # the smallest power of two that holds the 2 cells - 1 terms of the
+        # full convolution sum
+        self.n = 1 << (2 * cells - 2).bit_length()
+        self.edge = np.empty(cells + 1)
+        self.rhs = np.empty(cells)
+        self.gain = np.empty(cells)
+        self.loss = np.empty(cells)
+        self.spectrum = np.empty(self.n // 2 + 1, dtype=complex)
+        self.conv = np.empty(self.n)
+
+
+def _gain_term(f: np.ndarray, dx: float, work: _Workspace) -> np.ndarray:
+    """Coagulation gain (f*f)(x_i) at cell centers, written into
+    ``work.gain``.
 
     The midpoint convolution sum dx * sum_{j+k=n} f_j f_k lands on cell
     edges; averaging adjacent edge values (a trapezoid in disguise) centers
@@ -143,13 +177,20 @@ def _gain_term(f: np.ndarray, dx: float) -> np.ndarray:
     agrees with the direct sum to 1e-12 relative.
     """
     m = f.size
-    n = 1 << (2 * m - 2).bit_length()
-    spectrum = np.fft.rfft(f, n)
-    c = np.fft.irfft(spectrum * spectrum, n)[:m]
-    gain = np.empty(m)
-    gain[0] = 0.5 * dx * c[0]
-    gain[1:] = 0.5 * dx * (c[:-1] + c[1:])
+    spectrum = np.fft.rfft(f, work.n, out=work.spectrum)
+    np.multiply(spectrum, spectrum, out=spectrum)
+    c = np.fft.irfft(spectrum, work.n, out=work.conv)
+    gain = work.gain
+    gain[0] = c[0]
+    np.add(c[:m - 1], c[1:m], out=gain[1:])
+    gain *= 0.5 * dx
     return gain
+
+
+def _max_speed(a: float, edges: np.ndarray) -> float:
+    """max |a x - 1| over the edges, for a >= 0: taken at an end edge,
+    since a x - 1 rises with x from -1 at x = 0."""
+    return max(1.0, abs(a * float(edges[-1]) - 1.0))
 
 
 def step(
@@ -165,42 +206,65 @@ def step(
     drift is active) and dt * 2 M0 <= 0.5 (when coagulation is active); a
     violation raises a step-size error.  Cell averages must stay above
     -1e-14 * max f, anything lower is a scheme failure.
+
+    The step allocates only the returned state's cell averages and writes
+    its intermediates into the workspace of the input's cell grid.  The
+    returned state shares that workspace, the edges and ``m1_target`` with
+    the input, so one run must not be stepped from several threads at once.
     """
     if dt <= 0.0:
         raise StepSizeError("dt must be positive")
     f = state.f
+    m = f.size
     dx = state.dx
     m0 = state.m0()
-
-    rhs = np.zeros_like(f)
+    a = m0 / state.m1_target
     if drift:
-        s = m0 / state.m1_target * state.edges - 1.0
-        smax = float(np.max(np.abs(s)))
+        smax = _max_speed(a, state.edges)
         if dt * smax > dx * (1.0 + 1e-12):
             raise StepSizeError(
                 f"dt={dt} violates the transport bound dx/max|s| = {dx / smax}"
             )
-        left = np.concatenate(([0.0], f))    # cell left of each edge
-        right = np.concatenate((f, [0.0]))   # cell right of each edge
-        flux = np.where(s > 0.0, left, right) * s
-        rhs -= (flux[1:] - flux[:-1]) / dx
-    if coagulation:
-        if dt * 2.0 * m0 > 0.5:
-            raise StepSizeError(
-                f"dt={dt} violates the loss bound 0.25/M0 = {0.25 / m0}"
-            )
-        rhs += _gain_term(f, dx) - 2.0 * f * m0
-
-    f_new = f + dt * rhs
-    fmax = float(np.max(f)) if f.size else 0.0
-    if fmax > 0.0 and float(np.min(f_new)) < -_NEGATIVITY_SLACK * fmax:
-        raise SchemeFailureError(
-            f"negative cell average {np.min(f_new):.3e} after step at t={state.t}"
+    if coagulation and dt * 2.0 * m0 > 0.5:
+        raise StepSizeError(
+            f"dt={dt} violates the loss bound 0.25/M0 = {0.25 / m0}"
         )
-    np.clip(f_new, 0.0, None, out=f_new)
-    return EvolutionState(
-        edges=state.edges, f=f_new, t=state.t + dt, m1_target=state.m1_target
-    )
+    work = state._work
+    if work is None:
+        work = state._work = _Workspace(m)
+
+    rhs = work.rhs
+    if drift:
+        # upwind flux s f at the edges, s = a x - 1: the cell right of an
+        # edge up to the single sign change of s, the cell left of it after;
+        # no cell lies beyond either end, and s = -1 at x = 0
+        flux = np.multiply(state.edges, a, out=work.edge)
+        flux -= 1.0
+        k = max(int(np.searchsorted(flux, 0.0, side="right")), 1)  # first s > 0
+        right = min(k, m)
+        flux[:right] *= f[:right]
+        flux[right:k] = 0.0
+        flux[k:] *= f[k - 1:]
+        np.subtract(flux[:-1], flux[1:], out=rhs)
+        rhs /= dx
+    else:
+        rhs.fill(0.0)
+    if coagulation:
+        gain = _gain_term(f, dx, work)
+        gain -= np.multiply(f, 2.0 * m0, out=work.loss)
+        rhs += gain
+
+    rhs *= dt
+    f_new = f + rhs
+    lowest = float(np.min(f_new))
+    if lowest <= 0.0:  # else no cell needs the check or the clip to 0
+        fmax = float(np.max(f))
+        if fmax > 0.0 and lowest < -_NEGATIVITY_SLACK * fmax:
+            raise SchemeFailureError(
+                f"negative cell average {lowest:.3e} after step at t={state.t}"
+            )
+        np.clip(f_new, 0.0, None, out=f_new)
+    return state._successor(f_new, state.t + dt, work)
 
 
 def _window(F: GridFunction, z_window: float, state: EvolutionState, t_last: float):
@@ -217,10 +281,11 @@ def _window(F: GridFunction, z_window: float, state: EvolutionState, t_last: flo
     return z, F(z)
 
 
-def _window_error(state: EvolutionState, z: np.ndarray, F_z: np.ndarray) -> float:
+def _window_error(state: EvolutionState, centers: np.ndarray, z: np.ndarray,
+                  F_z: np.ndarray) -> float:
     """sup over the window points z of |t^2 f(t, t z) - F(z)|, with f read
-    off the cells by linear interpolation."""
-    f_at = np.interp(state.t * z, state.centers, state.f)
+    off the cells, whose ``centers`` are given, by linear interpolation."""
+    f_at = np.interp(state.t * z, centers, state.f)
     return float(np.max(np.abs(state.t**2 * f_at - F_z)))
 
 
@@ -231,7 +296,7 @@ def self_similar_error(
 ) -> float:
     """sup over z in [0, z_window] of |t^2 f(t, t z) - F(z)| with f read off
     the cells by linear interpolation."""
-    return _window_error(state, *_window(F, z_window, state, state.t))
+    return _window_error(state, state.centers, *_window(F, z_window, state, state.t))
 
 
 def simulate(
@@ -269,27 +334,38 @@ def simulate(
     snapshots = {ts: state for ts in requested if ts == state.t}
     window = _window(profile, z_window, state, t_end) if profile is not None else None
 
+    # the run steps on a workspace of its own, so that runs from one state
+    # may go on in several threads
+    state = state._successor(state.f, state.t, _Workspace(state.f.size))
+    centers = state.centers
+    weighted = np.empty_like(centers)
+
     def _row(s: EvolutionState) -> tuple:
-        err = _window_error(s, *window) if window is not None else math.nan
+        err = _window_error(s, centers, *window) if window is not None else math.nan
         m0 = s.m0()
-        return (s.t, m0, s.m1(), m0 / s.m1_target, err)
+        m1 = float(np.sum(np.multiply(centers, s.f, out=weighted)) * s.dx)
+        return (s.t, m0, m1, m0 / s.m1_target, err)
 
     diagnostics = [_row(state)]
+    m0 = diagnostics[0][1]  # M0 of the current state, once known
     steps = 0
     try:
         for target in events:
             while state.t < target:
                 if steps >= _MAX_STEPS:
                     raise SchemeFailureError(f"exceeded {_MAX_STEPS} steps")
-                m0 = state.m0()
-                speed = float(np.max(np.abs(m0 / state.m1_target * state.edges - 1.0)))
+                if m0 is None:
+                    m0 = state.m0()
+                speed = _max_speed(m0 / state.m1_target, state.edges)
                 dt = min(target - state.t, cfl * state.dx / speed)
                 if m0 > 0.0:
                     dt = min(dt, 0.25 / m0)
                 state = step(state, dt)
                 steps += 1
+                m0 = None
                 if steps % record_every == 0:
                     diagnostics.append(_row(state))
+                    m0 = diagnostics[-1][1]
             if target in requested:
                 snapshots[target] = state
     except SchemeFailureError as exc:

@@ -6,13 +6,16 @@ each builds its own y sub-grid and interpolates F through ``GridFunction``.
 ``tau_map`` is one application of the fixed-point map, through the step of
 ``inner_solve``; ``barrier_sweeps`` checks ``inner_solve`` step by step.  ``reference_plan``
 rebuilds the half-range plan one row at a time, with per-point weights and
-sample indices.  ``RecordingPool``
+sample indices.  ``reference_step`` and ``reference_run`` are the explicit
+Euler step and the march of ``simulate`` with a fresh array for every
+intermediate.  ``RecordingPool``
 replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
 """
 
 import numpy as np
 
 import coagdrift as cd
+from coagdrift.evolution import _WINDOW_SAMPLES
 from coagdrift.tau_iteration import _step
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -109,6 +112,61 @@ def reference_samples(ref, G):
     out[node] = G.values[ref["y_node_idx"][node]]
     out[~node] = G(0.5 * G.grid.nodes[1:])
     return out
+
+
+def reference_step(state, dt, *, drift=True, coagulation=True):
+    """Cell averages after one explicit Euler step of ``state``, without
+    the step-size and sign checks: the upwind flux by ``np.where`` over f
+    padded with an empty cell at each end, a zero-filled right-hand side,
+    and the gain by ``rfft`` and ``irfft`` into new arrays."""
+    f, edges, m1_target = state.f, state.edges, state.m1_target
+    dx = float(edges[1] - edges[0])
+    m0 = float(np.sum(f) * dx)
+    rhs = np.zeros_like(f)
+    if drift:
+        s = m0 / m1_target * edges - 1.0
+        left = np.concatenate(([0.0], f))
+        right = np.concatenate((f, [0.0]))
+        flux = np.where(s > 0.0, left, right) * s
+        rhs -= (flux[1:] - flux[:-1]) / dx
+    if coagulation:
+        m = f.size
+        n = 1 << (2 * m - 2).bit_length()
+        spectrum = np.fft.rfft(f, n)
+        c = np.fft.irfft(spectrum * spectrum, n)[:m]
+        gain = np.empty(m)
+        gain[0] = 0.5 * dx * c[0]
+        gain[1:] = 0.5 * dx * (c[:-1] + c[1:])
+        rhs += gain - 2.0 * f * m0
+    return np.clip(f + dt * rhs, 0.0, None)
+
+
+def reference_run(state, t_end, F, z_window, cfl=0.5):
+    """``simulate(state, t_end, cfl=cfl, profile=F, z_window=z_window)``
+    rebuilt from ``reference_step``: the final cell averages and a
+    diagnostics row (t, m0, m1, u, self-similar error) after every step."""
+    edges, f, t, m1_target = state.edges, state.f, state.t, state.m1_target
+    dx = float(edges[1] - edges[0])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    z = np.linspace(0.0, z_window, _WINDOW_SAMPLES)
+    F_z = F(z)
+
+    def row(f, t):
+        m0 = float(np.sum(f) * dx)
+        err = float(np.max(np.abs(t**2 * np.interp(t * z, centers, f) - F_z)))
+        return (t, m0, float(np.sum(centers * f) * dx), m0 / m1_target, err)
+
+    rows = [row(f, t)]
+    while t < t_end:
+        m0 = float(np.sum(f) * dx)
+        speed = float(np.max(np.abs(m0 / m1_target * edges - 1.0)))
+        dt = min(t_end - t, cfl * dx / speed)
+        if m0 > 0.0:
+            dt = min(dt, 0.25 / m0)
+        f = reference_step(cd.EvolutionState(edges=edges, f=f, t=t, m1_target=m1_target), dt)
+        t = t + dt
+        rows.append(row(f, t))
+    return f, rows
 
 
 class RecordingPool:

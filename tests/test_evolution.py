@@ -3,6 +3,8 @@ import pytest
 
 import coagdrift as cd
 
+from oracles import reference_run, reference_step
+
 
 @pytest.fixture(scope="module")
 def exp_profile():
@@ -185,3 +187,142 @@ def test_default_domain_cutoff(exp_profile):
     assert 25.0 <= cut <= 80.0
     state = cd.init_from_profile(exp_profile, 1.0, 512, cut)
     assert state.m1() >= 0.999 * cd.moment(exp_profile, 1)
+
+
+def _sampled_state(F, cells, xmax, m1_target=None):
+    """F sampled at the cell centers of [0, xmax] at t = 1; the conserved
+    moment is the state's own unless given."""
+    edges = np.linspace(0.0, xmax, cells + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    f = F(centers)
+    if m1_target is None:
+        m1_target = float(np.sum(centers * f) * (edges[1] - edges[0]))
+    return cd.EvolutionState(edges=edges, f=f, t=1.0, m1_target=m1_target)
+
+
+def _half_bound_dt(state):
+    speed = max(1.0, abs(state.u * state.xmax - 1.0))
+    return 0.5 * min(state.dx / speed, 0.25 / state.m0())
+
+
+# 1000 cells leave the padded transform partly empty
+@pytest.mark.parametrize("cells", [512, 1000, 4096])
+def test_step_matches_the_reference_step(exp_profile, cells):
+    # on [0, 1.5] with m1_target = 1, u xmax < 1: the drift points left at
+    # every edge, and the right end edge has no cell beyond it
+    for xmax, m1_target in ((60.0, None), (1.5, 1.0)):
+        state = _sampled_state(exp_profile, cells, xmax, m1_target)
+        dt = _half_bound_dt(state)
+        for flags in ({}, {"drift": False}, {"coagulation": False}):
+            got = cd.step(state, dt, **flags)
+            assert np.array_equal(got.f, reference_step(state, dt, **flags)), flags
+            assert got.t == state.t + dt
+
+
+@pytest.mark.parametrize("cells", [512, 1000, 4096])
+def test_simulate_matches_the_reference_run(exp_profile, cells):
+    state = cd.init_from_profile(exp_profile, 1.0, cells, 60.0)
+    want_f, want_rows = reference_run(state, 1.02, exp_profile, 10.0)
+    final, diag, _ = cd.simulate(state, 1.02, profile=exp_profile)
+    assert np.array_equal(final.f, want_f)
+    assert diag == want_rows
+    # rows every third step: the steps between them read M0 off the state
+    final, diag, _ = cd.simulate(state, 1.02, profile=exp_profile, record_every=3)
+    assert np.array_equal(final.f, want_f)
+    assert diag == want_rows[::3] + ([want_rows[-1]] if (len(want_rows) - 1) % 3 else [])
+
+
+def test_no_state_aliases_the_workspace(exp_profile, monkeypatch):
+    from coagdrift import evolution
+
+    start = cd.init_from_profile(exp_profile, 1.0, 512, 60.0)
+    start_f = start.f.copy()
+    dt = _half_bound_dt(start)
+    once, twice = cd.step(start, dt), cd.step(start, dt)
+    assert np.array_equal(start.f, start_f)
+    assert np.array_equal(once.f, twice.f) and not np.shares_memory(once.f, twice.f)
+    buffers = [b for b in vars(once._work).values() if isinstance(b, np.ndarray)]
+    assert once._work is start._work and buffers
+    assert not any(np.shares_memory(s.f, b) for s in (start, once, twice) for b in buffers)
+
+    # a snapshot keeps its values while the run goes on past it
+    _, _, snaps = cd.simulate(start, 1.02, snapshot_times=(1.01,))
+    apart, _, _ = cd.simulate(start, 1.01)
+    assert np.array_equal(snaps[1.01].f, apart.f)
+
+    # so does the state a failed run hands back, when it is run on
+    with monkeypatch.context() as patch:
+        patch.setattr(evolution, "_MAX_STEPS", 3)
+        with pytest.raises(cd.SchemeFailureError) as failure:
+            cd.simulate(start, 1.02)
+    failed = failure.value.state
+    failed_f = failed.f.copy()
+    cd.simulate(failed, 1.02)
+    assert np.array_equal(failed.f, failed_f)
+    state = start
+    for _ in range(3):  # simulate's step sizes at cfl = 0.5
+        speed = max(1.0, abs(state.u * state.xmax - 1.0))
+        state = cd.step(state, min(0.5 * state.dx / speed, 0.25 / state.m0()))
+    assert state.t == failed.t and np.array_equal(failed.f, state.f)
+
+
+def test_interleaved_runs_match_runs_done_apart(exp_profile):
+    def run(state, steps):
+        for _ in range(steps):
+            state = cd.step(state, _half_bound_dt(state))
+            yield state.f
+
+    starts = [cd.init_from_profile(exp_profile, 1.0, cells, 60.0) for cells in (512, 1000)]
+    apart = [list(run(s, 20)) for s in starts]
+    interleaved = list(zip(*(run(s, 20) for s in starts)))
+    for k, (a, b) in enumerate(interleaved):
+        assert np.array_equal(a, apart[0][k]) and np.array_equal(b, apart[1][k])
+
+
+def test_step_allocates_only_the_new_state():
+    # after one warm-up step the workspace exists: a step's tracemalloc
+    # peak is then the new state's cell averages plus small objects
+    import tracemalloc
+
+    grid = cd.build_grid(2e3, 2049, 0.5)
+    F = cd.exponential_grid_function(0.5, grid)
+    state = cd.init_from_profile(F, 1.0, 4096, 60.0)
+    dt = _half_bound_dt(state)
+    state = cd.step(state, dt)
+    tracemalloc.start()
+    try:
+        cd.step(state, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * state.f.nbytes
+
+
+def test_runs_from_one_state_in_threads_match_a_run_alone(exp_profile):
+    # each simulate call steps on a workspace of its own; a short switch
+    # interval makes the threads interleave inside their steps
+    import sys
+    import threading
+
+    start = cd.init_from_profile(exp_profile, 1.0, 512, 60.0)
+    cd.step(start, _half_bound_dt(start))  # gives start a workspace to share
+    alone, _, _ = cd.simulate(start, 1.1)
+    results = [None] * 8
+    ready = threading.Barrier(len(results))
+
+    def run(i):
+        ready.wait(timeout=60.0)
+        results[i] = cd.simulate(start, 1.1)[0].f
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(f is not None and np.array_equal(f, alone.f) for f in results)
