@@ -27,10 +27,14 @@ point count by searchsorted on node ranges, and per row its number of
 pairs; every pass over the pairs walks these blocks, and none keeps a pair
 list.  The z fraction of the argument is affine in y along a pair, so the
 Gauss rule of a pair, per datum, takes its moments from a disjoint sparse
-table of node moments (about 2 MB at 4097 nodes).  The pair rule keeps the
-rules of the live pairs per block, and the kernel sums walk those blocks
-with at most two exp per pair.  The convolution runs once per solve and in
-``verify``: it forms one exponent per pair and one exp per point.
+table of node moments (about 2 MB at 4097 nodes).  The pair rule yields the
+rule of one block's live pairs at a time, and a block's kernel sums take at
+most two exp per pair.  Row j reads the log-integral table at nodes up to j
+only, and at node j + 1 only through the pair of the point y = 0, at w
+fraction 0 exactly: the tau sweep can finish a block's rows before it asks
+for the next block's rule, and keeps one rule alive.  The convolution runs
+once per solve and in ``verify``: it forms one exponent per pair and one
+exp per point.
 """
 
 from __future__ import annotations
@@ -246,10 +250,16 @@ class TauFunction:
     def integrand_scaled(self) -> np.ndarray:
         """tau(s)/s * ds/dw sampled on the grid, with the s = 0 value
         continued as slope0 * s'(0)."""
-        z = self.grid.nodes
-        out = np.empty_like(z)
-        out[0] = self.slope0 / (1.0 - self.grid.v)
-        out[1:] = self.values[1:] * self.grid.sprime(z[1:]) / z[1:]
+        return self._integrand_on(0, self.grid.n)
+
+    def _integrand_on(self, start: int, stop: int) -> np.ndarray:
+        """``integrand_scaled`` on the nodes [start, stop)."""
+        skip = int(start == 0)  # node 0, where tau(s)/s is continued
+        z = self.grid.nodes[start + skip:stop]
+        out = np.empty(stop - start)
+        out[skip:] = self.values[start + skip:stop] * self.grid.sprime(z) / z
+        if skip:
+            out[0] = self.slope0 / (1.0 - self.grid.v)
         return out
 
 
@@ -323,12 +333,16 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 
 # Points per block of rows of ``_pair_blocks``, the one blocking of every
 # pass over the points or pairs, where a candidate interval counts as four
-# points.  Timed at 4097 nodes (7.6M points, 0.81M candidate intervals, 61
-# blocks), blocks of 2^16 to 2^18 points time the convolution and the pair
-# rule within 15%, and the pair rule takes 40% longer at 2^15.  Traced
-# there, a block's temporaries take about 5.6 MB in the convolution and
-# 1.6 MB in ``kernel_sums``, and ``pair_rule`` peaks 4.5 MB above the
-# 18 MB of rules it keeps.
+# points.  At 4097 nodes (7.6M points, 0.81M candidate intervals) there are
+# 61 blocks.  The tau sweep keeps one block's rule, so the block size sets
+# the solve's peak: traced, an inner solve there peaks at 6.8, 11.2 and
+# 19.9 MB with blocks of 2^16, 2^17 and 2^18 points, mostly one block's
+# rule-building temporaries (the convolution's take about 5.6 MB at 2^17).
+# The benchmark's solve-fine peak RSS read 47.6, 52.8 and 61.3 MB.  Blocks
+# of 2^16 points cost per-block overhead in time: the three solve-default
+# points took 0.73 s against 0.60 s at 2^17 (medians of 9 interleaved
+# in-process runs on 2 shared vCPUs), with the 4097-node solve at 0.66 and
+# 0.65 s.
 _PLAN_BLOCK_POINTS = 1 << 17
 
 
@@ -461,9 +475,11 @@ class _HalfRangePlan:
         """The number of points of the quadrature."""
         return int(self.counts.sum())
 
-    def pair_rule(self, G: GridFunction) -> "_PairRule":
-        """The Gauss rules of the pairs for datum G, fixed for a whole inner
-        solve.
+    def pair_rule(self, G: GridFunction):
+        """The Gauss rules of the pairs for datum G, one ``_PairRule`` per
+        block of ``_pair_blocks``, in row order and built lazily: a block's
+        rule is formed when the caller asks for it, so a caller that drops
+        each rule before it asks for the next keeps one block's rule alive.
 
         A pair's measure carries the point weights trapezoid weight * G(y)
         at the z fractions lam = (z_j - y - z_a)/dz_a of its points.  Its
@@ -471,10 +487,9 @@ class _HalfRangePlan:
         ``node_w`` (``_moment_table``), about a point of the pair and scaled
         from y to lam, plus the row's last node (``last_w``) and half
         endpoint (``half_w``).  The two-node rule is formed in lam, and its
-        nodes are mapped to w fractions exactly, one log1p each.  The pairs
-        are streamed from ``_pair_blocks``.  Pairs of zero mass are left
-        out: they contribute 0.  A rule that is not finite is a consistency
-        error, not a pair to drop.
+        nodes are mapped to w fractions exactly, one log1p each.  Pairs of
+        zero mass are left out: they contribute 0.  A rule that is not
+        finite is a consistency error, not a pair to drop.
         """
         grid = G.grid
         z = grid.nodes
@@ -484,29 +499,32 @@ class _HalfRangePlan:
         k = self.counts - 1  # nodes below z_j/2, per row
         table = _moment_table(self.node_w[:k[-1]] * G.values[:k[-1]], z[:k[-1]])
         ends = self.end_masses(G)
-        blocks = []
-        for rows, per_row, a, first, count in _pair_blocks(grid, self):
-            moments, origin, width = self._pair_moments(table, ends, z, rows, per_row,
-                                                        first, count)
-            lam0 = _z_fraction(z, dz, rows, per_row, a, origin)
-            lam, w = _z_fraction_rule(moments, lam0, dz[a], width)
-            lam *= stretch[a]
-            np.log1p(lam, out=lam)
-            lam /= grid.dw
-            if not (np.isfinite(lam).all() and np.isfinite(w).all()):
-                raise NumericalConsistencyError(
-                    f"a pair rule of the half-range quadrature is not finite on this "
-                    f"{grid.n}-node grid (rows {rows.start + 1} to {rows.stop})")
-            np.clip(lam, 0.0, 1.0, out=lam)
-            live = w[0] > 0.0
-            live |= w[1] > 0.0
-            # compress keeps the (2, pairs) arrays in C order; a [:, live]
-            # index would return them in F order, and kernel_sums then takes
-            # about 1.7 times as long
-            blocks.append((rows, np.add.reduceat(live, np.cumsum(per_row) - per_row,
-                                                 dtype=k.dtype),
-                           a[live], lam.compress(live, axis=1), w.compress(live, axis=1)))
-        return _PairRule(blocks)
+        for block in _pair_blocks(grid, self):
+            yield self._block_rule(grid, dz, stretch, table, ends, *block)
+
+    def _block_rule(self, grid, dz, stretch, table, ends, rows, per_row, a, first, count):
+        """The ``_PairRule`` of one block of ``_pair_blocks``; its build
+        temporaries end with the call."""
+        z = grid.nodes
+        moments, origin, width = self._pair_moments(table, ends, z, rows, per_row, first, count)
+        lam0 = _z_fraction(z, dz, rows, per_row, a, origin)
+        lam, w = _z_fraction_rule(moments, lam0, dz[a], width)
+        lam *= stretch[a]
+        np.log1p(lam, out=lam)
+        lam /= grid.dw
+        if not (np.isfinite(lam).all() and np.isfinite(w).all()):
+            raise NumericalConsistencyError(
+                f"a pair rule of the half-range quadrature is not finite on this "
+                f"{grid.n}-node grid (rows {rows.start + 1} to {rows.stop})")
+        np.clip(lam, 0.0, 1.0, out=lam)
+        live = w[0] > 0.0
+        live |= w[1] > 0.0
+        row = np.repeat(np.arange(rows.stop - rows.start, dtype=a.dtype), per_row)
+        # compress keeps the (2, pairs) arrays in C order; a [:, live] index
+        # would return them in F order, and kernel_sums then takes about 1.7
+        # times as long
+        return _PairRule(rows, row[live], a[live], lam.compress(live, axis=1),
+                         w.compress(live, axis=1))
 
     def end_masses(self, G: GridFunction):
         """Per row the masses trapezoid weight * G(y) of the last node and of
@@ -677,17 +695,21 @@ def _two_node_rule(lam0, moments, width):
 
 @dataclass(eq=False)
 class _PairRule:
-    """Two-node Gauss rules of the plan pairs of positive mass (``pair_rule``),
-    one entry of ``blocks`` per block of whole rows of ``_pair_blocks``:
-    (rows, live pairs per row, and per pair its grid interval a, the w
-    fractions of its two nodes and their weights, each of shape (2, pairs)).
-    Each array holds the block's live pairs only."""
+    """Two-node Gauss rules of the plan pairs of positive mass in one block
+    of whole rows of ``_pair_blocks`` (``pair_rule``): the block's rows, and
+    per live pair its row in the block, its grid interval a, and the w
+    fractions of its two nodes and their weights, each of shape (2, pairs)."""
 
-    blocks: list
+    rows: slice
+    row: np.ndarray
+    a: np.ndarray
+    nodes: np.ndarray
+    weights: np.ndarray
 
     def kernel_sums(self, cum) -> np.ndarray:
-        """h(z_j) = 2 int_0^{z_j/2} G(y) exp(I(z_j) - I(z_j - y)) dy at every
-        node, from the plain cumulative log-integral table ``cum`` of tau.
+        """h(z_j) = 2 int_0^{z_j/2} G(y) exp(I(z_j) - I(z_j - y)) dy at the
+        block's nodes z_j, j from rows.start + 1 to rows.stop, from the plain
+        cumulative log-integral table ``cum`` of tau.
 
         The kernel interpolates the table linearly in w, so within a pair in
         interval a its exponent is (c_j - c_a) + lam (c_a - c_{a+1}) at the w
@@ -695,24 +717,24 @@ class _PairRule:
         of the two nodes costs one exp.  Every node is a convex fraction lam
         in [0, 1] with a nonnegative weight, and its exponent equals
         c_j - ((1 - lam) c_a + lam c_{a+1}), a convex combination of
-        differences that grow with tau, so h preserves order in tau.  The
-        rule's blocks are walked in turn; a block holds whole rows, and
+        differences that grow with tau, so h preserves order in tau.  Row j
+        reads the table at nodes a <= j and a + 1 <= j + 1, and at j + 1 only
+        in the pair of interval j, whose one point y = 0 sits at lam = 0
+        exactly: h at z_j does not depend on c_{j+1} in any bit.
         ``bincount`` sums a row's pairs in order, so a row's sum does not
         depend on the block size.
         """
-        out = np.zeros(cum.size)
-        for rows, per_row, a, nodes, weights in self.blocks:
-            slope = cum[a]
-            base = np.repeat(cum[rows.start + 1:rows.stop + 1], per_row)
-            base -= slope
-            slope -= cum[1:][a]  # in place: c_a - c_{a+1}
-            terms = nodes * slope
-            terms += base
-            np.exp(terms, out=terms)
-            terms *= weights
-            out[rows.start + 1:rows.stop + 1] = np.bincount(
-                np.repeat(np.arange(rows.stop - rows.start), per_row),
-                weights=terms[0] + terms[1], minlength=rows.stop - rows.start)
+        rows = self.rows
+        slope = cum[self.a]
+        base = cum[rows.start + 1:rows.stop + 1][self.row]
+        base -= slope
+        slope -= cum[1:][self.a]  # in place: c_a - c_{a+1}
+        terms = self.nodes * slope
+        terms += base
+        np.exp(terms, out=terms)
+        terms *= self.weights
+        out = np.bincount(self.row, weights=terms[0] + terms[1],
+                          minlength=rows.stop - rows.start)
         out *= 2.0
         return out
 
@@ -731,12 +753,23 @@ def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndar
     sweep must use.
     """
     grid = tau.grid
-    g = tau.integrand_scaled()
-    dw = grid.dw
     out = np.empty(grid.n)
     out[0] = 0.0
-    np.cumsum(0.5 * dw * (g[1:] + g[:-1]), out=out[1:])
+    _continue_log_integral(out, tau, 1, grid.n)
     if corrected and grid.n >= 5:
-        dg = _derivative_uniform(g, dw)
+        dw = grid.dw
+        dg = _derivative_uniform(tau.integrand_scaled(), dw)
         out -= dw * dw / 12.0 * (dg - dg[0])
     return out
+
+
+def _continue_log_integral(cum, tau: TauFunction, start: int, stop: int):
+    """Bring the plain table ``cum`` of tau up to date on the nodes
+    [start, stop), in place, from its entry at node start - 1: the trapezoid
+    increments in w of ``integrand_scaled`` added one after another, so
+    that each entry has the bits of the whole table summed from node 0."""
+    g = tau._integrand_on(start - 1, stop)
+    inc = cum[start:stop]
+    np.add(g[1:], g[:-1], out=inc)
+    inc *= 0.5 * tau.grid.dw
+    np.cumsum(cum[start - 1:stop], out=cum[start - 1:stop])

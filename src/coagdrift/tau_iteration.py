@@ -17,6 +17,19 @@ converges.  h comes from the pair rules of the half-range plan in ``grids``;
 every quadrature weight on this path is nonnegative (plain trapezoid, convex
 interpolation, and per plan pair a two-node Gauss rule of a nonnegative
 measure), which makes the pointwise monotonicity checkable to rounding slack.
+
+The map is also causal, of Volterra type: the image at z reads tau on
+[z/2, z] only.  The discrete map keeps this, because the plain log-integral
+table is a prefix sum and the rules of row j read it at nodes up to j only
+(``grids._PairRule.kernel_sums``).  So ``inner_solve`` marches the pair
+blocks of the plan in row order, and a block is swept only once the rows
+before it are final; only that block's rule is alive.  The barrier argument
+holds per block.  The earlier rows end in [0, cap], so the cap on the
+block's rows maps below the image of the constant cap on all rows, which is
+at most the cap; the block's map is order preserving, so its sweep from the
+cap decreases pointwise.  Its limit is the fixed point of the block with
+the earlier rows at theirs, block by block the fixed point of the all-rows
+iteration.
 """
 
 from __future__ import annotations
@@ -30,6 +43,7 @@ from .errors import ConvergenceError, NumericalConsistencyError, ParameterDomain
 from .grids import (
     GridFunction,
     TauFunction,
+    _continue_log_integral,
     _with_mass,
     cumulative_log_integral,
     moment,
@@ -67,25 +81,27 @@ class InnerSolveOptions:
 
 @dataclass
 class InnerSolveResult:
-    """Converged tau plus iteration diagnostics: the sweep count and the
-    sup-norm of the last sweep.  The barrier the sweep started from is
-    ``model.iteration_barrier``'s."""
+    """Converged tau plus iteration diagnostics: the most sweeps any pair
+    block took, and the largest sup-norm of a block's last sweep.  The
+    barrier the sweep started from is ``model.iteration_barrier``'s."""
 
     tau: TauFunction
     iterations: int
     residual: float
 
 
-def _step(rule, tau: TauFunction, params: ModelParams) -> np.ndarray:
-    """One application of the fixed-point map to tau with the plan's pair
-    rule ``rule``: order preserving, as h is (``kernel_sums``) and enters with
-    a positive factor.  A kernel that overflows is a consistency error."""
-    cum = cumulative_log_integral(tau, corrected=False)
-    grid, z = tau.grid, tau.grid.nodes
-    vals = np.zeros(grid.n)
+def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams) -> np.ndarray:
+    """One application of the fixed-point map to tau on the rows of the pair
+    block ``rule``: the image at the nodes rows.start + 1 to rows.stop, from
+    the plain log-integral table ``cum`` of tau, which the block reads up to
+    node rows.stop + 1.  Order preserving, as h is (``kernel_sums``) and
+    enters with a positive factor.  A kernel that overflows is a consistency
+    error."""
+    grid = tau.grid
+    z = grid.nodes[rule.rows.start + 1:rule.rows.stop + 1]
     with np.errstate(over="ignore", invalid="ignore"):
-        h = rule.kernel_sums(cum)
-        vals[1:] = z[1:] / ((1.0 - params.v) * z[1:] + 1.0) * (params.linear_coefficient + h[1:])
+        vals = z / ((1.0 - params.v) * z + 1.0) * (params.linear_coefficient
+                                                    + rule.kernel_sums(cum))
     if not np.all(np.isfinite(vals)):
         raise NumericalConsistencyError(
             f"a sweep left the float range: the kernel exp(I(z) - I(z-y)) under "
@@ -101,15 +117,18 @@ def inner_solve(
     *,
     force: bool = False,
 ) -> InnerSolveResult:
-    """Monotone iteration from the constant barrier down to the fixed point.
+    """Monotone iteration from the constant barrier down to the fixed point,
+    one pair block at a time.
 
     Starts at tau_star (or, with ``force`` above the threshold, at the
-    uncertified cap 2 * tau_inf) and applies the update until the sup-norm
-    of the sweep falls below ``opts.tol``.  Iterates are verified to
-    decrease pointwise within rounding slack and are clamped to the barrier
-    interval afterwards; a violation beyond slack aborts with a consistency
-    error unless the run is forced, in which case it downgrades to a
-    warning.
+    uncertified cap 2 * tau_inf).  The blocks of the plan's ``pair_rule``
+    are solved in row order: with the rows before it final, a block's rows
+    are swept from the barrier until the sup-norm of the sweep falls below
+    ``opts.tol``, in at most ``opts.max_iter`` sweeps, and then its rule is
+    dropped.  Iterates are verified to decrease pointwise within rounding
+    slack and are clamped to the barrier interval afterwards; a violation
+    beyond slack aborts with a consistency error unless the run is forced,
+    in which case it downgrades to a warning.
     """
     m0_actual = moment(G, 0)
     if abs(m0_actual - params.m0) > _M0_MATCH_RTOL * max(params.m0, 1e-300):
@@ -126,39 +145,50 @@ def inner_solve(
         )
 
     grid = G.grid
-    rule = grid.half_range_plan().pair_rule(G)
     slack = MONOTONICITY_SLACK * cap
-    linear_coeff = params.linear_coefficient
+    tau = TauFunction(grid=grid, values=np.full(grid.n, cap), slope0=params.linear_coefficient)
+    values = tau.values  # swept in place, one block of rows at a time
+    values[0] = 0.0  # the image at z = 0, where no row reads tau
+    cum = np.zeros(grid.n)
+    stale = 1  # cum holds the plain log-integral table of tau below this node
 
-    tau = TauFunction(grid=grid, values=np.full(grid.n, cap), slope0=linear_coeff)
-
-    residual = np.inf
+    iterations, residual = 0, 0.0
     warned = False
-    for iteration in range(1, opts.max_iter + 1):
-        new_vals = _step(rule, tau, params)
-        low = float(np.min(new_vals))
-        rise = float(np.max(new_vals - tau.values))
-        if low < -slack or rise > slack:
-            msg = (
-                f"monotone sweep violated at iteration {iteration}: "
-                f"min={low:.3e}, max increase={rise:.3e}, slack={slack:.3e}"
+    for rule in grid.half_range_plan().pair_rule(G):
+        block = slice(rule.rows.start + 1, rule.rows.stop + 1)
+        reads = min(block.stop + 1, grid.n)  # the last row reads cum at node block.stop
+        for sweep in range(1, opts.max_iter + 1):
+            _continue_log_integral(cum, tau, stale, reads)
+            stale = block.start
+            new_vals = _step(rule, tau, cum, params)
+            change = new_vals - values[block]
+            low = float(np.min(new_vals))
+            rise = float(np.max(change))
+            if low < -slack or rise > slack:
+                msg = (
+                    f"monotone sweep violated at sweep {sweep} of nodes {block.start} "
+                    f"to {block.stop - 1}: min={low:.3e}, max increase={rise:.3e}, "
+                    f"slack={slack:.3e}"
+                )
+                if certified:
+                    raise NumericalConsistencyError(msg)
+                if not warned:
+                    warnings.warn(msg, RuntimeWarning, stacklevel=2)
+                    warned = True
+            step = float(np.max(np.abs(change)))
+            np.clip(new_vals, 0.0, cap, out=values[block])
+            if step <= opts.tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
+                f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})",
+                residual=step,
+                best=tau,
             )
-            if certified:
-                raise NumericalConsistencyError(msg)
-            if not warned:
-                warnings.warn(msg, RuntimeWarning, stacklevel=2)
-                warned = True
-        residual = float(np.max(np.abs(new_vals - tau.values)))
-        np.clip(new_vals, 0.0, cap, out=new_vals)
-        tau = TauFunction(grid=grid, values=new_vals, slope0=linear_coeff)
-        if residual <= opts.tol:
-            return InnerSolveResult(tau=tau, iterations=iteration, residual=residual)
-    raise ConvergenceError(
-        f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
-        f"(last residual {residual:.3e})",
-        residual=residual,
-        best=tau,
-    )
+        iterations = max(iterations, sweep)
+        residual = max(residual, step)
+    return InnerSolveResult(tau=tau, iterations=iterations, residual=residual)
 
 
 def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:

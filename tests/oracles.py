@@ -3,8 +3,10 @@ a stand-in for the process pool of ``sweep``.
 
 The single-point convolution quadratures check ``half_convolution_at_nodes``:
 each builds its own y sub-grid and interpolates F through ``GridFunction``.
-``tau_map`` is one application of the fixed-point map, through the step of
-``inner_solve``; ``barrier_sweeps`` checks ``inner_solve`` step by step.  ``reference_plan``
+``tau_map`` is one application of the fixed-point map on every row, through
+the block step of ``inner_solve``; ``barrier_sweeps`` checks the block march
+of ``inner_solve`` step by step, and ``global_sweeps`` is the iteration of
+all rows at once, whose fixed point the march must reach.  ``reference_plan``
 rebuilds the half-range plan one row at a time, with per-point weights and
 sample indices.  ``reference_step`` and ``reference_run`` are the explicit
 Euler step and the march of ``simulate`` with a fresh array for every
@@ -46,32 +48,74 @@ def full_convolution_quadrature(F, z: float) -> float:
     return float(_trapz(F(z - y) * b, y))
 
 
-def tau_map(G, tau, params):
-    """Single application of the fixed-point map to tau with datum G, as
-    ``inner_solve`` applies it: with the pair rule of G's half-range plan."""
-    values = _step(G.grid.half_range_plan().pair_rule(G), tau, params)
+def tau_map(G, tau, params, rules=None):
+    """Single application of the fixed-point map to tau with datum G on
+    every row, as ``inner_solve`` applies it to one block of rows: with the
+    block rules ``rules`` of G's half-range plan, by default built anew."""
+    if rules is None:
+        rules = G.grid.half_range_plan().pair_rule(G)
+    cum = cd.cumulative_log_integral(tau, corrected=False)
+    values = np.zeros(G.grid.n)
+    for rule in rules:
+        values[rule.rows.start + 1:rule.rows.stop + 1] = _step(rule, tau, cum, params)
     return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
 
 
-def barrier_sweeps(G, params, cap, opts):
-    """The iteration of ``inner_solve`` rebuilt from single applications of
-    the fixed-point map: start at the constant barrier ``cap``, clip each
-    image to [0, cap], stop once a step moves tau by at most ``opts.tol``.
+def kernel_sums(plan, G, cum):
+    """h at every node, 0 at z = 0, from the block rules of ``plan`` for
+    datum G and the plain log-integral table ``cum``."""
+    h = np.zeros(G.grid.n)
+    for rule in plan.pair_rule(G):
+        h[rule.rows.start + 1:rule.rows.stop + 1] = rule.kernel_sums(cum)
+    return h
 
-    Returns the steps as (iterate, image) value pairs, the image before
-    clipping, and the last iterate after clipping.
+
+def barrier_sweeps(G, params, cap, opts):
+    """The march of ``inner_solve`` rebuilt from whole applications of the
+    fixed-point map: the blocks of G's pair rule in row order, each started
+    at the constant barrier ``cap`` with the rows before it final.  A step
+    applies ``tau_map`` to all of tau, keeps the image on the block's rows,
+    clips it to [0, cap], and the block stops once a step moves its rows by
+    at most ``opts.tol``.  Tau is 0 at z = 0, the map's image there.
+
+    Returns per block its steps as (iterate, image) value pairs on the
+    block's nodes, the image before clipping, and the last iterate after
+    clipping.
     """
+    rules = list(G.grid.half_range_plan().pair_rule(G))
+    values = np.full(G.grid.n, cap)
+    values[0] = 0.0
+    blocks = []
+    for rule in rules:
+        nodes = slice(rule.rows.start + 1, rule.rows.stop + 1)
+        steps = []
+        for _ in range(opts.max_iter):
+            tau = cd.TauFunction(G.grid, values.copy(), slope0=params.linear_coefficient)
+            image = tau_map(G, tau, params, rules).values[nodes]
+            steps.append((values[nodes].copy(), image.copy()))
+            residual = float(np.max(np.abs(image - values[nodes])))
+            values[nodes] = np.clip(image, 0.0, cap)
+            if residual <= opts.tol:
+                break
+        blocks.append(steps)
+    return blocks, values
+
+
+def global_sweeps(G, params, cap, opts):
+    """The all-rows iteration: start at the constant barrier ``cap``, apply
+    the map to every row at once, clip each image to [0, cap], and stop once
+    a step moves tau by at most ``opts.tol``.  Returns the step count and
+    the last iterate."""
+    rules = list(G.grid.half_range_plan().pair_rule(G))
     tau = cd.TauFunction(G.grid, np.full(G.grid.n, cap), slope0=params.linear_coefficient)
-    steps = []
-    for _ in range(opts.max_iter):
-        image = tau_map(G, tau, params)
-        steps.append((tau.values, image.values.copy()))
+    for iteration in range(1, opts.max_iter + 1):
+        image = tau_map(G, tau, params, rules)
         residual = float(np.max(np.abs(image.values - tau.values)))
         np.clip(image.values, 0.0, cap, out=image.values)
         tau = image
         if residual <= opts.tol:
             break
-    return steps, tau.values
+    return iteration, tau.values
 
 
 def reference_plan(grid):

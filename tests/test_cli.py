@@ -301,12 +301,16 @@ def test_solve_nonconvergence_writes_best_iterate(tmp_path, capsys):
     assert payload["report"]["certified"] is False
 
 
-def test_solve_gnuplot_flag(tmp_path):
+def test_solve_gnuplot_flag(tmp_path, solved_file):
+    # --gnuplot writes a script next to the CSV that plots the CSV; a solve
+    # without the flag writes none
     out = tmp_path / "g.csv"
     code = main(solve_args(out, extra=["--gnuplot"]))
     assert code == 0
     script = out.with_suffix(".gnuplot").read_text()
-    assert str(out) in script
+    assert f"plot '{out}' " in script
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.csv", "g.gnuplot", "g.json"]
+    assert not any(p.suffix == ".gnuplot" for p in solved_file.parent.iterdir())
 
 
 def test_outdir_environment_variable(tmp_path, monkeypatch):

@@ -353,78 +353,91 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
         grid = cd.build_grid(1e6, n, 0.5)
         G = _plan_data(grid)
         plan = grid.half_range_plan()
-        return plan, plan.pair_rule(G), cd.half_convolution_at_nodes(G)
+        return plan, list(plan.pair_rule(G)), cd.half_convolution_at_nodes(G)
 
-    whole, whole_rule, whole_conv = build_and_pass()
+    whole, whole_rules, whole_conv = build_and_pass()
     grid = cd.build_grid(1e6, n, 0.5)
     _check_blocks(grid, 1 << 17)  # at most 2^17 points and 2^15 pairs
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
     assert whole.size > 3 * block  # several blocks
     assert whole.counts.max() > block or block > 7  # and rows longer than one
-    blocked, rule, conv = build_and_pass()
+    blocked, rules, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
-    # the rule keeps the blocks of _pair_blocks, and its blocks concatenated
-    # (pairs per row, intervals, nodes and weights) keep their bits
-    assert len(rule.blocks) == len(_check_blocks(grid, block)) > 3
-    assert len(whole_rule.blocks) < len(rule.blocks)
-    whole_pairs, pairs = ([np.concatenate([b[i] for b in r.blocks], axis=-1) for i in range(1, 5)]
-                          for r in (whole_rule, rule))
-    for name, want, got in zip(("per_row", "a", "nodes", "weights"), whole_pairs, pairs):
+    # pair_rule yields one rule per block of _pair_blocks, in row order,
+    # and the rules concatenated (rows, intervals, nodes and weights) keep
+    # their bits
+    assert [r.rows for r in rules] == [rows for rows, *_ in _check_blocks(grid, block)]
+    assert len(rules) > 3 and len(whole_rules) < len(rules)
+
+    def concatenated(rules):
+        return [np.concatenate([r.rows.start + r.row for r in rules])] + [
+            np.concatenate([getattr(r, name) for r in rules], axis=-1)
+            for name in ("a", "nodes", "weights")]
+
+    whole_pairs, pairs = concatenated(whole_rules), concatenated(rules)
+    for name, want, got in zip(("row", "a", "nodes", "weights"), whole_pairs, pairs):
         assert np.array_equal(got, want), name
-    assert whole_pairs[0].max() > 3  # rows of several pairs
+    assert np.bincount(whole_pairs[0]).max() > 3  # rows of several pairs
     assert whole_pairs[1].size < _pairs(grid)[1].size  # the zero tail left pairs out
     assert np.array_equal(conv, whole_conv)
     # a row's pairs are summed in order, so the kernel sums keep their bits
     # across the block sizes
     cum = _kernel_table(grid)
-    assert np.array_equal(rule.kernel_sums(cum), whole_rule.kernel_sums(cum))
+    assert np.array_equal(np.concatenate([r.kernel_sums(cum) for r in rules]),
+                          np.concatenate([r.kernel_sums(cum) for r in whole_rules]))
 
 
 def test_pair_rule_arrays_are_their_own():
-    # the rule keeps only its live pairs: no array of it is a view of a
-    # buffer sized by the candidate intervals, which would keep the dead
+    # a rule keeps only its block's live pairs: no array of it is a view of
+    # a buffer sized by the candidate intervals, which would keep the dead
     # tail of that buffer alive with the rule; and each is in C order, in
     # which kernel_sums reads it fastest
     grid = cd.build_grid(1e6, 2049, 0.5)
-    rule = grid.half_range_plan().pair_rule(_plan_data(grid))
-
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                yield from arrays(item)
-
-    found = list(arrays(list(vars(rule).values())))
-    for x in found:
-        assert x.base is None or x.base.nbytes == x.nbytes
-        assert x.flags.c_contiguous
-    assert len(found) > 4
+    found = 0
+    for rule in grid.half_range_plan().pair_rule(_plan_data(grid)):
+        for x in (value for value in vars(rule).values() if isinstance(value, np.ndarray)):
+            assert x.base is None or x.base.nbytes == x.nbytes
+            assert x.flags.c_contiguous
+            found += 1
+    assert found > 4
 
 
 @pytest.mark.parametrize("call, bound", [
-    ("convolution", 0.5), ("pair_rule", 0.8), ("kernel_sums", 0.2)])
+    ("convolution", 0.5), ("pair_rule", 0.62), ("kernel_sums", 0.2), ("inner_solve", 0.62)])
 def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
     # arrays as long as the points or pairs: traced peak in units of one
-    # point-length float array, on a built plan of the README pair
-    # (measured: convolution 0.33, one block's 5.1 MB of temporaries; pair
-    # rule 0.67, its output of 120k live pairs and the temporaries of one
-    # block of 2^17 points; kernel sums 0.11, 1.5 MB; 2.11 when the
-    # convolution formed whole point arrays, 3.23 and 0.32 when the pair
-    # rule and the kernel sums formed whole pair arrays, and 1.14 when the
-    # pair rule's output was sized by the 205k candidate intervals)
+    # point-length float array, on a built plan of the README pair at 2049
+    # nodes and the first Picard iterate from its seed, whose fat tail
+    # leaves all 205k pairs live (measured: convolution 0.33, one block's
+    # 5.1 MB of temporaries; 2.11 when it formed whole point arrays.  The
+    # pair rule walked block by block, each rule dropped, 0.570: one
+    # block's rule and the temporaries of one block of 2^17 points; 0.80
+    # when the walk kept every rule, 0.72 when the rule returned every
+    # block's rules at once, 3.23 when it formed whole pair arrays.  The
+    # kernel sums of the largest block, 33k pairs, 0.086; 0.105 over the
+    # whole grid, and 0.32 when they formed whole pair arrays there.  A
+    # whole inner solve, which marches the blocks, 0.579;
+    # 0.81 when it kept every block's rule, 0.73 when it swept all rows at
+    # once)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
     seed = cd.seed_profile(params, cd.build_grid(1e6, 2049, 0.5))
-    plan = seed.grid.half_range_plan()
-    rule = plan.pair_rule(seed)
-    cum = _kernel_table(seed.grid)
-    run = {"convolution": lambda: cd.half_convolution_at_nodes(seed),
-           "pair_rule": lambda: plan.pair_rule(seed),
-           "kernel_sums": lambda: rule.kernel_sums(cum)}[call]
+    G = cd.reconstruct_profile(cd.inner_solve(seed, params).tau, params)
+    plan = G.grid.half_range_plan()
+    rule = max(plan.pair_rule(G), key=lambda r: r.a.size)
+    cum = _kernel_table(G.grid)
+
+    def walk():
+        for _ in plan.pair_rule(G):
+            pass
+
+    run = {"convolution": lambda: cd.half_convolution_at_nodes(G),
+           "pair_rule": walk,
+           "kernel_sums": lambda: rule.kernel_sums(cum),
+           "inner_solve": lambda: cd.inner_solve(G, params)}[call]
     tracemalloc.start()
     try:
         run()
@@ -441,7 +454,7 @@ def test_pair_rule_refuses_a_rule_that_is_not_finite():
     G = cd.GridFunction(grid, np.full(grid.n, 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(cd.NumericalConsistencyError, match="not finite"):
-            grid.half_range_plan().pair_rule(G)
+            list(grid.half_range_plan().pair_rule(G))
 
 
 def _reference_half_convolution(F, G):

@@ -1,5 +1,6 @@
-"""Property tests of the pair quadrature rule, the command line and the
-profile reader; skipped where hypothesis is absent."""
+"""Property tests of the pair quadrature rule, the causality of the tau
+map, the command line and the profile reader; skipped where hypothesis is
+absent."""
 
 import math
 import warnings
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from coagdrift import cli
+from coagdrift import cli, grids
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
 from coagdrift.grids import _moment_table, _range_moments, _z_fraction_rule
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
-from oracles import RecordingPool
+from oracles import RecordingPool, tau_map
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -127,6 +128,48 @@ def test_pair_gauss_rule(pairs, lead, trail):
         support = lam[mass > 0.0]
         if support.size == 1:  # (a subnormal mass has no precision to place)
             assert w[1] == 0.0 and m0 * abs(x[0] - support[0]) <= 64 * _EPS * m0 + 1e-320
+
+
+@pytest.fixture(scope="module")
+def causal_map():
+    """The README pair's seed on a 129-node grid, its barrier tau_star and
+    its converged tau."""
+    params = cd.ModelParams(0.5, 0.005)
+    seed = cd.seed_profile(params, cd.build_grid(1e6, 129, 0.5))
+    return params, seed, cd.derive_constants(params).tau_star, cd.inner_solve(seed, params).tau
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_map_is_causal(causal_map, data):
+    # the map is of Volterra type: its image at z_j reads tau on [z_j/2,
+    # z_j] only, so tau changed above node j, within [0, cap], leaves the
+    # image at the nodes up to j the same in every bit.  inner_solve relies
+    # on this to finish a block of rows before it sweeps the next
+    params, seed, cap, solved = causal_map
+    n = seed.grid.n
+    base = data.draw(st.sampled_from((np.full(n, cap), solved.values)))
+    j = data.draw(st.integers(1, n - 2))
+    moved = base.copy()
+    moved[j + 1:] = data.draw(st.lists(st.floats(0.0, cap), min_size=n - 1 - j,
+                                       max_size=n - 1 - j))
+    before, after = (tau_map(seed, cd.TauFunction(seed.grid, t, slope0=params.linear_coefficient),
+                             params).values[:j + 1] for t in (base, moved))
+    assert before.tobytes() == after.tobytes()
+
+
+def test_causality_catches_a_row_base_read_ahead(monkeypatch, causal_map):
+    # a mutant whose kernel sums take the row base from c_{j+1} in place of
+    # c_j reads tau above z_j, and the property above fails on it
+    kernel_sums = grids._PairRule.kernel_sums
+
+    def read_ahead(rule, cum):
+        row = np.arange(rule.rows.start + 1, rule.rows.stop + 1)
+        return kernel_sums(rule, cum) * np.exp(cum[np.minimum(row + 1, cum.size - 1)] - cum[row])
+
+    monkeypatch.setattr(grids._PairRule, "kernel_sums", read_ahead)
+    with pytest.raises(AssertionError):
+        test_map_is_causal(causal_map=causal_map)
 
 
 @settings(max_examples=10, derandomize=True, deadline=None)
