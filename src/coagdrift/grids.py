@@ -632,7 +632,8 @@ def _range_moments(table: _MomentTable, first, last):
     centre = np.take(table.centre, split)
     centre &= last
     moments = np.take(table.sums, lo, axis=1)
-    moments += np.take(table.sums, hi, axis=1)
+    for s, row in enumerate(table.sums):  # row by row: no second (4, ranges) array
+        moments[s] += np.take(row, hi)
     return moments, np.take(table.y, centre)
 
 

@@ -99,8 +99,9 @@ def write_profile(path: str, record: ProfileRecord) -> None:
         lines.append(f"# {key} = {_fmt(getattr(record, key))}")
     lines.append(f"# certified = {'true' if record.certified else 'false'}")
     lines.append(_COLUMNS)
-    for z, f, tau in zip(record.z, record.F, record.tau):
-        lines.append(f"{_fmt(z)},{_fmt(f)},{_fmt(tau)}")
+    # Python floats: formatting a numpy scalar per element costs more
+    for z, f, tau in zip(record.z.tolist(), record.F.tolist(), record.tau.tolist()):
+        lines.append(f"{z:.17g},{f:.17g},{tau:.17g}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -134,6 +135,19 @@ def _check_columns(v: float, data: np.ndarray) -> None:
     dws = np.diff(np.log1p((1.0 - v) * z))
     if np.max(np.abs(dws - dws[0])) > 1e-9 * dws[0]:
         raise ProfileFormatError("z column is not uniform in log(1 + (1-v) z)")
+
+
+def _parse_rows(rows: list[list[str]]) -> np.ndarray:
+    """The data rows parsed one at a time, to name the first bad one."""
+    data = np.empty((len(rows), 3))
+    for r, parts in enumerate(rows):
+        if len(parts) != 3:
+            raise ProfileFormatError(f"row {r} does not have 3 columns")
+        try:
+            data[r] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise ProfileFormatError(f"row {r} holds a non-numeric value") from exc
+    return data
 
 
 def read_profile(path: str) -> ProfileRecord:
@@ -177,18 +191,15 @@ def read_profile(path: str) -> ProfileRecord:
         raise ProfileFormatError("missing or bad 'certified' header")
     _check_header(values)
 
-    rows = [line for line in lines[body_start:] if line.strip()]
+    rows = [line.split(",") for line in lines[body_start:] if line.strip()]
     if not rows:
         raise ProfileFormatError("no data rows")
-    data = np.empty((len(rows), 3))
-    for r, line in enumerate(rows):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ProfileFormatError(f"row {r} does not have 3 columns")
-        try:
-            data[r] = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ProfileFormatError(f"row {r} holds a non-numeric value") from exc
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 3:
+        data = _parse_rows(rows)  # names the bad row
     _check_columns(values["v"], data)
     return ProfileRecord(
         certified=header["certified"] == "true",

@@ -1,5 +1,15 @@
 """Outer fixed-point solve of the full self-similar system and its
-certification diagnostics (residual, moments, tail-exponent fit)."""
+certification diagnostics (residual, moments, tail-exponent fit).
+
+The outer solve is seeded from a ladder of coarser solves of the same zmax,
+each with (n-1)//4 + 1 nodes of the one above (``_ladder_seed``).  The tau
+sweep's quadrature is of order 2 in dw, so the log-profile on a grid of
+step h errs by about C h^2, and the two rungs below a grid give, by one
+Richardson step, its solution up to O(h^4).  Within a level, every inner
+solve starts from the tau of the step before, raised to lie above its
+next fixed point (``_picard``); a start that does not is detected by its
+first sweep and replaced by the barrier (``inner_solve``).
+"""
 
 from __future__ import annotations
 
@@ -56,6 +66,20 @@ NON_POWER_LAW_DEVIATION = 0.05
 # to 13% faster, and a 257-node one the 1025-node solve 10-22% faster.
 _MIN_COARSE_NODES = 129
 
+# The quadrature of the tau sweep is of order 2 in dw (plain trapezoid and
+# interpolation linear in log F): the order of the ladder's Richardson step.
+_SWEEP_ORDER = 2
+
+# Relative margin over the recovered tau of a Richardson seed, the first
+# inner solve's start.  Measured at 2049 nodes, that solve's tau exceeds
+# the recovered one by at most 2.3e-7 relative on 15 unforced points
+# (v 0.05-0.9, m0/m0_bar 0.1-0.9) and by 1.6e-6 on a forced run at
+# (0.5, 0.1); 1e-5 covers them for about one more sweep than the tight
+# margin.  A start still below its fixed point costs a block one sweep and
+# a restart at the barrier: the forced run at (0.5, 0.45) needs 6.5e-5, and
+# one of its 15 blocks restarts.
+_SEED_MARGIN = 1e-5
+
 # The tail fit window: the top two decades of the grid.
 _TAIL_FIT_DECADES = 2.0
 
@@ -71,6 +95,7 @@ class SolveReport:
 
     outer_iterations: int
     inner_iterations_total: int
+    inner_restarts: int
     fp_residual: float
     model_residual_norm: float
     F0: float
@@ -147,55 +172,145 @@ def _weighted_sup(values: np.ndarray, weight: np.ndarray) -> float:
         return float(np.max(np.multiply(a, weight, out=np.zeros_like(a), where=a != 0.0)))
 
 
-def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions):
+def _relative_update(before: TauFunction, after: TauFunction) -> float:
+    """sup over the nodes z > 0 of |after - before| / after; tau is positive
+    there after a sweep."""
+    return float(np.max(np.abs(after.values[1:] - before.values[1:]) / after.values[1:]))
+
+
+def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
+            start: TauFunction | None = None):
     """Picard iteration of the auxiliary solution map from the datum G, on
-    G's grid, each inner solve from the barrier of ``opts.force``.  It stops
-    when the update norm reaches ``opts.tol``, as soon as the norm does not
-    fall below the previous one, or after ``opts.max_outer`` iterations.
+    G's grid.  It stops when the update norm reaches ``opts.tol``, as soon
+    as the norm does not fall below the previous one, or after
+    ``opts.max_outer`` iterations.
+
+    Every inner solve starts, per pair block, at min(cap, s (1 + delta)),
+    where s and delta are known (see ``inner_solve``): s is the previous
+    step's tau and delta the largest relative update of tau in that step,
+    which the contracting outer iteration does not reach again (measured
+    on 18 points at 2049 nodes, the next update is at least 50 times
+    smaller unforced and 2 times forced at m0 = 0.45); for the first
+    step, s is ``start`` (the recovered tau of a Richardson seed) and
+    delta ``_SEED_MARGIN``.  The first step without a start, and the step
+    after it, start at the barrier.
 
     Returns the last iterate, the outer and inner iteration counts, the
-    last update norm and whether the norm reached ``opts.tol``.
+    number of pair blocks that restarted at the barrier (each after one
+    wasted sweep), the last update norm and whether the norm reached
+    ``opts.tol``.
     """
     grid = G.grid
     weight = _tail_weight(grid, params.tau_inf - 0.5)
     prev_norm = math.inf
-    inner_total = 0
+    inner_total = restarts = 0
+    last, margin = start, None if start is None else _SEED_MARGIN
     for outer_iterations in range(1, opts.max_outer + 1):
-        result = inner_solve(G, params, opts.inner, force=opts.force)
+        warm = None
+        if margin is not None:
+            warm = TauFunction(grid, (1.0 + margin) * last.values, slope0=last.slope0)
+        result = inner_solve(G, params, opts.inner, force=opts.force, start=warm)
         inner_total += result.iterations
-        F = reconstruct_profile(result.tau, params)
+        restarts += result.restarts
+        margin = None if last is None else _relative_update(last, result.tau)
+        last = result.tau
+        F = reconstruct_profile(last, params)
         delta = F.values - G.values
         update_norm = _weighted_sup(delta, weight)
         if update_norm <= opts.tol:
-            return F, outer_iterations, inner_total, update_norm, True
+            return F, outer_iterations, inner_total, restarts, update_norm, True
         if not update_norm < prev_norm:
             break
         prev_norm = update_norm
         G = _with_mass(GridFunction(grid, G.values + delta, tail_exponent=params.tau_inf),
                        params.m0)
-    return F, outer_iterations, inner_total, update_norm, False
+    return F, outer_iterations, inner_total, restarts, update_norm, False
 
 
-def _coarse_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
-    """Seed of the solve on ``grid`` and the node count it came from: the
-    converged profile on (n-1)//4 + 1 nodes of the same zmax, evaluated at
-    the nodes of ``grid`` with tail exponent tau_inf and scaled to mass m0.
-    Falls back to the exponential seed (0 nodes) where the coarse grid has
-    fewer than _MIN_COARSE_NODES nodes, or its solve, which stops by the
-    rule of ``_picard`` and takes the fine solve's barrier, does
-    not converge or raises.  Nothing of the coarse grid, or its plan,
-    outlives the call."""
-    n = (grid.n - 1) // 4 + 1
-    if n >= _MIN_COARSE_NODES:
+def _prolong_log(F: GridFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """log F carried from its rung to the nodes of ``grid``, a grid of the
+    same zmax and v, both uniform in w: 4-point Lagrange interpolation in
+    w, exact on exp(cubic in w) and at the nodes the grids share.  Returns
+    the logs and the mask of the nodes whose stencil holds only positive
+    samples; the log is 0 elsewhere.  This rule only carries a rung up the
+    ladder; the quadrature's is ``GridFunction._interpolant``."""
+    n, N = F.grid.n, grid.n
+    idx, rem = np.divmod(np.arange(N) * (n - 1), N - 1)  # w_i in rung steps, exactly
+    first = np.clip(idx - 1, 0, n - 4)
+    t = (idx - first) + rem / (N - 1)  # the position in the stencil first .. first + 3
+    samples = F.values[first[:, None] + np.arange(4)]
+    ok = np.all(samples > 0.0, axis=1)
+    logs = np.log(samples, out=np.zeros_like(samples), where=ok[:, None])
+    weights = np.stack([-(t - 1.0) * (t - 2.0) * (t - 3.0) / 6.0,
+                        t * (t - 2.0) * (t - 3.0) / 2.0,
+                        -t * (t - 1.0) * (t - 3.0) / 2.0,
+                        t * (t - 1.0) * (t - 2.0) / 6.0], axis=1)
+    return np.einsum("ij,ij->i", logs, weights), ok
+
+
+def _richardson_weight(N: int, n: int, n2: int) -> float:
+    """Weight c of the step L(n) + c (L(n) - L(n2)) that carries the
+    solution on n nodes to the one on N, for an error of order
+    _SWEEP_ORDER in dw: 1/16 for rungs 4x apart."""
+    e = [(m - 1.0) ** -_SWEEP_ORDER for m in (N, n, n2)]
+    return (e[0] - e[1]) / (e[1] - e[2])
+
+
+def _seed_from(params: ModelParams, grid: Grid, below: list[GridFunction]):
+    """Seed of the solve on ``grid`` from the converged rungs ``below`` (at
+    most two, finest last), scaled to mass m0, and the first inner solve's
+    start, if the seed gives one.
+
+    From two rungs the seed is exp of the Richardson step of their log F,
+    both carried up by ``_prolong_log``, towards the solution on ``grid``,
+    and its start is the seed's recovered tau.  Log-linear interpolation
+    errs by O(dw^2), the order the step removes, hence the 4-point rule.
+    Wherever a stencil holds a nonpositive sample, and from one rung
+    alone, the seed is the finest rung's F(nodes), whose kinked log gives
+    no start; with no rung it is the exponential seed.
+    """
+    if not below:
+        return seed_profile(params, grid), None
+    vals = below[-1](grid.nodes)
+    if len(below) == 1:
+        return _with_mass(GridFunction(grid, vals, tail_exponent=params.tau_inf), params.m0), None
+    log_f, ok = _prolong_log(below[1], grid)
+    log_2, ok_2 = _prolong_log(below[0], grid)
+    ok &= ok_2
+    log_f += _richardson_weight(grid.n, below[1].grid.n, below[0].grid.n) * (log_f - log_2)
+    np.exp(log_f, out=vals, where=ok)
+    seed = _with_mass(GridFunction(grid, vals, tail_exponent=params.tau_inf), params.m0)
+    return seed, recover_tau(seed)
+
+
+def _ladder_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
+    """Seed of the solve on ``grid``, the first inner solve's start (or
+    None) and the node count of the rung it came from.
+
+    The rungs have (n-1)//4 + 1 nodes of the same zmax, down from the
+    grid's n while a rung keeps at least _MIN_COARSE_NODES.  From the
+    coarsest up, each is solved by ``_picard``, forced or not as the fine
+    solve, from the seed of ``_seed_from`` on the rungs below it that
+    converged: the two finest give the Richardson step, one alone its F at
+    the nodes, and none the exponential seed.  A rung that does not
+    converge, or raises, leaves the next rung the exponential seed, and a
+    grid seeded so gets seed_nodes 0.  Only the two finest converged rungs
+    outlive their solve, and nothing of a rung outlives the call."""
+    sizes, n = [], grid.n
+    while (n := (n - 1) // 4 + 1) >= _MIN_COARSE_NODES:
+        sizes.append(n)
+    below = []
+    for n in reversed(sizes):
         try:
-            coarse = build_grid(opts.zmax, n, params.v)
-            F, *_, converged = _picard(params, seed_profile(params, coarse), opts)
-            if converged:
-                seed = GridFunction(grid, F(grid.nodes), tail_exponent=params.tau_inf)
-                return _with_mass(seed, params.m0), n
+            G, start = _seed_from(params, build_grid(opts.zmax, n, params.v), below)
+            F, *_, converged = _picard(params, G, opts, start)
         except CoagDriftError:
-            pass
-    return seed_profile(params, grid), 0
+            converged = False
+        below = [*below[-1:], F] if converged else []
+    try:
+        return (*_seed_from(params, grid, below), below[-1].grid.n if below else 0)
+    except CoagDriftError:
+        return seed_profile(params, grid), None, 0
 
 
 def outer_solve(
@@ -204,8 +319,8 @@ def outer_solve(
     """Picard iteration of the auxiliary solution map to its fixed point,
     with residual certification of the result.
 
-    The iteration starts from the converged profile of a 4x coarser grid
-    (see ``_coarse_seed``), forced or not.
+    The iteration starts from the seed of the ladder of coarser grids (see
+    ``_ladder_seed``), forced or not.
     Raises a convergence error carrying the last iterate when the update
     norm stops short of ``opts.tol`` (see ``_picard``).  Above the
     admissibility threshold the solve refuses to run unless ``opts.force``
@@ -213,10 +328,11 @@ def outer_solve(
     """
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
-    G, seed_nodes = _coarse_seed(params, grid, opts)
-    F, outer_iterations, inner_total, update_norm, converged = _picard(params, G, opts)
+    G, start, seed_nodes = _ladder_seed(params, grid, opts)
+    F, outer_iterations, inner_total, restarts, update_norm, converged = _picard(
+        params, G, opts, start)
 
-    report = _certify(F, params, opts, outer_iterations, inner_total,
+    report = _certify(F, params, opts, outer_iterations, inner_total, restarts,
                       update_norm, forced, converged, seed_nodes)
     if not converged:
         if math.isfinite(update_norm):
@@ -312,13 +428,14 @@ def certification_checks(
     return Certification(rnorm, m0_num, m1_num, fit, checks)
 
 
-def _certify(F, params, opts, outer_iterations, inner_total, fp_residual,
+def _certify(F, params, opts, outer_iterations, inner_total, inner_restarts, fp_residual,
              forced, converged, seed_nodes) -> SolveReport:
     cert = certification_checks(F, params, opts.tol_residual)
     fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
     return SolveReport(
         outer_iterations=outer_iterations,
         inner_iterations_total=inner_total,
+        inner_restarts=inner_restarts,
         fp_residual=fp_residual,
         model_residual_norm=cert.residual_norm,
         F0=float(F.values[0]),

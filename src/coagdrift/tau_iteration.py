@@ -30,6 +30,15 @@ at most the cap; the block's map is order preserving, so its sweep from the
 cap decreases pointwise.  Its limit is the fixed point of the block with
 the earlier rows at theirs, block by block the fixed point of the all-rows
 iteration.
+
+The barrier is only the one start known in advance.  Any tau in [0, cap]
+that the map sends below itself is a supersolution too, and the sweep from
+it decreases to a fixed point below it.  So ``inner_solve`` takes a start,
+in the outer solve the previous step's tau raised by a margin
+(``profiles._picard``), and keeps it on a block only if the block's first
+sweep does not rise; otherwise the block restarts at the barrier.  Both
+starts reach the same tau if the discrete fixed point in [0, cap] is
+unique, which the sweeps assume and the tests check.
 """
 
 from __future__ import annotations
@@ -82,12 +91,15 @@ class InnerSolveOptions:
 @dataclass
 class InnerSolveResult:
     """Converged tau plus iteration diagnostics: the most sweeps any pair
-    block took, and the largest sup-norm of a block's last sweep.  The
-    barrier the sweep started from is ``model.iteration_barrier``'s."""
+    block took, a wasted one included, the largest sup-norm of a block's
+    last sweep, and the number of blocks whose start was no supersolution
+    and that restarted at the barrier, each after one wasted sweep.  The
+    barrier is ``model.iteration_barrier``'s."""
 
     tau: TauFunction
     iterations: int
     residual: float
+    restarts: int
 
 
 def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -116,19 +128,34 @@ def inner_solve(
     opts: InnerSolveOptions = InnerSolveOptions(),
     *,
     force: bool = False,
+    start: TauFunction | None = None,
 ) -> InnerSolveResult:
-    """Monotone iteration from the constant barrier down to the fixed point,
-    one pair block at a time.
+    """Monotone iteration from a supersolution down to the fixed point, one
+    pair block at a time.
 
-    Starts at tau_star (or, with ``force`` above the threshold, at the
+    The barrier is tau_star (or, with ``force`` above the threshold, the
     uncertified cap 2 * tau_inf).  The blocks of the plan's ``pair_rule``
     are solved in row order: with the rows before it final, a block's rows
-    are swept from the barrier until the sup-norm of the sweep falls below
-    ``opts.tol``, in at most ``opts.max_iter`` sweeps, and then its rule is
-    dropped.  Iterates are verified to decrease pointwise within rounding
-    slack and are clamped to the barrier interval afterwards; a violation
-    beyond slack aborts with a consistency error unless the run is forced,
-    in which case it downgrades to a warning.
+    are swept until the sup-norm of the sweep falls below ``opts.tol``, in
+    at most ``opts.max_iter`` sweeps, and then its rule is dropped.  Each
+    block starts at the barrier, or, given ``start``, at
+    min(cap, max(start, 0)).  A warm start is kept only if the block's first
+    sweep rises nowhere beyond slack, so that it is a supersolution of the
+    block's map; otherwise that sweep is wasted and the block restarts at
+    the barrier (``restarts`` counts these blocks).  Iterates are verified
+    to decrease pointwise within rounding slack and are clamped to the
+    barrier interval afterwards; a violation beyond slack aborts with a
+    consistency error unless the run is forced, in which case it downgrades
+    to a warning.
+
+    A kept start s lies above the fixed point: the block's map T is order
+    preserving, so T(s) <= s gives a decreasing sweep whose limit is a fixed
+    point below s (the sub- and supersolution method; Amann, SIAM Review 18
+    (1976)).  It is the barrier start's fixed point if the block's discrete
+    map has only one fixed point in [0, cap], which the sweeps assume: in
+    the continuum, for a fixed datum the auxiliary problem is linear in F,
+    so its tau is unique, and the tests check that the iterations from 0
+    and from the cap meet.
     """
     m0_actual = moment(G, 0)
     if abs(m0_actual - params.m0) > _M0_MATCH_RTOL * max(params.m0, 1e-300):
@@ -148,22 +175,32 @@ def inner_solve(
     slack = MONOTONICITY_SLACK * cap
     tau = TauFunction(grid=grid, values=np.full(grid.n, cap), slope0=params.linear_coefficient)
     values = tau.values  # swept in place, one block of rows at a time
+    if start is not None:
+        np.clip(start.values, 0.0, cap, out=values)
     values[0] = 0.0  # the image at z = 0, where no row reads tau
     cum = np.zeros(grid.n)
     stale = 1  # cum holds the plain log-integral table of tau below this node
 
-    iterations, residual = 0, 0.0
+    iterations, residual, restarts = 0, 0.0, 0
     warned = False
     for rule in grid.half_range_plan().pair_rule(G):
         block = slice(rule.rows.start + 1, rule.rows.stop + 1)
         reads = min(block.stop + 1, grid.n)  # the last row reads cum at node block.stop
-        for sweep in range(1, opts.max_iter + 1):
+        warm = start is not None  # the first sweep tests the start of the block
+        wasted = 0
+        for sweep in range(1, opts.max_iter + 2):
             _continue_log_integral(cum, tau, stale, reads)
             stale = block.start
             new_vals = _step(rule, tau, cum, params)
             change = new_vals - values[block]
             low = float(np.min(new_vals))
             rise = float(np.max(change))
+            if warm:
+                warm = False
+                if rise > slack:  # the start is no supersolution: restart at the barrier
+                    values[block] = cap
+                    wasted = 1
+                    continue
             if low < -slack or rise > slack:
                 msg = (
                     f"monotone sweep violated at sweep {sweep} of nodes {block.start} "
@@ -179,16 +216,17 @@ def inner_solve(
             np.clip(new_vals, 0.0, cap, out=values[block])
             if step <= opts.tol:
                 break
-        else:
-            raise ConvergenceError(
-                f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
-                f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})",
-                residual=step,
-                best=tau,
-            )
+            if sweep - wasted == opts.max_iter:
+                raise ConvergenceError(
+                    f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
+                    f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})",
+                    residual=step,
+                    best=tau,
+                )
         iterations = max(iterations, sweep)
         residual = max(residual, step)
-    return InnerSolveResult(tau=tau, iterations=iterations, residual=residual)
+        restarts += wasted
+    return InnerSolveResult(tau=tau, iterations=iterations, residual=residual, restarts=restarts)
 
 
 def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:

@@ -101,13 +101,14 @@ def barrier_sweeps(G, params, cap, opts):
     return blocks, values
 
 
-def global_sweeps(G, params, cap, opts):
-    """The all-rows iteration: start at the constant barrier ``cap``, apply
-    the map to every row at once, clip each image to [0, cap], and stop once
-    a step moves tau by at most ``opts.tol``.  Returns the step count and
-    the last iterate."""
+def global_sweeps(G, params, cap, opts, start=None):
+    """The all-rows iteration: start at the constant barrier ``cap`` (or at
+    the values ``start``), apply the map to every row at once, clip each
+    image to [0, cap], and stop once a step moves tau by at most
+    ``opts.tol``.  Returns the step count and the last iterate."""
     rules = list(G.grid.half_range_plan().pair_rule(G))
-    tau = cd.TauFunction(G.grid, np.full(G.grid.n, cap), slope0=params.linear_coefficient)
+    values = np.full(G.grid.n, cap) if start is None else start
+    tau = cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
     for iteration in range(1, opts.max_iter + 1):
         image = tau_map(G, tau, params, rules)
         residual = float(np.max(np.abs(image.values - tau.values)))

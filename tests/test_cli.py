@@ -138,6 +138,20 @@ def test_profile_roundtrip_bit_exact(solved_file, tmp_path):
     assert np.array_equal(again.tau, record.tau)
 
 
+@pytest.mark.parametrize("bad, message", [("1,2", "row 40 does not have 3 columns"),
+                                          ("1,2,3,4", "row 40 does not have 3 columns"),
+                                          ("1,x,3", "row 40 holds a non-numeric value")])
+def test_malformed_middle_row_is_named(solved_file, tmp_path, bad, message):
+    # the rows are parsed in one array; a bad one is still named by its index
+    lines = solved_file.read_text().splitlines()
+    body = lines.index("z,F,tau") + 1
+    lines[body + 40] = bad
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ProfileFormatError, match=f"^{message}$"):
+        read_profile(str(path))
+
+
 def test_verify_solved_profile(solved_file, capsys):
     assert main(["verify", str(solved_file)]) == 0
     text = capsys.readouterr().out

@@ -268,9 +268,80 @@ def test_solve_options_validation():
 
 def _from_exponential_seed(params, opts):
     """The outer iteration on the grid of ``opts`` started at seed_profile:
-    (F, outer iterations, inner iterations, update norm, converged)."""
+    (F, outer iterations, inner iterations, restarts, update norm,
+    converged)."""
     grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
     return profiles._picard(params, cd.seed_profile(params, grid), opts)
+
+
+def _cubic_in_w(grid, coefficients):
+    w = np.log1p((1.0 - grid.v) * grid.nodes)
+    return np.polynomial.polynomial.polyval(w, coefficients)
+
+
+@pytest.mark.parametrize("n, N", [(129, 513), (129, 2049), (250, 1000)])
+def test_prolongation_is_exact_on_exp_cubic_in_w(n, N):
+    # 4-point Lagrange in w reproduces a cubic log-profile at every node of
+    # the finer grid, also where the two grids share no step ratio, and
+    # leaves a stencil with a nonpositive sample to the fallback
+    coefficients = (0.3, -0.9, 0.08, -0.004)
+    rung, fine = cd.build_grid(1e6, n, 0.5), cd.build_grid(1e6, N, 0.5)
+    F = cd.GridFunction(rung, np.exp(_cubic_in_w(rung, coefficients)))
+    logs, ok = profiles._prolong_log(F, fine)
+    assert ok.all()
+    got = np.exp(logs)
+    want = np.exp(_cubic_in_w(fine, coefficients))
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    F.values[60] = 0.0
+    _, ok = profiles._prolong_log(F, fine)
+    w_steps = np.arange(N) * (n - 1) / (N - 1)  # the fine nodes in rung steps
+    assert np.array_equal(~ok, (w_steps >= 58) & (w_steps < 62))  # stencils idx - 1 .. idx + 2
+
+
+def test_richardson_seed_carries_order_2_errors_to_the_grid():
+    # rungs whose log-profiles err by c(w) h^2, with p and c cubic in w:
+    # the seed from the two rungs below is the profile with the error of
+    # the grid's own step, up to the mass scaling (a constant in log F).
+    # The step towards the limit h -> 0 (weight 1/15) misses it by
+    # c(w) h^2/16 at the rung's step h, and a weight of 1/3 by more
+    params = cd.ModelParams(0.5, 0.005)
+    p, c = (0.3, -0.9, 0.08, -0.004), (1.0, 0.5, -0.1, 0.003)
+
+    def level(n):
+        grid = cd.build_grid(1e6, n, 0.5)
+        return grid, _cubic_in_w(grid, p) + _cubic_in_w(grid, c) / (n - 1.0) ** 2
+
+    fine, want = level(2049)
+    below = [cd.GridFunction(grid, np.exp(logs)) for grid, logs in (level(129), level(513))]
+    assert profiles._richardson_weight(2049, 513, 129) == pytest.approx(1.0 / 16.0, rel=1e-15)
+    seed, start = profiles._seed_from(params, fine, below)
+    offset = np.log(seed.values) - want
+    assert np.ptp(offset) <= 1e-11
+    assert cd.moment(seed, 0) == pytest.approx(params.m0, rel=1e-14)
+    assert np.array_equal(start.values, cd.recover_tau(seed).values)
+
+
+def test_default_points_take_two_fine_picard_steps(solved, monkeypatch):
+    # the benchmark's three point types at the default 2049 nodes: the
+    # ladder solves 129 and 513 nodes, and the Richardson seed leaves the
+    # grid two Picard steps (three before on v ~ 0.3 and v ~ 0.7), none of
+    # whose blocks restarts
+    levels = []
+    picard = profiles._picard
+
+    def recording_picard(params, G, *args):
+        levels.append(G.grid.n)
+        return picard(params, G, *args)
+
+    monkeypatch.setattr(profiles, "_picard", recording_picard)
+    reports = [solved[1]]
+    for v in (0.3, 0.7):
+        levels.clear()
+        reports.append(cd.outer_solve(cd.ModelParams(v, 0.5 * cd.admissible_threshold(v)))[1])
+        assert levels == [129, 513, 2049]
+    for report in reports:
+        assert (report.outer_iterations, report.seed_nodes) == (2, 513)
+        assert report.inner_restarts == 0 and report.certified
 
 
 def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
@@ -313,10 +384,11 @@ def test_outer_solve_exponential_seed_paths(v, m0, opts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         F, report = cd.outer_solve(params, opts)
-        ref, iterations, inner, norm, converged = _from_exponential_seed(params, opts)
+        ref, iterations, inner, restarts, norm, converged = _from_exponential_seed(params, opts)
     assert report.seed_nodes == 0
     assert np.array_equal(F.values, ref.values)
     assert (report.outer_iterations, report.inner_iterations_total) == (iterations, inner)
+    assert report.inner_restarts == restarts
     assert report.fp_residual == norm and converged
 
 
@@ -363,8 +435,8 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     calls = []
     picard = profiles._picard
 
-    def recording_picard(params, G, opts):
-        result = picard(params, G, opts)
+    def recording_picard(params, G, opts, start=None):
+        result = picard(params, G, opts, start)
         calls.append((G.grid.n, result[1], result[-1]))
         return result
 
@@ -411,7 +483,7 @@ def test_outer_solve_stops_at_a_rising_update_norm(default_params, monkeypatch):
 
     monkeypatch.setattr(profiles, "reconstruct_profile", pushed_away)
     monkeypatch.setattr(profiles, "_weighted_sup", recording_sup)
-    F, iterations, _, norm, converged = _from_exponential_seed(default_params, opts)
+    F, iterations, _, _, norm, converged = _from_exponential_seed(default_params, opts)
     assert norms[1] > norms[0]
     assert (iterations, norm, converged) == (2, norms[1], False)
 
