@@ -22,7 +22,6 @@ from .evolution import (
     EvolutionState,
     default_domain_cutoff,
     init_from_profile,
-    self_similar_error,
     simulate,
     step,
 )

@@ -38,7 +38,6 @@ __all__ = [
     "EvolutionState",
     "init_from_profile",
     "step",
-    "self_similar_error",
     "simulate",
     "default_domain_cutoff",
 ]
@@ -289,16 +288,6 @@ def _window_error(state: EvolutionState, centers: np.ndarray, z: np.ndarray,
     return float(np.max(np.abs(state.t**2 * f_at - F_z)))
 
 
-def self_similar_error(
-    state: EvolutionState,
-    F: GridFunction,
-    z_window: float = 10.0,
-) -> float:
-    """sup over z in [0, z_window] of |t^2 f(t, t z) - F(z)| with f read off
-    the cells by linear interpolation."""
-    return _window_error(state, state.centers, *_window(F, z_window, state, state.t))
-
-
 def simulate(
     state: EvolutionState,
     t_end: float,
@@ -312,9 +301,13 @@ def simulate(
     """March the state to ``t_end`` with automatic step-size selection.
 
     Returns ``(state, diagnostics, snapshots)``: diagnostics is a list of
-    rows (t, m0, m1, u, self_similar_error) sampled every ``record_every``
-    accepted steps (the error column is NaN when no reference profile is
-    given), snapshots maps each requested time to the state at that time
+    rows (t, m0, m1, u, self_similar_error) at the start, every
+    ``record_every`` accepted steps and at ``t_end``.  The self-similar
+    error of a row is the sup over z in [0, z_window] of
+    |t^2 f(t, t z) - F(z)| for the reference ``profile`` F, with f read
+    off the cells by linear interpolation, and NaN without a profile;
+    ``simulate(state, state.t, profile=F)`` gives it for one state.
+    Snapshots maps each requested time to the state at that time
     (steps are clipped to land on them exactly).  Snapshot times must lie
     in [state.t, t_end].  With a profile, the comparison window must fit
     the domain at ``t_end``; this is checked before the first step, and F

@@ -247,13 +247,9 @@ class TauFunction:
         if not np.all(np.isfinite(self.values)):
             raise ParameterDomainError("tau values must be finite")
 
-    def integrand_scaled(self) -> np.ndarray:
-        """tau(s)/s * ds/dw sampled on the grid, with the s = 0 value
-        continued as slope0 * s'(0)."""
-        return self._integrand_on(0, self.grid.n)
-
     def _integrand_on(self, start: int, stop: int) -> np.ndarray:
-        """``integrand_scaled`` on the nodes [start, stop)."""
+        """tau(s)/s * ds/dw on the nodes [start, stop), with the s = 0 value
+        continued as slope0 * s'(0)."""
         skip = int(start == 0)  # node 0, where tau(s)/s is continued
         z = self.grid.nodes[start + skip:stop]
         out = np.empty(stop - start)
@@ -744,22 +740,20 @@ class _PairRule:
 # log-integral of tau(s)/s
 # ----------------------------------------------------------------------
 
-def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndarray:
+def cumulative_log_integral(tau: TauFunction) -> np.ndarray:
     """Cumulative I(z_j) = int_0^{z_j} tau(s)/s ds on the grid.
 
-    Computed as the uniform trapezoid in w of tau/s * ds/dw; with
-    ``corrected`` the Euler-Maclaurin endpoint term is subtracted at every
-    prefix, giving pointwise order 4.  The uncorrected variant keeps every
-    quadrature weight nonnegative and is the one the monotone fixed-point
-    sweep must use.
+    Computed as the uniform trapezoid in w of tau/s * ds/dw with the
+    Euler-Maclaurin endpoint term subtracted at every prefix, giving
+    pointwise order 4.
     """
     grid = tau.grid
     out = np.empty(grid.n)
     out[0] = 0.0
     _continue_log_integral(out, tau, 1, grid.n)
-    if corrected and grid.n >= 5:
+    if grid.n >= 5:
         dw = grid.dw
-        dg = _derivative_uniform(tau.integrand_scaled(), dw)
+        dg = _derivative_uniform(tau._integrand_on(0, grid.n), dw)
         out -= dw * dw / 12.0 * (dg - dg[0])
     return out
 
@@ -767,8 +761,11 @@ def cumulative_log_integral(tau: TauFunction, corrected: bool = True) -> np.ndar
 def _continue_log_integral(cum, tau: TauFunction, start: int, stop: int):
     """Bring the plain table ``cum`` of tau up to date on the nodes
     [start, stop), in place, from its entry at node start - 1: the trapezoid
-    increments in w of ``integrand_scaled`` added one after another, so
-    that each entry has the bits of the whole table summed from node 0."""
+    increments in w of tau(s)/s * ds/dw added one after another, so that
+    each entry has the bits of the whole table summed from node 0.  The
+    plain table, without the endpoint correction of
+    ``cumulative_log_integral``, keeps every quadrature weight nonnegative,
+    which the monotone fixed-point sweep needs."""
     g = tau._integrand_on(start - 1, stop)
     inc = cum[start:stop]
     np.add(g[1:], g[:-1], out=inc)

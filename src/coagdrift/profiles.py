@@ -113,6 +113,21 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
+class _Level:
+    """One grid solved by ``_picard``: its last iterate, the outer and inner
+    iteration counts, the pair blocks that restarted at the barrier (each
+    after one wasted sweep), the last update norm and whether that norm
+    reached the tolerance."""
+
+    F: GridFunction
+    outer_iterations: int
+    inner_iterations: int
+    restarts: int
+    update_norm: float
+    converged: bool
+
+
+@dataclass(frozen=True)
 class OuterSolveOptions:
     """Grid specification plus outer iteration control.
 
@@ -195,10 +210,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
     delta ``_SEED_MARGIN``.  The first step without a start, and the step
     after it, start at the barrier.
 
-    Returns the last iterate, the outer and inner iteration counts, the
-    number of pair blocks that restarted at the barrier (each after one
-    wasted sweep), the last update norm and whether the norm reached
-    ``opts.tol``.
+    Returns the ``_Level`` of G's grid.
     """
     grid = G.grid
     weight = _tail_weight(grid, params.tau_inf - 0.5)
@@ -217,14 +229,13 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
         F = reconstruct_profile(last, params)
         delta = F.values - G.values
         update_norm = _weighted_sup(delta, weight)
-        if update_norm <= opts.tol:
-            return F, outer_iterations, inner_total, restarts, update_norm, True
-        if not update_norm < prev_norm:
+        if update_norm <= opts.tol or not update_norm < prev_norm:
             break
         prev_norm = update_norm
         G = _with_mass(GridFunction(grid, G.values + delta, tail_exponent=params.tau_inf),
                        params.m0)
-    return F, outer_iterations, inner_total, restarts, update_norm, False
+    return _Level(F, outer_iterations, inner_total, restarts, update_norm,
+                  converged=update_norm <= opts.tol)
 
 
 def _prolong_log(F: GridFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -303,10 +314,10 @@ def _ladder_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
     for n in reversed(sizes):
         try:
             G, start = _seed_from(params, build_grid(opts.zmax, n, params.v), below)
-            F, *_, converged = _picard(params, G, opts, start)
+            rung = _picard(params, G, opts, start)
+            below = [*below[-1:], rung.F] if rung.converged else []
         except CoagDriftError:
-            converged = False
-        below = [*below[-1:], F] if converged else []
+            below = []
     try:
         return (*_seed_from(params, grid, below), below[-1].grid.n if below else 0)
     except CoagDriftError:
@@ -329,26 +340,35 @@ def outer_solve(
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
     G, start, seed_nodes = _ladder_seed(params, grid, opts)
-    F, outer_iterations, inner_total, restarts, update_norm, converged = _picard(
-        params, G, opts, start)
-
-    report = _certify(F, params, opts, outer_iterations, inner_total, restarts,
-                      update_norm, forced, converged, seed_nodes)
-    if not converged:
-        if math.isfinite(update_norm):
+    level = _picard(params, G, opts, start)
+    F, norm, steps = level.F, level.update_norm, level.outer_iterations
+    cert = certification_checks(F, params, opts.tol_residual)
+    fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
+    report = SolveReport(
+        outer_iterations=steps,
+        inner_iterations_total=level.inner_iterations,
+        inner_restarts=level.restarts,
+        fp_residual=norm,
+        model_residual_norm=cert.residual_norm,
+        F0=float(F.values[0]),
+        M0=cert.M0,
+        M1=cert.M1,
+        tail_exponent_fit=fit.exponent,
+        tail_fit_deviation=fit.max_deviation,
+        tail_prefactor_fit=fit.prefactor,
+        certified=level.converged and cert.ok,
+        forced=forced,
+        seed_nodes=seed_nodes,
+    )
+    if not level.converged:
+        if math.isfinite(norm):
             msg = (f"outer iteration stopped short of tol={opts.tol} at iteration "
-                   f"{outer_iterations} (cap {opts.max_outer}): last update norm "
-                   f"{update_norm:.3e}")
+                   f"{steps} (cap {opts.max_outer}): last update norm {norm:.3e}")
         else:
-            msg = (f"update norm {update_norm} at outer iteration {outer_iterations}: "
-                   f"the tail weight (1+z)^{params.tau_inf - 0.5:.6g} overflows on this "
-                   f"grid; lower zmax (now {opts.zmax:g})")
-        raise ConvergenceError(
-            msg,
-            residual=update_norm,
-            best=F,
-            report=report,
-        )
+            msg = (f"update norm {norm} at outer iteration {steps}: the tail weight "
+                   f"(1+z)^{params.tau_inf - 0.5:.6g} overflows on this grid; lower "
+                   f"zmax (now {opts.zmax:g})")
+        raise ConvergenceError(msg, residual=norm, best=F, report=report)
     return F, report
 
 
@@ -426,28 +446,6 @@ def certification_checks(
         worst = float(np.max(excess))
         checks.append(("barrier", worst <= 0.0, f"largest excess {max(worst, 0.0):.3e}"))
     return Certification(rnorm, m0_num, m1_num, fit, checks)
-
-
-def _certify(F, params, opts, outer_iterations, inner_total, inner_restarts, fp_residual,
-             forced, converged, seed_nodes) -> SolveReport:
-    cert = certification_checks(F, params, opts.tol_residual)
-    fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
-    return SolveReport(
-        outer_iterations=outer_iterations,
-        inner_iterations_total=inner_total,
-        inner_restarts=inner_restarts,
-        fp_residual=fp_residual,
-        model_residual_norm=cert.residual_norm,
-        F0=float(F.values[0]),
-        M0=cert.M0,
-        M1=cert.M1,
-        tail_exponent_fit=fit.exponent,
-        tail_fit_deviation=fit.max_deviation,
-        tail_prefactor_fit=fit.prefactor,
-        certified=bool(converged and fp_residual <= opts.tol and cert.ok),
-        forced=forced,
-        seed_nodes=seed_nodes,
-    )
 
 
 # ----------------------------------------------------------------------

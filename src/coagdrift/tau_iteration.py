@@ -239,5 +239,5 @@ def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:
     """
     if np.min(tau.values) < 0.0:
         raise ParameterDomainError("tau must be nonnegative")
-    shape_vals = np.exp(-cumulative_log_integral(tau, corrected=True))
+    shape_vals = np.exp(-cumulative_log_integral(tau))
     return _with_mass(GridFunction(tau.grid, shape_vals, tail_exponent=params.tau_inf), params.m0)

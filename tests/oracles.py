@@ -4,7 +4,8 @@ a stand-in for the process pool of ``sweep``.
 The single-point convolution quadratures check ``half_convolution_at_nodes``:
 each builds its own y sub-grid and interpolates F through ``GridFunction``.
 ``tau_map`` is one application of the fixed-point map on every row, through
-the block step of ``inner_solve``; ``barrier_sweeps`` checks the block march
+the block step of ``inner_solve``, on the plain log-integral table
+``plain_log_integral``; ``barrier_sweeps`` checks the block march
 of ``inner_solve`` step by step, and ``global_sweeps`` is the iteration of
 all rows at once, whose fixed point the march must reach.  ``reference_plan``
 rebuilds the half-range plan one row at a time, with per-point weights and
@@ -18,6 +19,7 @@ import numpy as np
 
 import coagdrift as cd
 from coagdrift.evolution import _WINDOW_SAMPLES
+from coagdrift.grids import _continue_log_integral
 from coagdrift.tau_iteration import _step
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -54,11 +56,19 @@ def tau_map(G, tau, params, rules=None):
     block rules ``rules`` of G's half-range plan, by default built anew."""
     if rules is None:
         rules = G.grid.half_range_plan().pair_rule(G)
-    cum = cd.cumulative_log_integral(tau, corrected=False)
+    cum = plain_log_integral(tau)
     values = np.zeros(G.grid.n)
     for rule in rules:
         values[rule.rows.start + 1:rule.rows.stop + 1] = _step(rule, tau, cum, params)
     return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
+
+
+def plain_log_integral(tau):
+    """The plain trapezoid table of int_0^z tau(s)/s ds that the sweep
+    marches, without the endpoint correction of ``cumulative_log_integral``."""
+    cum = np.zeros(tau.grid.n)
+    _continue_log_integral(cum, tau, 1, tau.grid.n)
+    return cum
 
 
 def kernel_sums(plan, G, cum):

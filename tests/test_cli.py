@@ -127,6 +127,19 @@ def test_solve_writes_profile_and_metadata(solved_file):
     assert "z,F,tau" in lines
 
 
+# the report of a solve's JSON metadata: the fields of SolveReport
+REPORT_KEYS = {
+    "outer_iterations", "inner_iterations_total", "inner_restarts", "fp_residual",
+    "model_residual_norm", "F0", "M0", "M1", "tail_exponent_fit", "tail_fit_deviation",
+    "tail_prefactor_fit", "certified", "forced", "seed_nodes",
+}
+
+
+def test_solve_report_keys(solved_file):
+    report = json.loads(solved_file.with_suffix(".json").read_text())["report"]
+    assert set(report) == REPORT_KEYS
+
+
 def test_profile_roundtrip_bit_exact(solved_file, tmp_path):
     record = read_profile(str(solved_file))
     copy = tmp_path / "copy.csv"
@@ -313,6 +326,7 @@ def test_solve_nonconvergence_writes_best_iterate(tmp_path, capsys):
     assert not record.certified
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["report"]["certified"] is False
+    assert set(payload["report"]) == REPORT_KEYS
 
 
 def test_solve_gnuplot_flag(tmp_path, solved_file):

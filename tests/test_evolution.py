@@ -120,9 +120,9 @@ def test_self_similar_error_after_init(exp_profile):
     # dominated by the flat extension below the first cell center,
     # |F'(0)| dx / 2, a first-order boundary term
     boundary = 0.125 * state.dx / 2.0
-    assert cd.self_similar_error(state, exp_profile) < 1.5 * boundary
+    assert cd.simulate(state, state.t, profile=exp_profile)[1][-1][4] < 1.5 * boundary
     with pytest.raises(cd.ParameterDomainError):
-        cd.self_similar_error(state, exp_profile, z_window=100.0)
+        cd.simulate(state, state.t, profile=exp_profile, z_window=100.0)
 
 
 def test_short_exponential_evolution_accuracy(exp_profile):
@@ -133,7 +133,7 @@ def test_short_exponential_evolution_accuracy(exp_profile):
             state, 1.5, cfl=0.5, profile=exp_profile,
             record_every=10**9,
         )
-        errs[cells] = cd.self_similar_error(state, exp_profile)
+        errs[cells] = diag[-1][4]
     assert errs[1024] < 4e-3    # first-order error at this coarse resolution
     assert 1.4 <= errs[1024] / errs[2048] <= 3.0  # roughly first order
 
@@ -173,7 +173,7 @@ def test_simulate_checks_the_window_before_the_first_step(exp_profile, monkeypat
 
     monkeypatch.setattr(evolution, "step", counting_step)
     state = cd.init_from_profile(exp_profile, 1.0, 256, 60.0)
-    assert cd.self_similar_error(state, exp_profile, z_window=50.0) >= 0.0
+    assert cd.simulate(state, state.t, profile=exp_profile, z_window=50.0)[1][-1][4] >= 0.0
     with pytest.raises(cd.ParameterDomainError, match="exceeds the domain"):
         cd.simulate(state, 1.5, profile=exp_profile, z_window=50.0)
     assert calls == []

@@ -6,8 +6,8 @@ import pytest
 import coagdrift as cd
 from coagdrift import grids
 from coagdrift.grids import _smallest_zmax
-from oracles import (full_convolution_quadrature, half_convolution, reference_plan,
-                     reference_samples)
+from oracles import (full_convolution_quadrature, half_convolution, plain_log_integral,
+                     reference_plan, reference_samples)
 
 
 def exp_sum(grid, v1=0.5, v2=0.25):
@@ -329,7 +329,7 @@ def _plan_data(grid):
 def _kernel_table(grid):
     """The plain cumulative log-integral table of tau = 3, for kernel_sums."""
     tau = cd.TauFunction(grid, np.full(grid.n, 3.0), slope0=1.0)
-    return cd.cumulative_log_integral(tau, corrected=False)
+    return plain_log_integral(tau)
 
 
 def _check_blocks(grid, points):

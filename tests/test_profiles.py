@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 import weakref
@@ -267,9 +268,8 @@ def test_solve_options_validation():
 
 
 def _from_exponential_seed(params, opts):
-    """The outer iteration on the grid of ``opts`` started at seed_profile:
-    (F, outer iterations, inner iterations, restarts, update norm,
-    converged)."""
+    """The level of the outer iteration on the grid of ``opts`` started at
+    seed_profile."""
     grid = cd.build_grid(opts.zmax, opts.nodes, params.v)
     return profiles._picard(params, cd.seed_profile(params, grid), opts)
 
@@ -384,12 +384,17 @@ def test_outer_solve_exponential_seed_paths(v, m0, opts):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         F, report = cd.outer_solve(params, opts)
-        ref, iterations, inner, restarts, norm, converged = _from_exponential_seed(params, opts)
+        level = _from_exponential_seed(params, opts)
     assert report.seed_nodes == 0
-    assert np.array_equal(F.values, ref.values)
-    assert (report.outer_iterations, report.inner_iterations_total) == (iterations, inner)
-    assert report.inner_restarts == restarts
-    assert report.fp_residual == norm and converged
+    # every field of the level is its report counterpart; outer_solve
+    # raises unless the level converged
+    assert [f.name for f in dataclasses.fields(level)] == [
+        "F", "outer_iterations", "inner_iterations", "restarts", "update_norm", "converged"]
+    assert np.array_equal(F.values, level.F.values)
+    assert (report.outer_iterations, report.inner_iterations_total, report.inner_restarts,
+            report.fp_residual) == (
+        level.outer_iterations, level.inner_iterations, level.restarts, level.update_norm)
+    assert level.converged
 
 
 def test_outer_solve_unconverged_coarse_level_falls_back(default_params):
@@ -398,14 +403,14 @@ def test_outer_solve_unconverged_coarse_level_falls_back(default_params):
     opts = cd.OuterSolveOptions(zmax=1e5, nodes=1025, max_outer=1)
     with pytest.raises(cd.ConvergenceError) as err:
         cd.outer_solve(default_params, opts)
-    ref, iterations, *_ = _from_exponential_seed(default_params, opts)
-    assert np.array_equal(err.value.best.values, ref.values)
-    assert err.value.report.seed_nodes == 0 and iterations == 1
+    ref = _from_exponential_seed(default_params, opts)
+    assert np.array_equal(err.value.best.values, ref.F.values)
+    assert err.value.report.seed_nodes == 0 and ref.outer_iterations == 1
 
 
 def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeypatch):
     opts = cd.OuterSolveOptions(zmax=1e5, nodes=1025)
-    ref, iterations, *_ = _from_exponential_seed(default_params, opts)
+    ref = _from_exponential_seed(default_params, opts)
     inner = profiles.inner_solve
 
     def failing_on_coarse(error):
@@ -417,8 +422,8 @@ def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeyp
 
     monkeypatch.setattr(profiles, "inner_solve", failing_on_coarse(cd.NumericalConsistencyError))
     F, report = cd.outer_solve(default_params, opts)
-    assert report.seed_nodes == 0 and report.outer_iterations == iterations
-    assert np.array_equal(F.values, ref.values)
+    assert report.seed_nodes == 0 and report.outer_iterations == ref.outer_iterations
+    assert np.array_equal(F.values, ref.F.values)
     # an error from outside the package is not a fallback
     monkeypatch.setattr(profiles, "inner_solve", failing_on_coarse(ArithmeticError))
     with pytest.raises(ArithmeticError):
@@ -436,9 +441,9 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     picard = profiles._picard
 
     def recording_picard(params, G, opts, start=None):
-        result = picard(params, G, opts, start)
-        calls.append((G.grid.n, result[1], result[-1]))
-        return result
+        level = picard(params, G, opts, start)
+        calls.append((G.grid.n, level.outer_iterations, level.converged))
+        return level
 
     monkeypatch.setattr(profiles, "_picard", recording_picard)
     F, report = cd.outer_solve(params, opts)
@@ -447,9 +452,9 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     assert coarse_iterations == 4
     assert report.seed_nodes == 0
     monkeypatch.setattr(profiles, "_picard", picard)
-    ref, iterations, *_ = _from_exponential_seed(params, opts)
-    assert np.array_equal(F.values, ref.values)
-    assert report.outer_iterations == iterations == fine[1]
+    ref = _from_exponential_seed(params, opts)
+    assert np.array_equal(F.values, ref.F.values)
+    assert report.outer_iterations == ref.outer_iterations == fine[1]
 
 
 def test_outer_solve_stalled_level_stops_early():
@@ -483,9 +488,9 @@ def test_outer_solve_stops_at_a_rising_update_norm(default_params, monkeypatch):
 
     monkeypatch.setattr(profiles, "reconstruct_profile", pushed_away)
     monkeypatch.setattr(profiles, "_weighted_sup", recording_sup)
-    F, iterations, _, _, norm, converged = _from_exponential_seed(default_params, opts)
+    level = _from_exponential_seed(default_params, opts)
     assert norms[1] > norms[0]
-    assert (iterations, norm, converged) == (2, norms[1], False)
+    assert (level.outer_iterations, level.update_norm, level.converged) == (2, norms[1], False)
 
 
 def test_outer_solve_large_v_falls_back_without_warning():

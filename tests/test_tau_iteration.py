@@ -7,8 +7,8 @@ import pytest
 
 import coagdrift as cd
 from coagdrift.model import iteration_barrier
-from oracles import (barrier_sweeps, global_sweeps, kernel_sums, reference_plan,
-                     reference_samples, tau_map)
+from oracles import (barrier_sweeps, global_sweeps, kernel_sums, plain_log_integral,
+                     reference_plan, reference_samples, tau_map)
 
 
 @pytest.fixture(scope="module")
@@ -259,7 +259,7 @@ def test_sweep_matches_per_point(setup, tau_case, zero_tail):
         tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
     else:
         tau = cd.inner_solve(seed, params).tau
-    cum = cd.cumulative_log_integral(tau, corrected=False)
+    cum = plain_log_integral(tau)
     got_tau = tau_map(G, tau, params).values
     got_h = kernel_sums(grid.half_range_plan(), G, cum)
     want_tau, want_h = _reference_sweep(grid, G, cum, params.linear_coefficient, params.v)
@@ -283,7 +283,7 @@ def test_sweep_without_row_end_weights_fails(setup, dropped):
     mutant = dataclasses.replace(
         plan, **{name: np.zeros_like(getattr(plan, name)) for name in dropped})
     tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
-    cum = cd.cumulative_log_integral(tau, corrected=False)
+    cum = plain_log_integral(tau)
     _, want_h = _reference_sweep(grid, seed, cum, params.linear_coefficient, params.v)
     got_h = kernel_sums(mutant, seed, cum)
     assert np.max(np.abs(got_h[1:] / want_h[1:] - 1.0)) > 1e-2
