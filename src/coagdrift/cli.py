@@ -322,8 +322,11 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=default.nodes,
                         help="grid nodes (default %(default)d)")
     parser.add_argument("--tol-inner", dest="tol_inner", type=_positive_float,
-                        default=default.inner.tol)
-    parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=default.tol)
+                        default=default.inner.tol,
+                        help="sup-norm of a pair block's last tau sweep (default %(default)g)")
+    parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=default.tol,
+                        help="bound on the estimated weighted distance of the outer iterate "
+                             "to its fixed point (default %(default)g)")
     parser.add_argument("--tol-residual", dest="tol_residual", type=_positive_float,
                         default=default.tol_residual,
                         help="certification bound on the weighted residual norm")

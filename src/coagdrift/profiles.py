@@ -8,7 +8,11 @@ step h errs by about C h^2, and the two rungs below a grid give, by one
 Richardson step, its solution up to O(h^4).  Within a level, every inner
 solve starts from the tau of the step before, raised to lie above its
 next fixed point (``_picard``); a start that does not is detected by its
-first sweep and replaced by the barrier (``inner_solve``).
+first sweep and replaced by the barrier (``inner_solve``).  A level also
+stops when the contraction bound on its distance to the fixed point
+reaches the tolerance, with the contraction estimated on its own steps and
+on the rungs below it, so the first iterate on a well-seeded grid can be
+its last.
 """
 
 from __future__ import annotations
@@ -80,6 +84,17 @@ _SWEEP_ORDER = 2
 # one of its 15 blocks restarts.
 _SEED_MARGIN = 1e-5
 
+# Safety factor on a level's contraction estimate (the largest ratio of
+# successive falling update norms, over its own steps and the converged
+# rungs below it) before the contraction bound q/(1-q) * update norm is
+# trusted.  Measured on 29 points at 1025-4097 nodes, the fine level's own
+# first ratio exceeds the estimate carried up the ladder by at most 1.18x
+# (v ~ 0.7 at half the threshold); 10 keeps over 5x margin on that.  From
+# q = 0.5 on, that is steps that shrink by less than 20x, the bound is no
+# tighter than the update norm, so the forced runs at v = 0.5 and
+# m0 = 0.1 to 0.45 (ratios 0.064 to 0.34) stop as they did without it.
+_CONTRACTION_SAFETY = 10.0
+
 # The tail fit window: the top two decades of the grid.
 _TAIL_FIT_DECADES = 2.0
 
@@ -90,7 +105,10 @@ class SolveReport:
 
     The iteration counts are those of the solve's own grid; ``seed_nodes``
     is the node count of the coarse solve that seeded it, 0 for the
-    exponential seed.
+    exponential seed.  ``fp_residual`` is the quantity compared with the
+    outer tolerance: the contraction bound on the distance to the fixed
+    point where the solve stopped on it, the last update norm elsewhere
+    (see ``_picard``).
     """
 
     outer_iterations: int
@@ -116,8 +134,11 @@ class SolveReport:
 class _Level:
     """One grid solved by ``_picard``: its last iterate, the outer and inner
     iteration counts, the pair blocks that restarted at the barrier (each
-    after one wasted sweep), the last update norm and whether that norm
-    reached the tolerance."""
+    after one wasted sweep), the quantity compared with the tolerance (the
+    contraction bound where the level stopped on it, else the last update
+    norm), whether it reached the tolerance, and the contraction estimate
+    (the largest ratio of successive falling update norms over the level's
+    steps and the rungs it was handed; None if there were none)."""
 
     F: GridFunction
     outer_iterations: int
@@ -125,6 +146,7 @@ class _Level:
     restarts: int
     update_norm: float
     converged: bool
+    contraction: float | None
 
 
 @dataclass(frozen=True)
@@ -133,9 +155,11 @@ class OuterSolveOptions:
 
     The update norm is the sup over nodes of the iterate difference times
     (1+z)^(tau_inf - 1/2), which keeps the tail visible where the plain
-    sup-norm is blind.  The iteration stops when the update norm reaches
-    ``tol``, when it does not fall below the previous one (a stall, or an
-    infinite or NaN norm), or after ``max_outer`` iterations.
+    sup-norm is blind.  ``tol`` bounds the estimated distance to the fixed
+    point: the iteration stops when the update norm, or the contraction
+    bound on that distance (see ``_picard``), reaches ``tol``, when the
+    norm does not fall below the previous one (a stall, or an infinite or
+    NaN norm), or after ``max_outer`` iterations.
     """
 
     zmax: float = 1e6
@@ -194,11 +218,19 @@ def _relative_update(before: TauFunction, after: TauFunction) -> float:
 
 
 def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
-            start: TauFunction | None = None):
+            start: TauFunction | None = None, contraction: float | None = None):
     """Picard iteration of the auxiliary solution map from the datum G, on
-    G's grid.  It stops when the update norm reaches ``opts.tol``, as soon
-    as the norm does not fall below the previous one, or after
-    ``opts.max_outer`` iterations.
+    G's grid.  It stops as soon as the update norm does not fall below the
+    previous one, or after ``opts.max_outer`` iterations, and else when the
+    update norm reaches ``opts.tol`` or the contraction bound does.
+
+    The bound is the a-posteriori one of the contraction mapping principle,
+    dist(F, F*) <= q/(1-q) * update norm for a map of contraction q < 1.
+    q is ``_CONTRACTION_SAFETY`` times the estimate: the largest ratio of
+    successive falling update norms over this level's steps and
+    ``contraction``, the estimate of the converged rungs below (None for
+    none).  The bound only counts where it is below the update norm, that
+    is for q < 1/2.
 
     Every inner solve starts, per pair block, at min(cap, s (1 + delta)),
     where s and delta are known (see ``inner_solve``): s is the previous
@@ -210,7 +242,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
     delta ``_SEED_MARGIN``.  The first step without a start, and the step
     after it, start at the barrier.
 
-    Returns the ``_Level`` of G's grid.
+    Returns the ``_Level`` of G's grid, with its contraction estimate.
     """
     grid = G.grid
     weight = _tail_weight(grid, params.tau_inf - 0.5)
@@ -229,13 +261,21 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
         F = reconstruct_profile(last, params)
         delta = F.values - G.values
         update_norm = _weighted_sup(delta, weight)
-        if update_norm <= opts.tol or not update_norm < prev_norm:
+        if not update_norm < prev_norm:
             break
+        if prev_norm < math.inf:
+            contraction = max(contraction or 0.0, update_norm / prev_norm)
+        if update_norm <= opts.tol:
+            break
+        if contraction is not None and (q := _CONTRACTION_SAFETY * contraction) < 0.5:
+            if (bound := q / (1.0 - q) * update_norm) <= opts.tol:
+                update_norm = bound
+                break
         prev_norm = update_norm
         G = _with_mass(GridFunction(grid, G.values + delta, tail_exponent=params.tau_inf),
                        params.m0)
     return _Level(F, outer_iterations, inner_total, restarts, update_norm,
-                  converged=update_norm <= opts.tol)
+                  converged=update_norm <= opts.tol, contraction=contraction)
 
 
 def _prolong_log(F: GridFunction, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -296,32 +336,37 @@ def _seed_from(params: ModelParams, grid: Grid, below: list[GridFunction]):
 
 def _ladder_seed(params: ModelParams, grid: Grid, opts: OuterSolveOptions):
     """Seed of the solve on ``grid``, the first inner solve's start (or
-    None) and the node count of the rung it came from.
+    None), the node count of the rung it came from and the contraction
+    estimate of the rungs (or None).
 
     The rungs have (n-1)//4 + 1 nodes of the same zmax, down from the
     grid's n while a rung keeps at least _MIN_COARSE_NODES.  From the
     coarsest up, each is solved by ``_picard``, forced or not as the fine
     solve, from the seed of ``_seed_from`` on the rungs below it that
     converged: the two finest give the Richardson step, one alone its F at
-    the nodes, and none the exponential seed.  A rung that does not
-    converge, or raises, leaves the next rung the exponential seed, and a
-    grid seeded so gets seed_nodes 0.  Only the two finest converged rungs
-    outlive their solve, and nothing of a rung outlives the call."""
+    the nodes, and none the exponential seed.  Each is handed the
+    contraction estimate of the converged rungs below it and returns it
+    raised by its own steps.  A rung that does not converge, or raises,
+    leaves the next rung the exponential seed and no estimate, and a grid
+    seeded so gets seed_nodes 0.  Only the two finest converged rungs
+    outlive their solve, and nothing of a rung but its estimate outlives
+    the call."""
     sizes, n = [], grid.n
     while (n := (n - 1) // 4 + 1) >= _MIN_COARSE_NODES:
         sizes.append(n)
-    below = []
+    below, contraction = [], None
     for n in reversed(sizes):
         try:
             G, start = _seed_from(params, build_grid(opts.zmax, n, params.v), below)
-            rung = _picard(params, G, opts, start)
+            rung = _picard(params, G, opts, start, contraction)
             below = [*below[-1:], rung.F] if rung.converged else []
+            contraction = rung.contraction if rung.converged else None
         except CoagDriftError:
-            below = []
+            below, contraction = [], None
     try:
-        return (*_seed_from(params, grid, below), below[-1].grid.n if below else 0)
+        return (*_seed_from(params, grid, below), below[-1].grid.n if below else 0, contraction)
     except CoagDriftError:
-        return seed_profile(params, grid), None, 0
+        return seed_profile(params, grid), None, 0, None
 
 
 def outer_solve(
@@ -331,16 +376,16 @@ def outer_solve(
     with residual certification of the result.
 
     The iteration starts from the seed of the ladder of coarser grids (see
-    ``_ladder_seed``), forced or not.
-    Raises a convergence error carrying the last iterate when the update
-    norm stops short of ``opts.tol`` (see ``_picard``).  Above the
+    ``_ladder_seed``), forced or not, with the rungs' contraction estimate.
+    Raises a convergence error carrying the last iterate when the iteration
+    stops short of ``opts.tol`` (see ``_picard``).  Above the
     admissibility threshold the solve refuses to run unless ``opts.force``
     is set, and a forced run is only certified if the residual test passes.
     """
     forced = not iteration_barrier(params, opts.force)[1]
     grid = build_grid(opts.zmax, opts.nodes, params.v)
-    G, start, seed_nodes = _ladder_seed(params, grid, opts)
-    level = _picard(params, G, opts, start)
+    G, start, seed_nodes, contraction = _ladder_seed(params, grid, opts)
+    level = _picard(params, G, opts, start, contraction)
     F, norm, steps = level.F, level.update_norm, level.outer_iterations
     cert = certification_checks(F, params, opts.tol_residual)
     fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)

@@ -321,27 +321,59 @@ def test_richardson_seed_carries_order_2_errors_to_the_grid():
     assert np.array_equal(start.values, cd.recover_tau(seed).values)
 
 
-def test_default_points_take_two_fine_picard_steps(solved, monkeypatch):
-    # the benchmark's three point types at the default 2049 nodes: the
-    # ladder solves 129 and 513 nodes, and the Richardson seed leaves the
-    # grid two Picard steps (three before on v ~ 0.3 and v ~ 0.7), none of
-    # whose blocks restarts
-    levels = []
-    picard = profiles._picard
+@pytest.fixture(scope="module")
+def default_points():
+    """The benchmark's three point types solved at the default 2049 nodes,
+    each with the node counts of the levels ``_picard`` solved."""
+    points, levels, picard = [], [], profiles._picard
 
     def recording_picard(params, G, *args):
         levels.append(G.grid.n)
         return picard(params, G, *args)
 
-    monkeypatch.setattr(profiles, "_picard", recording_picard)
-    reports = [solved[1]]
-    for v in (0.3, 0.7):
-        levels.clear()
-        reports.append(cd.outer_solve(cd.ModelParams(v, 0.5 * cd.admissible_threshold(v)))[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(profiles, "_picard", recording_picard)
+        for v, m0 in ((0.3, 0.5 * cd.admissible_threshold(0.3)), (0.5, 0.005),
+                      (0.7, 0.5 * cd.admissible_threshold(0.7))):
+            params = cd.ModelParams(v, m0)
+            points.append((params, *cd.outer_solve(params), levels[:]))
+            levels.clear()
+    return points
+
+
+def test_default_points_take_one_fine_picard_step(default_points):
+    # the ladder solves 129 and 513 nodes, and the Richardson seed leaves
+    # a first fine update of 1.1e-9 to 8e-9, above tol; the rungs' update
+    # norms fall by 1e-3 to 1.1e-2 per step, so the contraction bound puts
+    # that iterate within tol and the grid takes one Picard step (two
+    # before), none of whose blocks restarts
+    for _, _, report, levels in default_points:
         assert levels == [129, 513, 2049]
-    for report in reports:
-        assert (report.outer_iterations, report.seed_nodes) == (2, 513)
+        assert (report.outer_iterations, report.seed_nodes) == (1, 513)
         assert report.inner_restarts == 0 and report.certified
+        assert report.fp_residual <= cd.OuterSolveOptions().tol
+
+
+def test_contraction_bound_stop_is_honest(default_points):
+    # one more Picard step from the iterate a default point stopped at moves
+    # it by at most tol: the bound did not stop it early
+    opts = cd.OuterSolveOptions(max_outer=1)
+    for params, F, _, _ in default_points:
+        G = profiles._with_mass(
+            cd.GridFunction(F.grid, F.values, tail_exponent=params.tau_inf), params.m0)
+        level = profiles._picard(params, G, opts)
+        assert level.update_norm <= opts.tol
+
+
+def test_forced_run_keeps_its_fine_picard_steps():
+    # forced at m0 = 0.1 the update norms fall by about 0.064 per step, so
+    # ten times that (q = 0.64) leaves a bound above the update norm: the
+    # grid takes its 4 steps as it did without the bound
+    params = cd.ModelParams(0.5, 0.1)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "m0 above the admissibility", RuntimeWarning)
+        _, report = cd.outer_solve(params, cd.OuterSolveOptions(force=True))
+    assert (report.outer_iterations, report.seed_nodes) == (4, 513)
 
 
 def test_outer_solve_seeds_from_coarse_grid(default_params, monkeypatch):
@@ -389,7 +421,8 @@ def test_outer_solve_exponential_seed_paths(v, m0, opts):
     # every field of the level is its report counterpart; outer_solve
     # raises unless the level converged
     assert [f.name for f in dataclasses.fields(level)] == [
-        "F", "outer_iterations", "inner_iterations", "restarts", "update_norm", "converged"]
+        "F", "outer_iterations", "inner_iterations", "restarts", "update_norm", "converged",
+        "contraction"]
     assert np.array_equal(F.values, level.F.values)
     assert (report.outer_iterations, report.inner_iterations_total, report.inner_restarts,
             report.fp_residual) == (
@@ -434,22 +467,23 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
     # at v = 0.95 the 257-node level never converges: its update norms run
     # 2.8e16, 9.5e7, 8.05, 8.05, ...  It stops at the fourth iteration, the
     # first whose norm does not fall, and the fine solve runs from the
-    # exponential seed
+    # exponential seed, with no contraction estimate from the rung
     params = cd.ModelParams(0.95, 0.1 * cd.admissible_threshold(0.95))
     opts = cd.OuterSolveOptions(zmax=1e10, nodes=1025)
     calls = []
     picard = profiles._picard
 
-    def recording_picard(params, G, opts, start=None):
-        level = picard(params, G, opts, start)
-        calls.append((G.grid.n, level.outer_iterations, level.converged))
+    def recording_picard(params, G, opts, start=None, contraction=None):
+        level = picard(params, G, opts, start, contraction)
+        calls.append((G.grid.n, level.outer_iterations, level.converged, contraction))
         return level
 
     monkeypatch.setattr(profiles, "_picard", recording_picard)
     F, report = cd.outer_solve(params, opts)
-    (coarse_n, coarse_iterations, coarse_converged), fine = calls
+    (coarse_n, coarse_iterations, coarse_converged, _), fine = calls
     assert coarse_n == 257 and not coarse_converged
     assert coarse_iterations == 4
+    assert fine[3] is None
     assert report.seed_nodes == 0
     monkeypatch.setattr(profiles, "_picard", picard)
     ref = _from_exponential_seed(params, opts)
