@@ -21,11 +21,12 @@ O(N^2) points in all.  The points of one row z_j whose argument z_j - y
 falls in the same grid interval are a run of consecutive y nodes and form
 a pair.  The plan of a grid holds only per-row and per-node arrays: the
 points per row, the trapezoid weights and the candidate intervals per row.
-It is built in O(N) on every call, and no grid caches one.  Per block of
-whole rows, ``_pair_blocks`` finds per pair its interval, first point and
-point count by searchsorted on node ranges, and per row its number of
-pairs; every pass over the pairs walks these blocks, and none keeps a pair
-list.  The z fraction of the argument is affine in y along a pair, so the
+It is built in O(N) on every call, and no grid caches one.  Every pass
+over the pairs walks the blocks of whole rows of ``_row_blocks``, of at
+most 2^16 points each (122 blocks at 4097 nodes), and none keeps a pair
+list: per block, ``_block_pairs`` finds per pair its interval, first point
+and point count by searchsorted on node ranges, and per row its number of
+pairs.  The z fraction of the argument is affine in y along a pair, so the
 Gauss rule of a pair, per datum, takes its moments from a disjoint sparse
 table of node moments (about 2 MB at 4097 nodes).  The pair rule yields the
 rule of one block's live pairs at a time, and a block's kernel sums take at
@@ -39,6 +40,7 @@ exp per point.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -327,61 +329,63 @@ def _with_mass(F: GridFunction, m0: float) -> GridFunction:
 # half-range quadrature: the convolution and the pair rules of the tau sweep
 # ----------------------------------------------------------------------
 
-# Points per block of rows of ``_pair_blocks``, the one blocking of every
+# Points per block of rows of ``_row_blocks``, the one blocking of every
 # pass over the points or pairs, where a candidate interval counts as four
 # points.  At 4097 nodes (7.6M points, 0.81M candidate intervals) there are
-# 61 blocks.  The tau sweep keeps one block's rule, so the block size sets
-# the solve's peak: traced, an inner solve there peaks at 6.8, 11.2 and
-# 19.9 MB with blocks of 2^16, 2^17 and 2^18 points, mostly one block's
-# rule-building temporaries (the convolution's take about 5.6 MB at 2^17).
-# The benchmark's solve-fine peak RSS read 47.6, 52.8 and 61.3 MB.  Blocks
-# of 2^16 points cost per-block overhead in time: the three solve-default
-# points took 0.73 s against 0.60 s at 2^17 (medians of 9 interleaved
-# in-process runs on 2 shared vCPUs), with the 4097-node solve at 0.66 and
-# 0.65 s.
-_PLAN_BLOCK_POINTS = 1 << 17
+# 122 blocks.  The tau sweep keeps one block's rule, so the block size sets
+# the solve's peak: traced, an inner solve of the README pair there peaks at
+# 3.0, 3.8 and 5.3 MB in blocks of 2^15, 2^16 and 2^17 points, and the
+# convolution at 1.3, 2.2 and 3.9 MB.  Each block costs a fixed number of
+# numpy calls in the rule build and in every sweep: one rule build, four
+# sweeps and two convolutions there take 0.38, 0.34 and 0.35 s (medians of
+# 3 in-process runs on 2 shared vCPUs).
+_PLAN_BLOCK_POINTS = 1 << 16
 
 
-def _pair_blocks(grid: Grid, plan: _HalfRangePlan):
-    """The pairs of each block of whole rows of ``plan``: (rows, pairs per
-    row, and per pair its interval, first point and point count), from node
-    ranges with no pass over the points.  A block holds at most
+def _row_blocks(plan: _HalfRangePlan) -> list[slice]:
+    """The blocks of whole rows of ``plan``, in row order, that every pass
+    over its points or pairs walks.  A block holds at most
     ``_PLAN_BLOCK_POINTS`` points, a candidate interval counting as four; a
-    longer row is a block of its own.  In row j the nodes y_i with
+    longer row is a block of its own."""
+    ends = np.maximum(plan.counts, 4 * plan.spans).cumsum().tolist()
+    blocks, start, before = [], 0, 0
+    while start < len(ends):
+        stop = max(start + 1, bisect.bisect_right(ends, before + _PLAN_BLOCK_POINTS, start))
+        blocks.append(slice(start, stop))
+        start, before = stop, ends[stop - 1]
+    return blocks
+
+
+def _block_pairs(grid: Grid, plan: _HalfRangePlan, rows: slice):
+    """The pairs of the block ``rows`` of ``_row_blocks``: pairs per row,
+    and per pair its interval, first point and point count, from node
+    ranges with no pass over the points.  In row j the nodes y_i with
     x = z_j - y_i in [z_a, z_{a+1}) run from the first with
     y_i > z_j - z_{a+1} to the first with y_i > z_j - z_a, for the row's
     candidate intervals a from min(j, n - 2) down to k_j - 1: one
-    searchsorted per interval, and intervals without a point are skipped."""
+    searchsorted per interval, and intervals without a point are skipped.
+    The candidate-sized temporaries end with the call."""
     z = grid.nodes
-    k = plan.counts - 1
-    size = np.maximum(plan.counts, 4 * plan.spans)
-    ends = np.cumsum(size)
-    r = 0
-    while r < k.size:
-        stop = np.searchsorted(ends, ends[r] - size[r] + _PLAN_BLOCK_POINTS, side="right")
-        rows = slice(r, max(r + 1, int(stop)))
-        r = rows.stop
-        span = plan.spans[rows]
-        row_end = np.cumsum(span) - 1  # each row's interval k_j - 1, in the block
-        row_start = row_end - span + 1
-        b = np.repeat(k[rows] + span - 1 + row_start, span) - np.arange(row_end[-1] + 1)  # a + 1
-        first = np.searchsorted(z, np.repeat(z[rows.start + 1:rows.stop + 1], span) - z[b],
-                                side="right")
-        first[row_start] = 0  # x = zmax lies in the last interval
-        np.minimum(first, np.repeat(k[rows], span), out=first)  # z_j/2 may be a node
-        count = np.empty_like(first)
-        np.subtract(first[1:], first[:-1], out=count[:-1])
-        count[row_end] = k[rows] - first[row_end] + 1  # the last nodes and the half endpoint
-        live = count > 0
-        yield (rows, np.add.reduceat(live, row_start, dtype=k.dtype), b[live] - 1,
-               first[live], count[live])
+    k = plan.counts[rows] - 1
+    span = plan.spans[rows]
+    row_end = span.cumsum() - 1  # each row's interval k_j - 1, in the block
+    row_start = row_end - span + 1
+    b = (k + span - 1 + row_start).repeat(span) - np.arange(row_end[-1] + 1)  # a + 1
+    first = z.searchsorted(z[rows.start + 1:rows.stop + 1].repeat(span) - z[b], side="right")
+    first[row_start] = 0  # x = zmax lies in the last interval
+    np.minimum(first, k.repeat(span), out=first)  # z_j/2 may be a node
+    count = np.empty_like(first)
+    np.subtract(first[1:], first[:-1], out=count[:-1])
+    count[row_end] = k - first[row_end] + 1  # the last nodes and the half endpoint
+    live = count > 0
+    return np.add.reduceat(live, row_start, dtype=k.dtype), b[live] - 1, first[live], count[live]
 
 
 def _z_fraction(z, dz, rows, per_row, a, y):
     """The z fraction (z_j - y - z_a)/dz_a of x = z_j - y in interval a, per
     pair of the rows ``rows`` (``per_row`` pairs each), at the position
     ``y`` in each pair."""
-    lam = np.repeat(z[rows.start + 1:rows.stop + 1], per_row)
+    lam = z[rows.start + 1:rows.stop + 1].repeat(per_row)
     lam -= y
     lam -= z[a]
     lam /= dz[a]
@@ -398,9 +402,10 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     rate per unit z are formed once.  Per pair the exponent E at its first
     point y_0 is formed once, and along the pair it is E - rate (y - y_0),
     one exp per point.  Intervals with a nonpositive endpoint interpolate
-    the values linearly instead.  The pairs are streamed from
-    ``_pair_blocks``, and the points weighted by trapezoid weight * F(y) and
-    summed per row, a block of rows at a time.
+    the values linearly instead.  The pairs are found per block of
+    ``_row_blocks`` (``_block_pairs``), and the points weighted by trapezoid
+    weight * F(y) and summed per row, a block of rows at a time; a block's
+    temporaries end before the next block's pairs are found.
     """
     grid = F.grid
     z = grid.nodes
@@ -413,26 +418,33 @@ def half_convolution_at_nodes(F: GridFunction) -> np.ndarray:
     last, half = layout.end_masses(F)
     half_z = 0.5 * z[1:]
     all_loglin = bool(loglin.all())
-    out = np.zeros(grid.n)
-    for rows, per_row, a, _, count in _pair_blocks(grid, layout):
+
+    def row_sums(rows):
+        """Half the convolution at the block's nodes; its temporaries end
+        with the call."""
+        per_row, a, _, count = _block_pairs(grid, layout, rows)
         counts = layout.counts[rows]
         end = np.cumsum(counts) - 1  # the half endpoints, in the block
         y = np.concatenate([z[:c] for c in counts.tolist()])  # the points of each row
         y[end] = half_z[rows]
         y0 = y[np.cumsum(count) - count]  # the pairs tile the points in order
         lam = _z_fraction(z, dz, rows, per_row, a, y0)
-        np.clip(lam, 0.0, 1.0, out=lam)
+        lam.clip(0.0, 1.0, out=lam)
         lam *= slope[a]
         lam += base[a]  # the exponent at y_0 (the value, in a linear interval)
-        y -= np.repeat(y0, count)
-        y *= np.repeat(rate[a], count)
-        np.subtract(np.repeat(lam, count), y, out=y)
-        np.exp(y, out=y, where=all_loglin or np.repeat(loglin[a], count))  # a mask if needed
+        y -= y0.repeat(count)
+        y *= rate[a].repeat(count)
+        np.subtract(lam.repeat(count), y, out=y)
+        np.exp(y, out=y, where=all_loglin or loglin[a].repeat(count))  # a mask if needed
         omega = np.concatenate([node[:c] for c in counts.tolist()])
         omega[end - 1] = last[rows]
         omega[end] = half[rows]
         y *= omega
-        out[rows.start + 1:rows.stop + 1] = np.add.reduceat(y, end - (counts - 1))
+        return np.add.reduceat(y, end - (counts - 1))
+
+    out = np.zeros(grid.n)
+    for rows in _row_blocks(layout):
+        out[rows.start + 1:rows.stop + 1] = row_sums(rows)
     out *= 2.0
     return out
 
@@ -454,8 +466,8 @@ class _HalfRangePlan:
     ``spans[j - 1]`` candidate intervals, from min(j, n - 2), where x = z_j
     lies, down to k_j - 1, where the half endpoint ends the row's last pair
     (at fraction 1 if z_j/2 is the node z_{k_j}); they bound its pairs.
-    The plan holds per-row and per-node arrays only: ``_pair_blocks``
-    yields the pairs one block of rows at a time, and the z fraction of x
+    The plan holds per-row and per-node arrays only: ``_block_pairs``
+    finds the pairs one block of rows at a time, and the z fraction of x
     is affine in y along a pair, so ``pair_rule`` takes each pair's moments
     from sums over its node range.
     """
@@ -473,7 +485,7 @@ class _HalfRangePlan:
 
     def pair_rule(self, G: GridFunction):
         """The Gauss rules of the pairs for datum G, one ``_PairRule`` per
-        block of ``_pair_blocks``, in row order and built lazily: a block's
+        block of ``_row_blocks``, in row order and built lazily: a block's
         rule is formed when the caller asks for it, so a caller that drops
         each rule before it asks for the next keeps one block's rule alive.
 
@@ -495,16 +507,18 @@ class _HalfRangePlan:
         k = self.counts - 1  # nodes below z_j/2, per row
         table = _moment_table(self.node_w[:k[-1]] * G.values[:k[-1]], z[:k[-1]])
         ends = self.end_masses(G)
-        for block in _pair_blocks(grid, self):
-            yield self._block_rule(grid, dz, stretch, table, ends, *block)
+        for rows in _row_blocks(self):
+            yield self._block_rule(grid, dz, stretch, table, ends, rows)
 
-    def _block_rule(self, grid, dz, stretch, table, ends, rows, per_row, a, first, count):
-        """The ``_PairRule`` of one block of ``_pair_blocks``; its build
-        temporaries end with the call."""
-        z = grid.nodes
-        moments, origin, width = self._pair_moments(table, ends, z, rows, per_row, first, count)
-        lam0 = _z_fraction(z, dz, rows, per_row, a, origin)
+    def _block_rule(self, grid, dz, stretch, table, ends, rows):
+        """The ``_PairRule`` of the block ``rows`` of ``_row_blocks``; its
+        pairs and build temporaries end with the call, and each temporary
+        is dropped or overwritten once spent."""
+        per_row, a, moments, origin, width = self._pair_moments(grid, table, ends, rows)
+        lam0 = _z_fraction(grid.nodes, dz, rows, per_row, a, origin)
+        del origin
         lam, w = _z_fraction_rule(moments, lam0, dz[a], width)
+        del moments, lam0, width  # overwritten by the rule
         lam *= stretch[a]
         np.log1p(lam, out=lam)
         lam /= grid.dw
@@ -512,50 +526,62 @@ class _HalfRangePlan:
             raise NumericalConsistencyError(
                 f"a pair rule of the half-range quadrature is not finite on this "
                 f"{grid.n}-node grid (rows {rows.start + 1} to {rows.stop})")
-        np.clip(lam, 0.0, 1.0, out=lam)
+        lam.clip(0.0, 1.0, out=lam)
         live = w[0] > 0.0
         live |= w[1] > 0.0
-        row = np.repeat(np.arange(rows.stop - rows.start, dtype=a.dtype), per_row)
         # compress keeps the (2, pairs) arrays in C order; a [:, live] index
         # would return them in F order, and kernel_sums then takes about 1.7
-        # times as long
-        return _PairRule(rows, row[live], a[live], lam.compress(live, axis=1),
-                         w.compress(live, axis=1))
+        # times as long.  Rebinding w frees the moments it was formed in.
+        w = w.compress(live, axis=1)
+        lam = lam.compress(live, axis=1)
+        row = np.arange(rows.stop - rows.start, dtype=a.dtype).repeat(per_row)
+        return _PairRule(rows, row[live], a[live], lam, w)
 
     def end_masses(self, G: GridFunction):
         """Per row the masses trapezoid weight * G(y) of the last node and of
         the half endpoint."""
         return self.last_w * G.values[self.counts - 2], self.half_w * G(0.5 * G.grid.nodes[1:])
 
-    def _pair_moments(self, table, ends, z, rows, per_row, first, count):
-        """Moments 0-3 in y of the measures of the pairs of the rows
-        ``rows`` (``per_row`` of them per row, from node ``first`` with
-        ``count`` points each), about a position ``origin`` in each pair,
-        and each pair's width in y.  ``ends`` holds per row the masses of
-        the last node and of the half endpoint, which ``table`` leaves out."""
+    def _pair_moments(self, grid, table, ends, rows):
+        """The pairs of the block ``rows`` (``_block_pairs``: pairs per row,
+        and per pair its interval) and the moments 0-3 in y of their
+        measures, about a position ``origin`` in each pair, and each pair's
+        width in y.  ``ends`` holds per row the masses of the last node and
+        of the half endpoint, which ``table`` leaves out."""
+        z = grid.nodes
+        per_row, a, first, count = _block_pairs(grid, self, rows)
         k = self.counts[rows] - 1
         half_z = 0.5 * z[rows.start + 1:rows.stop + 1]
-        last_pair = np.cumsum(per_row) - 1  # of each row, in the block
+        last_pair = per_row.cumsum() - 1  # of each row, in the block
         only_half = count[last_pair] == 1  # a last pair of the half endpoint alone
         holds_last = last_pair - only_half  # the pair of the row's last node
-        last_node = first + count - 1
+        last_node = count  # count is spent: first + count - 1, in place
+        last_node += first
+        last_node -= 1
         last_node[last_pair] -= 1
         in_table = last_node.copy()  # the last node takes last_w, not node_w
         in_table[holds_last] -= 1
         empty = in_table < first
-        moments, origin = _range_moments(table, np.where(empty, table.zero, first),
-                                         np.where(empty, table.zero, in_table))
+        in_table[empty] = table.zero
+        moments, origin = _range_moments(table, np.where(empty, table.zero, first), in_table)
+        del in_table
         y0 = z[first]
+        del first
         y0[last_pair[only_half]] = half_z[only_half]
-        origin = np.where(empty, y0, origin)
+        np.copyto(origin, y0, where=empty)
         for at, mass, y in ((holds_last, ends[0][rows], z[k - 1]),
                             (last_pair, ends[1][rows], half_z)):
             d = y - origin[at]
-            moments[:, at] += mass * d ** np.arange(4.0)[:, None]
+            moments[:, at] += mass * d ** _POWERS
         width = z[last_node]
+        del last_node
         width[last_pair] = half_z
         width -= y0
-        return moments, origin, width
+        return per_row, a, moments, origin, width
+
+
+# The powers 0-3, a column for broadcasting against positions.
+_POWERS = np.arange(4.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -621,27 +647,30 @@ def _range_moments(table: _MomentTable, first, last):
     range's node.  That position lies in the range, so each moment carries
     rounding of about eps * mass * width^s."""
     split = first ^ last
-    lo = np.take(table.lo, split)
-    lo += first
-    hi = np.take(table.hi, split)
-    hi += last
-    centre = np.take(table.centre, split)
-    centre &= last
-    moments = np.take(table.sums, lo, axis=1)
+    at = table.lo.take(split)
+    at += first
+    moments = table.sums.take(at, axis=1)
+    at = table.hi.take(split)
+    at += last
     for s, row in enumerate(table.sums):  # row by row: no second (4, ranges) array
-        moments[s] += np.take(row, hi)
-    return moments, np.take(table.y, centre)
+        moments[s] += row.take(at)
+    at = table.centre.take(split)
+    at &= last
+    return moments, table.y.take(at)
 
 
 def _z_fraction_rule(moments, lam0, dz, width):
     """Two-node rules in the z fraction lam = lam0 - (y - y_0)/dz of pairs
-    whose masses have the moments 0-3 ``moments`` (overwritten) in y about
-    the point y_0 at fraction ``lam0``, and spread over ``width`` in y."""
-    scale = -1.0 / dz  # lam falls as y rises
-    moments[1] *= scale
-    moments[2] *= scale * scale
-    moments[3] *= scale * scale * scale
-    return _two_node_rule(lam0, moments, width / dz)
+    whose masses have the moments 0-3 ``moments`` in y about the point y_0
+    at fraction ``lam0``, and spread over ``width`` in y; ``moments``,
+    ``lam0`` and ``width`` are overwritten."""
+    width /= dz
+    dz = -1.0 / dz  # the scale from y to lam, which falls as y rises
+    moments[1] *= dz
+    moments[2] *= dz * dz
+    moments[3] *= dz * dz * dz
+    del dz  # spent before the rule's own temporaries
+    return _two_node_rule(lam0, moments, width)
 
 
 # A pair measure whose variance is at most this fraction of the square of
@@ -656,7 +685,8 @@ _ONE_NODE_VARIANCE = 1e-14
 def _two_node_rule(lam0, moments, width):
     """Nodes and weights, each of shape (2, pairs), of the two-node Gauss
     rule of each measure mu_p on [0, 1] whose moments 0-3 about ``lam0[p]``
-    are ``moments[:, p]`` (overwritten) and whose support spans ``width[p]``.
+    are ``moments[:, p]`` and whose support spans ``width[p]``; ``moments``
+    and ``lam0`` are overwritten, and the weights are rows of ``moments``.
 
     With the central moments c2, c3 and q = c3/c2 the nodes are
     mean + (q -/+ sqrt(q^2 + 4 c2))/2, the roots of the degree-2 orthogonal
@@ -672,28 +702,48 @@ def _two_node_rule(lam0, moments, width):
     m0 = moments[0]
     moments[1:] /= np.where(m0 > 0.0, m0, 1.0)  # a zero mass stays a zero measure
     mean, s2, s3 = moments[1:]
-    c2 = s2 - mean * mean
-    c3 = s3 - mean * (3.0 * s2 - 2.0 * mean * mean)
+    # c2 = s2 - mean^2 and c3 = s3 - mean (3 s2 - 2 mean^2), each operation
+    # on the same operands as in that form, in place where one is spent
+    c2 = mean * mean
+    np.subtract(s2, c2, out=c2)  # s2 - mean^2
+    c3 = 2.0 * mean
+    c3 *= mean
+    np.subtract(3.0 * s2, c3, out=c3)
+    c3 *= mean
+    np.subtract(s3, c3, out=c3)  # s3 - mean (3 s2 - 2 mean^2)
     two = c2 > _ONE_NODE_VARIANCE * width * width
     # a one-node measure runs the two-node formulas with c2 = 1 and then
     # takes the node at the mean with the whole mass instead
-    c2 = np.where(two, c2, 1.0)
-    q = c3 / c2
-    r = np.sqrt(q * q + 4.0 * c2)
-    nodes = np.stack((q - r, q + r))
+    one = ~two
+    c2[one] = 1.0
+    q = c3
+    q /= c2
+    r = c2
+    r *= 4.0
+    r += q * q
+    np.sqrt(r, out=r)
+    nodes = np.empty((2, q.size))
+    np.subtract(q, r, out=nodes[0])
+    np.add(q, r, out=nodes[1])
     nodes *= 0.5
-    scale = m0 / (nodes[1] - nodes[0])
-    weights = np.stack((np.where(two, nodes[1] * scale, m0),
-                        np.where(two, -nodes[0] * scale, 0.0)))
+    scale = np.subtract(nodes[1], nodes[0], out=q)
+    np.divide(m0, scale, out=scale)
+    weights = moments[2:]  # s2 and s3 are spent
+    np.multiply(nodes[1], scale, out=weights[0])
+    np.negative(nodes[0], out=weights[1])
+    weights[1] *= scale
+    np.copyto(weights[0], m0, where=one)
+    weights[1][one] = 0.0
     nodes *= two
-    nodes += lam0 + mean
-    return np.clip(nodes, 0.0, 1.0, out=nodes), weights
+    lam0 += mean
+    nodes += lam0
+    return nodes.clip(0.0, 1.0, out=nodes), weights
 
 
 @dataclass(eq=False)
 class _PairRule:
     """Two-node Gauss rules of the plan pairs of positive mass in one block
-    of whole rows of ``_pair_blocks`` (``pair_rule``): the block's rows, and
+    of whole rows of ``_row_blocks`` (``pair_rule``): the block's rows, and
     per live pair its row in the block, its grid interval a, and the w
     fractions of its two nodes and their weights, each of shape (2, pairs)."""
 

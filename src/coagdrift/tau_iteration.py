@@ -114,7 +114,7 @@ def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams) -> np.nd
     with np.errstate(over="ignore", invalid="ignore"):
         vals = z / ((1.0 - params.v) * z + 1.0) * (params.linear_coefficient
                                                     + rule.kernel_sums(cum))
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise NumericalConsistencyError(
             f"a sweep left the float range: the kernel exp(I(z) - I(z-y)) under "
             f"tau <= {float(np.max(tau.values)):.6g} overflows on this {grid.n}-node grid"
@@ -193,8 +193,8 @@ def inner_solve(
             stale = block.start
             new_vals = _step(rule, tau, cum, params)
             change = new_vals - values[block]
-            low = float(np.min(new_vals))
-            rise = float(np.max(change))
+            low = float(new_vals.min())
+            rise = float(change.max())
             if warm:
                 warm = False
                 if rise > slack:  # the start is no supersolution: restart at the barrier
@@ -212,8 +212,8 @@ def inner_solve(
                 if not warned:
                     warnings.warn(msg, RuntimeWarning, stacklevel=2)
                     warned = True
-            step = float(np.max(np.abs(change)))
-            np.clip(new_vals, 0.0, cap, out=values[block])
+            step = max(rise, -float(change.min()))  # the sup-norm of change
+            new_vals.clip(0.0, cap, out=values[block])
             if step <= opts.tol:
                 break
             if sweep - wasted == opts.max_iter:
@@ -226,6 +226,7 @@ def inner_solve(
         iterations = max(iterations, sweep)
         residual = max(residual, step)
         restarts += wasted
+        del rule  # before the next block's rule is built: one rule is alive
     return InnerSolveResult(tau=tau, iterations=iterations, residual=residual, restarts=restarts)
 
 

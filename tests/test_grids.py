@@ -230,11 +230,17 @@ def test_log_integral_additivity_on_nodes():
 PLAN_SIZES = (2, 3, 5, 65, 2049)
 
 
+def _blocks(grid, plan):
+    """Per block of ``_row_blocks`` of ``plan``: its rows, and the pairs
+    that ``_block_pairs`` finds there (pairs per row, and per pair its
+    interval, first point and point count)."""
+    return [(rows, *grids._block_pairs(grid, plan, rows)) for rows in grids._row_blocks(plan)]
+
+
 def _pairs(grid):
-    """The pairs that ``_pair_blocks`` streams on the grid's plan,
-    concatenated: pairs per row, and per pair its interval, first point and
-    point count."""
-    blocks = list(grids._pair_blocks(grid, grid.half_range_plan()))
+    """The pairs of the grid's plan, all blocks concatenated: pairs per row,
+    and per pair its interval, first point and point count."""
+    blocks = _blocks(grid, grid.half_range_plan())
     return [np.concatenate([b[i] for b in blocks]) for i in range(1, 5)]
 
 
@@ -337,7 +343,7 @@ def _check_blocks(grid, points):
     block holds at most ``points`` points and a quarter as many pairs, or a
     single row."""
     plan = grid.half_range_plan()
-    blocks = list(grids._pair_blocks(grid, plan))
+    blocks = _blocks(grid, plan)
     assert np.array_equal(np.concatenate([np.arange(grid.n - 1)[rows] for rows, *_ in blocks]),
                           np.arange(grid.n - 1))
     for rows, per_row, a, first, count in blocks:
@@ -357,14 +363,14 @@ def test_half_range_plan_blocked_build(monkeypatch, n, block):
 
     whole, whole_rules, whole_conv = build_and_pass()
     grid = cd.build_grid(1e6, n, 0.5)
-    _check_blocks(grid, 1 << 17)  # at most 2^17 points and 2^15 pairs
+    _check_blocks(grid, grids._PLAN_BLOCK_POINTS)
     monkeypatch.setattr(grids, "_PLAN_BLOCK_POINTS", block)
     assert whole.size > 3 * block  # several blocks
     assert whole.counts.max() > block or block > 7  # and rows longer than one
     blocked, rules, conv = build_and_pass()
     for name, value in vars(whole).items():
         assert np.array_equal(getattr(blocked, name), value), name
-    # pair_rule yields one rule per block of _pair_blocks, in row order,
+    # pair_rule yields one rule per block of _row_blocks, in row order,
     # and the rules concatenated (rows, intervals, nodes and weights) keep
     # their bits
     assert [r.rows for r in rules] == [rows for rows, *_ in _check_blocks(grid, block)]
@@ -404,23 +410,22 @@ def test_pair_rule_arrays_are_their_own():
 
 
 @pytest.mark.parametrize("call, bound", [
-    ("convolution", 0.5), ("pair_rule", 0.62), ("kernel_sums", 0.2), ("inner_solve", 0.62)])
+    ("convolution", 0.16), ("pair_rule", 0.27), ("kernel_sums", 0.05), ("inner_solve", 0.22)])
 def test_plan_passes_stream_in_blocks(call, bound):
     # the passes over the points and pairs hold block-sized temporaries, not
     # arrays as long as the points or pairs: traced peak in units of one
     # point-length float array, on a built plan of the README pair at 2049
     # nodes and the first Picard iterate from its seed, whose fat tail
-    # leaves all 205k pairs live (measured: convolution 0.33, one block's
-    # 5.1 MB of temporaries; 2.11 when it formed whole point arrays.  The
-    # pair rule walked block by block, each rule dropped, 0.570: one
-    # block's rule and the temporaries of one block of 2^17 points; 0.80
-    # when the walk kept every rule, 0.72 when the rule returned every
-    # block's rules at once, 3.23 when it formed whole pair arrays.  The
-    # kernel sums of the largest block, 33k pairs, 0.086; 0.105 over the
-    # whole grid, and 0.32 when they formed whole pair arrays there.  A
-    # whole inner solve, which marches the blocks, 0.579;
-    # 0.81 when it kept every block's rule, 0.73 when it swept all rows at
-    # once)
+    # leaves all 205k pairs live, in blocks of 2^16 points (measured:
+    # convolution 0.132; 0.186 when a block's temporaries outlived the
+    # search of the next block's pairs, 0.331 in blocks of 2^17 points.
+    # The pair rule walked block by block, each rule dropped once the walk
+    # holds the next, 0.222; 0.355 when a build kept each temporary to its
+    # end, 0.570 in blocks of 2^17.  The kernel sums of the largest block,
+    # 16k pairs, 0.043; 0.087 for 33k pairs in blocks of 2^17.  A whole
+    # inner solve, which marches the blocks and drops each rule before the
+    # next is built, 0.179; 0.231 when it kept the last rule during the
+    # build, 0.579 in blocks of 2^17 with the old build)
     import tracemalloc
 
     params = cd.ModelParams(0.5, 0.005)
@@ -507,13 +512,13 @@ def test_convolution_mutants_fail(monkeypatch, mutant):
     # test_half_convolution_at_nodes_matches_per_point by far more than its
     # 1e-14: measured, by up to 0.50, 0.50 and 0.025 relative
     if mutant == "interval":
-        pair_blocks = grids._pair_blocks
+        block_pairs = grids._block_pairs
 
-        def lower(grid, layout):
-            for rows, per_row, a, first, count in pair_blocks(grid, layout):
-                yield rows, per_row, np.maximum(a - 1, 0), first, count
+        def lower(grid, layout, rows):
+            per_row, a, first, count = block_pairs(grid, layout, rows)
+            return per_row, np.maximum(a - 1, 0), first, count
 
-        monkeypatch.setattr(grids, "_pair_blocks", lower)
+        monkeypatch.setattr(grids, "_block_pairs", lower)
     else:
         half_range_plan = cd.Grid.half_range_plan
 

@@ -4,6 +4,7 @@ absent."""
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
 from coagdrift.grids import _moment_table, _range_moments, _z_fraction_rule
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
-from oracles import RecordingPool, tau_map
+from oracles import RecordingPool, plain_log_integral, tau_map
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -128,6 +129,41 @@ def test_pair_gauss_rule(pairs, lead, trail):
         support = lam[mass > 0.0]
         if support.size == 1:  # (a subnormal mass has no precision to place)
             assert w[1] == 0.0 and m0 * abs(x[0] - support[0]) <= 64 * _EPS * m0 + 1e-320
+
+
+def _blocked_passes(G, tau, points):
+    """With blocks of ``points`` points: the rule's arrays of all blocks
+    concatenated (rows, intervals, nodes, weights), the kernel sums at tau
+    and the convolution of G."""
+    cum = plain_log_integral(tau)
+    with mock.patch.object(grids, "_PLAN_BLOCK_POINTS", points):
+        rules = list(G.grid.half_range_plan().pair_rule(G))
+        conv = cd.half_convolution_at_nodes(G)
+    arrays = [np.concatenate([r.rows.start + r.row for r in rules])] + [
+        np.concatenate([getattr(r, name) for r in rules], axis=-1)
+        for name in ("a", "nodes", "weights")]
+    return arrays + [np.concatenate([r.kernel_sums(cum) for r in rules]), conv]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(n=st.integers(5, 600), v=st.floats(0.05, 0.95), points=st.integers(7, 5000),
+       zero_tail=st.booleans())
+def test_blocking_keeps_every_bit(n, v, points, zero_tail):
+    # every pass over the pairs gives the same bits whatever the blocking:
+    # a row's pairs are found, ruled and summed in order within one block,
+    # so blocks of any size match one block of all rows.  A zero tail
+    # leaves pairs of zero mass out of the rule
+    grid = cd.build_grid(1e6, n, v)
+    values = cd.supersolution_value(cd.ModelParams(v, 0.5 * cd.admissible_threshold(v)),
+                                    grid.nodes)
+    if zero_tail:
+        values[grid.nodes > 1e3] = 0.0
+    G = cd.GridFunction(grid, values)
+    tau = cd.TauFunction(grid, np.linspace(2.0, 4.0, n), slope0=1.0)
+    whole = _blocked_passes(G, tau, 1 << 62)
+    for name, want, got in zip(("row", "a", "nodes", "weights", "kernel_sums", "convolution"),
+                               whole, _blocked_passes(G, tau, points)):
+        assert np.array_equal(got, want), name
 
 
 @pytest.fixture(scope="module")

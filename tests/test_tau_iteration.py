@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import coagdrift as cd
+from coagdrift import grids
 from coagdrift.model import iteration_barrier
 from oracles import (barrier_sweeps, global_sweeps, kernel_sums, plain_log_integral,
                      reference_plan, reference_samples, tau_map)
@@ -88,6 +90,26 @@ def test_inner_solve_monotone_decrease(setup):
     assert result.residual <= 1e-10
     # tau approaches the limiting tail exponent at the far end
     assert result.tau.values[-1] == pytest.approx(3.0, rel=1e-3)
+
+
+def test_inner_solve_holds_one_pair_rule(setup, monkeypatch):
+    # the march drops each block's rule before it asks for the next, so no
+    # other _PairRule is alive while a block's rule is built: the block size
+    # alone sets the solve's peak
+    params, grid, seed, _ = setup
+    alive = weakref.WeakSet()
+    others = []
+    block_rule = grids._HalfRangePlan._block_rule
+
+    def counted(plan, *args):
+        others.append(len(alive))
+        rule = block_rule(plan, *args)
+        alive.add(rule)
+        return rule
+
+    monkeypatch.setattr(grids._HalfRangePlan, "_block_rule", counted)
+    cd.inner_solve(seed, params)
+    assert len(others) > 3 and max(others) == 0
 
 
 @pytest.mark.parametrize("n, m0, force", [(1025, 0.005, False), (2049, 0.005, False),
