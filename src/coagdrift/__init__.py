@@ -54,7 +54,6 @@ from .profiles import (
     weighted_residual_norm,
 )
 from .tau_iteration import (
-    InnerSolveOptions,
     InnerSolveResult,
     inner_solve,
     reconstruct_profile,

@@ -15,7 +15,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     CoagDriftError,
@@ -29,7 +28,6 @@ from .evolution import default_domain_cutoff, init_from_profile, simulate
 from .model import ModelParams, admissible_threshold, derive_constants, iteration_barrier
 from .profile_io import ProfileRecord, atomic_write_text, read_profile, write_json, write_profile
 from .profiles import OuterSolveOptions, certification_checks, outer_solve, recover_tau
-from .tau_iteration import InnerSolveOptions
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,7 +83,7 @@ def _solve_options(args) -> OuterSolveOptions:
         nodes=args.nodes,
         tol=args.tol_outer,
         max_outer=args.max_iter,
-        inner=InnerSolveOptions(tol=args.tol_inner),
+        tol_inner=args.tol_inner,
         tol_residual=args.tol_residual,
         force=args.force,
     )
@@ -102,7 +100,7 @@ def _write_solution(params, opts, F, report, out: str, meta: str) -> None:
         tau_star=tau_star if certified else math.nan,
         tau_inf=params.tau_inf,
         tail_exponent=F.tail_exponent,
-        tol_inner=opts.inner.tol,
+        tol_inner=opts.tol_inner,
         tol_outer=opts.tol,
         tol_residual=opts.tol_residual,
         certified=report.certified,
@@ -164,7 +162,7 @@ def _metadata(params: ModelParams, opts: OuterSolveOptions, report) -> dict:
         "m0": params.m0,
         "zmax": opts.zmax,
         "nodes": opts.nodes,
-        "tol_inner": opts.inner.tol,
+        "tol_inner": opts.tol_inner,
         "tol_outer": opts.tol,
         "tol_residual": opts.tol_residual,
         "force": opts.force,
@@ -246,6 +244,10 @@ def _sweep_worker(payload: dict) -> tuple[float, int, str]:
 
 
 def cmd_sweep(args) -> int:
+    # imported here: only a sweep needs multiprocessing, which costs every
+    # other command's process time and memory to load
+    from concurrent.futures import ProcessPoolExecutor
+
     if not args.m0_list:
         raise ParameterDomainError("empty m0 list")
     jobs = []
@@ -322,7 +324,7 @@ def _add_solve_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--nodes", type=int, default=default.nodes,
                         help="grid nodes (default %(default)d)")
     parser.add_argument("--tol-inner", dest="tol_inner", type=_positive_float,
-                        default=default.inner.tol,
+                        default=default.tol_inner,
                         help="sup-norm of a pair block's last tau sweep (default %(default)g)")
     parser.add_argument("--tol-outer", dest="tol_outer", type=_positive_float, default=default.tol,
                         help="bound on the estimated weighted distance of the outer iterate "

@@ -106,9 +106,6 @@ class EvolutionState:
     def u(self) -> float:
         return self.m0() / self.m1_target
 
-    def m1(self) -> float:
-        return float(np.sum(self.centers * self.f) * self.dx)
-
 
 def init_from_profile(
     F: GridFunction,

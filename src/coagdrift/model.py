@@ -46,10 +46,10 @@ class ModelParams:
 
     ``v`` is the mean-field scaling parameter, ``m0`` the zeroth moment of
     the profile.  Construction only enforces the basic domain v in (0,1),
-    m0 in (0,1); the stricter smallness condition m0 < v/2 required by the
-    fat-tail machinery is checked in :func:`derive_constants`, because the
-    residual evaluator and the evolution oracle must also accept the
-    exponential family (m0 = 1 - v), which can violate it.
+    m0 in (0,1); the fat-tail machinery's stricter ``fat_tail_regime`` is
+    checked in :func:`derive_constants`, because the residual evaluator and
+    the evolution oracle must also accept the exponential family
+    (m0 = 1 - v), which can violate it.
     """
 
     v: float
@@ -76,9 +76,14 @@ class ModelParams:
         """Coefficient 2 - v - 2*m0 of the linear term of the profile equation."""
         return 2.0 - self.v - 2.0 * self.m0
 
+    @property
+    def fat_tail_regime(self) -> bool:
+        """Whether m0 < v/2, the standing assumption of the fat-tail solver."""
+        return self.m0 < 0.5 * self.v
+
     def require_fat_tail_regime(self) -> None:
-        """Raise unless m0 < v/2 (standing assumption of the fat-tail solver)."""
-        if not (self.m0 < 0.5 * self.v):
+        """Raise unless ``fat_tail_regime``."""
+        if not self.fat_tail_regime:
             raise ParameterDomainError(
                 f"fat-tail regime requires m0 < v/2, got m0={self.m0}, v/2={0.5 * self.v}"
             )

@@ -18,7 +18,7 @@ its last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .grids import (
     moment,
 )
 from .model import ModelParams, iteration_barrier, supersolution_value
-from .tau_iteration import InnerSolveOptions, inner_solve, reconstruct_profile
+from .tau_iteration import inner_solve, reconstruct_profile
 
 __all__ = [
     "SolveReport",
@@ -134,24 +134,24 @@ class SolveReport:
 class _Level:
     """One grid solved by ``_picard``: its last iterate, the outer and inner
     iteration counts, the pair blocks that restarted at the barrier (each
-    after one wasted sweep), the quantity compared with the tolerance (the
-    contraction bound where the level stopped on it, else the last update
-    norm), whether it reached the tolerance, and the contraction estimate
-    (the largest ratio of successive falling update norms over the level's
-    steps and the rungs it was handed; None if there were none)."""
+    after one wasted sweep), the quantity compared with the tolerance
+    (``fp_residual``, as in ``SolveReport``), whether it reached the
+    tolerance, and the contraction estimate (the largest ratio of
+    successive falling update norms over the level's steps and the rungs
+    it was handed; None if there were none)."""
 
     F: GridFunction
     outer_iterations: int
     inner_iterations: int
     restarts: int
-    update_norm: float
+    fp_residual: float
     converged: bool
     contraction: float | None
 
 
 @dataclass(frozen=True)
 class OuterSolveOptions:
-    """Grid specification plus outer iteration control.
+    """Grid specification plus outer and inner iteration control.
 
     The update norm is the sup over nodes of the iterate difference times
     (1+z)^(tau_inf - 1/2), which keeps the tail visible where the plain
@@ -159,20 +159,24 @@ class OuterSolveOptions:
     point: the iteration stops when the update norm, or the contraction
     bound on that distance (see ``_picard``), reaches ``tol``, when the
     norm does not fall below the previous one (a stall, or an infinite or
-    NaN norm), or after ``max_outer`` iterations.
+    NaN norm), or after ``max_outer`` iterations.  ``tol_inner`` bounds the
+    sup-norm of a pair block's last tau sweep in every inner solve (see
+    ``inner_solve``).
     """
 
     zmax: float = 1e6
     nodes: int = 2049
     tol: float = 1e-9
     max_outer: int = 80
-    inner: InnerSolveOptions = field(default_factory=InnerSolveOptions)
+    tol_inner: float = 1e-10
     tol_residual: float = DEFAULT_RESIDUAL_TOL
     force: bool = False
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ParameterDomainError("tol must be positive")
+        if not self.tol_inner > 0.0:
+            raise ParameterDomainError("tol_inner must be positive")
         if self.max_outer < 1:
             raise ParameterDomainError("max_outer must be at least 1")
 
@@ -253,7 +257,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
         warm = None
         if margin is not None:
             warm = TauFunction(grid, (1.0 + margin) * last.values, slope0=last.slope0)
-        result = inner_solve(G, params, opts.inner, force=opts.force, start=warm)
+        result = inner_solve(G, params, opts.tol_inner, force=opts.force, start=warm)
         inner_total += result.iterations
         restarts += result.restarts
         margin = None if last is None else _relative_update(last, result.tau)
@@ -386,9 +390,9 @@ def outer_solve(
     grid = build_grid(opts.zmax, opts.nodes, params.v)
     G, start, seed_nodes, contraction = _ladder_seed(params, grid, opts)
     level = _picard(params, G, opts, start, contraction)
-    F, norm, steps = level.F, level.update_norm, level.outer_iterations
+    F, norm, steps = level.F, level.fp_residual, level.outer_iterations
     cert = certification_checks(F, params, opts.tol_residual)
-    fit = cert.fit or TailFit(math.nan, math.nan, math.nan, 0)
+    fit = cert.fit or TailFit(math.nan, math.nan, math.nan)
     report = SolveReport(
         outer_iterations=steps,
         inner_iterations_total=level.inner_iterations,
@@ -486,7 +490,7 @@ def certification_checks(
         _tail_check(F, fit, why, params.tau_inf),
         ("monotone", rise <= 0.0, f"largest increase {max(rise, 0.0):.3e}"),
     ]
-    if params.m0 < 0.5 * params.v:
+    if params.fat_tail_regime:
         excess = F.values - supersolution_value(params, F.grid.nodes) * (1.0 + 1e-12)
         worst = float(np.max(excess))
         checks.append(("barrier", worst <= 0.0, f"largest excess {max(worst, 0.0):.3e}"))
@@ -568,7 +572,6 @@ class TailFit:
     exponent: float
     prefactor: float
     max_deviation: float
-    n_nodes: int
 
 
 _NONPOSITIVE_WINDOW = "fit window contains nonpositive samples"
@@ -594,5 +597,4 @@ def tail_exponent_fit(F: GridFunction) -> TailFit:
         exponent=float(-slope),
         prefactor=float(np.exp(intercept)),
         max_deviation=deviation,
-        n_nodes=int(np.count_nonzero(sel)),
     )

@@ -60,7 +60,6 @@ from .grids import (
 from .model import ModelParams, iteration_barrier
 
 __all__ = [
-    "InnerSolveOptions",
     "InnerSolveResult",
     "inner_solve",
     "reconstruct_profile",
@@ -73,32 +72,20 @@ MONOTONICITY_SLACK = 1e-13
 
 _M0_MATCH_RTOL = 1e-6
 
-
-@dataclass(frozen=True)
-class InnerSolveOptions:
-    """Stopping control for the monotone sweep."""
-
-    tol: float = 1e-10
-    max_iter: int = 500
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ParameterDomainError("tol must be positive")
-        if self.max_iter < 1:
-            raise ParameterDomainError("max_iter must be at least 1")
+# Most sweeps a pair block may take, a wasted one not counted, before the
+# inner solve fails with a convergence error.
+MAX_SWEEPS = 500
 
 
 @dataclass
 class InnerSolveResult:
     """Converged tau plus iteration diagnostics: the most sweeps any pair
-    block took, a wasted one included, the largest sup-norm of a block's
-    last sweep, and the number of blocks whose start was no supersolution
-    and that restarted at the barrier, each after one wasted sweep.  The
-    barrier is ``model.iteration_barrier``'s."""
+    block took, a wasted one included, and the number of blocks whose start
+    was no supersolution and that restarted at the barrier, each after one
+    wasted sweep.  The barrier is ``model.iteration_barrier``'s."""
 
     tau: TauFunction
     iterations: int
-    residual: float
     restarts: int
 
 
@@ -125,7 +112,7 @@ def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams) -> np.nd
 def inner_solve(
     G: GridFunction,
     params: ModelParams,
-    opts: InnerSolveOptions = InnerSolveOptions(),
+    tol: float,
     *,
     force: bool = False,
     start: TauFunction | None = None,
@@ -136,8 +123,8 @@ def inner_solve(
     The barrier is tau_star (or, with ``force`` above the threshold, the
     uncertified cap 2 * tau_inf).  The blocks of the plan's ``pair_rule``
     are solved in row order: with the rows before it final, a block's rows
-    are swept until the sup-norm of the sweep falls below ``opts.tol``, in
-    at most ``opts.max_iter`` sweeps, and then its rule is dropped.  Each
+    are swept until the sup-norm of the sweep falls below ``tol``, in at
+    most ``MAX_SWEEPS`` sweeps, and then its rule is dropped.  Each
     block starts at the barrier, or, given ``start``, at
     min(cap, max(start, 0)).  A warm start is kept only if the block's first
     sweep rises nowhere beyond slack, so that it is a supersolution of the
@@ -181,14 +168,14 @@ def inner_solve(
     cum = np.zeros(grid.n)
     stale = 1  # cum holds the plain log-integral table of tau below this node
 
-    iterations, residual, restarts = 0, 0.0, 0
+    iterations = restarts = 0
     warned = False
     for rule in grid.half_range_plan().pair_rule(G):
         block = slice(rule.rows.start + 1, rule.rows.stop + 1)
         reads = min(block.stop + 1, grid.n)  # the last row reads cum at node block.stop
         warm = start is not None  # the first sweep tests the start of the block
         wasted = 0
-        for sweep in range(1, opts.max_iter + 2):
+        for sweep in range(1, MAX_SWEEPS + 2):
             _continue_log_integral(cum, tau, stale, reads)
             stale = block.start
             new_vals = _step(rule, tau, cum, params)
@@ -214,20 +201,19 @@ def inner_solve(
                     warned = True
             step = max(rise, -float(change.min()))  # the sup-norm of change
             new_vals.clip(0.0, cap, out=values[block])
-            if step <= opts.tol:
+            if step <= tol:
                 break
-            if sweep - wasted == opts.max_iter:
+            if sweep - wasted == MAX_SWEEPS:
                 raise ConvergenceError(
-                    f"inner iteration did not reach tol={opts.tol} in {opts.max_iter} sweeps "
+                    f"inner iteration did not reach tol={tol} in {MAX_SWEEPS} sweeps "
                     f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})",
                     residual=step,
                     best=tau,
                 )
         iterations = max(iterations, sweep)
-        residual = max(residual, step)
         restarts += wasted
         del rule  # before the next block's rule is built: one rule is alive
-    return InnerSolveResult(tau=tau, iterations=iterations, residual=residual, restarts=restarts)
+    return InnerSolveResult(tau=tau, iterations=iterations, restarts=restarts)
 
 
 def reconstruct_profile(tau: TauFunction, params: ModelParams) -> GridFunction:

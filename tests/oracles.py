@@ -12,15 +12,22 @@ rebuilds the half-range plan one row at a time, with per-point weights and
 sample indices.  ``reference_step`` and ``reference_run`` are the explicit
 Euler step and the march of ``simulate`` with a fresh array for every
 intermediate.  ``RecordingPool``
-replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
+replaces the ``concurrent.futures.ProcessPoolExecutor`` that ``sweep``
+imports, so that ``sweep`` starts no process.
 """
+
+import concurrent.futures
 
 import numpy as np
 
 import coagdrift as cd
+from coagdrift import tau_iteration
 from coagdrift.evolution import _WINDOW_SAMPLES
 from coagdrift.grids import _continue_log_integral
 from coagdrift.tau_iteration import _step
+
+# The default inner tolerance, whose one owner is ``OuterSolveOptions``.
+TOL_INNER = cd.OuterSolveOptions().tol_inner
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -80,13 +87,13 @@ def kernel_sums(plan, G, cum):
     return h
 
 
-def barrier_sweeps(G, params, cap, opts):
+def barrier_sweeps(G, params, cap, tol):
     """The march of ``inner_solve`` rebuilt from whole applications of the
     fixed-point map: the blocks of G's pair rule in row order, each started
     at the constant barrier ``cap`` with the rows before it final.  A step
     applies ``tau_map`` to all of tau, keeps the image on the block's rows,
     clips it to [0, cap], and the block stops once a step moves its rows by
-    at most ``opts.tol``.  Tau is 0 at z = 0, the map's image there.
+    at most ``tol``.  Tau is 0 at z = 0, the map's image there.
 
     Returns per block its steps as (iterate, image) value pairs on the
     block's nodes, the image before clipping, and the last iterate after
@@ -99,32 +106,31 @@ def barrier_sweeps(G, params, cap, opts):
     for rule in rules:
         nodes = slice(rule.rows.start + 1, rule.rows.stop + 1)
         steps = []
-        for _ in range(opts.max_iter):
+        for _ in range(tau_iteration.MAX_SWEEPS):
             tau = cd.TauFunction(G.grid, values.copy(), slope0=params.linear_coefficient)
             image = tau_map(G, tau, params, rules).values[nodes]
             steps.append((values[nodes].copy(), image.copy()))
             residual = float(np.max(np.abs(image - values[nodes])))
             values[nodes] = np.clip(image, 0.0, cap)
-            if residual <= opts.tol:
+            if residual <= tol:
                 break
         blocks.append(steps)
     return blocks, values
 
 
-def global_sweeps(G, params, cap, opts, start=None):
+def global_sweeps(G, params, cap, tol, start=None):
     """The all-rows iteration: start at the constant barrier ``cap`` (or at
     the values ``start``), apply the map to every row at once, clip each
-    image to [0, cap], and stop once a step moves tau by at most
-    ``opts.tol``.  Returns the step count and the last iterate."""
+    image to [0, cap], and stop once a step moves tau by at most ``tol``.  Returns the step count and the last iterate."""
     rules = list(G.grid.half_range_plan().pair_rule(G))
     values = np.full(G.grid.n, cap) if start is None else start
     tau = cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
-    for iteration in range(1, opts.max_iter + 1):
+    for iteration in range(1, tau_iteration.MAX_SWEEPS + 1):
         image = tau_map(G, tau, params, rules)
         residual = float(np.max(np.abs(image.values - tau.values)))
         np.clip(image.values, 0.0, cap, out=image.values)
         tau = image
-        if residual <= opts.tol:
+        if residual <= tol:
             break
     return iteration, tau.values
 
@@ -229,6 +235,13 @@ class RecordingPool:
     every job in-process without solving, so no process is started."""
 
     created: list = []
+
+    @classmethod
+    def install(cls, monkeypatch):
+        """Make this class the pool that ``sweep`` imports, with an empty
+        record, until ``monkeypatch`` undoes it."""
+        monkeypatch.setattr(RecordingPool, "created", [])
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cls)
 
     def __init__(self, max_workers):
         self.created.append(max_workers)

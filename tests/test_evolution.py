@@ -12,6 +12,11 @@ def exp_profile():
     return cd.exponential_grid_function(0.5, grid)
 
 
+def _m1(state):
+    """First moment of the cell averages of ``state``."""
+    return float(np.sum(state.centers * state.f) * state.dx)
+
+
 def test_init_mean_field(exp_profile):
     state = cd.init_from_profile(exp_profile, 1.0, 1024, 60.0)
     assert state.u == pytest.approx(0.5, rel=1e-4)  # u(1) = M0/M1 = v
@@ -23,7 +28,7 @@ def test_init_scaling_with_t0(exp_profile):
     s1 = cd.init_from_profile(exp_profile, 1.0, 2048, 60.0)
     s2 = cd.init_from_profile(exp_profile, 2.0, 2048, 120.0)
     assert s2.m0() == pytest.approx(s1.m0() / 2.0, rel=1e-4)
-    assert s2.m1() == pytest.approx(s1.m1(), rel=1e-4)
+    assert _m1(s2) == pytest.approx(_m1(s1), rel=1e-4)
 
 
 def test_init_rejects_empty_profile():
@@ -186,7 +191,7 @@ def test_default_domain_cutoff(exp_profile):
     cut = cd.default_domain_cutoff(exp_profile, 2.0)
     assert 25.0 <= cut <= 80.0
     state = cd.init_from_profile(exp_profile, 1.0, 512, cut)
-    assert state.m1() >= 0.999 * cd.moment(exp_profile, 1)
+    assert _m1(state) >= 0.999 * cd.moment(exp_profile, 1)
 
 
 def _sampled_state(F, cells, xmax, m1_target=None):

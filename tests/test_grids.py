@@ -6,8 +6,8 @@ import pytest
 import coagdrift as cd
 from coagdrift import grids
 from coagdrift.grids import _smallest_zmax
-from oracles import (full_convolution_quadrature, half_convolution, plain_log_integral,
-                     reference_plan, reference_samples)
+from oracles import (TOL_INNER, full_convolution_quadrature, half_convolution,
+                     plain_log_integral, reference_plan, reference_samples)
 
 
 def exp_sum(grid, v1=0.5, v2=0.25):
@@ -430,7 +430,7 @@ def test_plan_passes_stream_in_blocks(call, bound):
 
     params = cd.ModelParams(0.5, 0.005)
     seed = cd.seed_profile(params, cd.build_grid(1e6, 2049, 0.5))
-    G = cd.reconstruct_profile(cd.inner_solve(seed, params).tau, params)
+    G = cd.reconstruct_profile(cd.inner_solve(seed, params, TOL_INNER).tau, params)
     plan = G.grid.half_range_plan()
     rule = max(plan.pair_rule(G), key=lambda r: r.a.size)
     cum = _kernel_table(G.grid)
@@ -442,7 +442,7 @@ def test_plan_passes_stream_in_blocks(call, bound):
     run = {"convolution": lambda: cd.half_convolution_at_nodes(G),
            "pair_rule": walk,
            "kernel_sums": lambda: rule.kernel_sums(cum),
-           "inner_solve": lambda: cd.inner_solve(G, params)}[call]
+           "inner_solve": lambda: cd.inner_solve(G, params, TOL_INNER)}[call]
     tracemalloc.start()
     try:
         run()

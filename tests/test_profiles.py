@@ -9,6 +9,7 @@ import pytest
 import coagdrift as cd
 from coagdrift import profiles
 from coagdrift.profiles import certification_checks
+from oracles import TOL_INNER
 
 
 def test_recover_tau_exponential():
@@ -94,7 +95,6 @@ def test_tail_fit_power_law():
     fit = cd.tail_exponent_fit(F)
     assert fit.exponent == pytest.approx(3.0, abs=5e-3)
     assert fit.max_deviation < 1e-3
-    assert fit.n_nodes >= 4
 
 
 def test_tail_fit_flags_exponential():
@@ -135,7 +135,7 @@ def test_auxiliary_solve_contract():
     params = cd.ModelParams(0.5, 0.01)
     grid = cd.build_grid(1e5, 1025, 0.5)
     seed = cd.seed_profile(params, grid)
-    F = cd.reconstruct_profile(cd.inner_solve(seed, params).tau, params)
+    F = cd.reconstruct_profile(cd.inner_solve(seed, params, TOL_INNER).tau, params)
     assert cd.moment(F, 0) == pytest.approx(params.m0, rel=1e-13)
     assert 0.0098 <= F.values[0] <= 0.01  # m0 - 2 m0^2 <= F(0) <= m0
     barrier = cd.supersolution_value(params, grid.nodes)
@@ -161,7 +161,8 @@ def test_outer_solve_report(solved, default_params):
 def test_outer_solve_fixed_point_consistency(solved, default_params):
     # one more application of the solution map barely moves the profile
     F, report, _ = solved
-    F2 = cd.reconstruct_profile(cd.inner_solve(F, default_params).tau, default_params)
+    tau = cd.inner_solve(F, default_params, TOL_INNER).tau
+    F2 = cd.reconstruct_profile(tau, default_params)
     weight = (1.0 + F.grid.nodes) ** (default_params.tau_inf - 0.5)
     assert float(np.max(np.abs(F2.values - F.values) * weight)) <= 5e-9
 
@@ -362,7 +363,7 @@ def test_contraction_bound_stop_is_honest(default_points):
         G = profiles._with_mass(
             cd.GridFunction(F.grid, F.values, tail_exponent=params.tau_inf), params.m0)
         level = profiles._picard(params, G, opts)
-        assert level.update_norm <= opts.tol
+        assert level.fp_residual <= opts.tol
 
 
 def test_forced_run_keeps_its_fine_picard_steps():
@@ -421,12 +422,12 @@ def test_outer_solve_exponential_seed_paths(v, m0, opts):
     # every field of the level is its report counterpart; outer_solve
     # raises unless the level converged
     assert [f.name for f in dataclasses.fields(level)] == [
-        "F", "outer_iterations", "inner_iterations", "restarts", "update_norm", "converged",
+        "F", "outer_iterations", "inner_iterations", "restarts", "fp_residual", "converged",
         "contraction"]
     assert np.array_equal(F.values, level.F.values)
     assert (report.outer_iterations, report.inner_iterations_total, report.inner_restarts,
             report.fp_residual) == (
-        level.outer_iterations, level.inner_iterations, level.restarts, level.update_norm)
+        level.outer_iterations, level.inner_iterations, level.restarts, level.fp_residual)
     assert level.converged
 
 
@@ -524,7 +525,7 @@ def test_outer_solve_stops_at_a_rising_update_norm(default_params, monkeypatch):
     monkeypatch.setattr(profiles, "_weighted_sup", recording_sup)
     level = _from_exponential_seed(default_params, opts)
     assert norms[1] > norms[0]
-    assert (level.outer_iterations, level.update_norm, level.converged) == (2, norms[1], False)
+    assert (level.outer_iterations, level.fp_residual, level.converged) == (2, norms[1], False)
 
 
 def test_outer_solve_large_v_falls_back_without_warning():

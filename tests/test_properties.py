@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from coagdrift import cli, grids
+from coagdrift import grids
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
 from coagdrift.grids import _moment_table, _range_moments, _z_fraction_rule
 from coagdrift.profile_io import ProfileRecord, read_profile, write_profile
-from oracles import RecordingPool, plain_log_integral, tau_map
+from oracles import TOL_INNER, RecordingPool, plain_log_integral, tau_map
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
@@ -172,7 +172,8 @@ def causal_map():
     its converged tau."""
     params = cd.ModelParams(0.5, 0.005)
     seed = cd.seed_profile(params, cd.build_grid(1e6, 129, 0.5))
-    return params, seed, cd.derive_constants(params).tau_star, cd.inner_solve(seed, params).tau
+    tau = cd.inner_solve(seed, params, TOL_INNER).tau
+    return params, seed, cd.derive_constants(params).tau_star, tau
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
@@ -430,8 +431,7 @@ def _exit_code_of_drawn_argv(cli_files, data, warnings_as_errors):
         else:
             warnings.simplefilter("always", RuntimeWarning)
             warnings.filterwarnings("ignore", _STATED_WARNINGS, RuntimeWarning)
-        patch.setattr(RecordingPool, "created", [])
-        patch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.install(patch)
         try:
             code = main(argv)
         except SystemExit as exc:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from coagdrift import grids
+from coagdrift import grids, tau_iteration
 from coagdrift.model import iteration_barrier
-from oracles import (barrier_sweeps, global_sweeps, kernel_sums, plain_log_integral,
+from oracles import (TOL_INNER, barrier_sweeps, global_sweeps, kernel_sums, plain_log_integral,
                      reference_plan, reference_samples, tau_map)
 
 
@@ -76,9 +76,9 @@ def test_operator_h_upper_bound(setup):
 
 def test_inner_solve_monotone_decrease(setup):
     params, grid, seed, constants = setup
-    result = cd.inner_solve(seed, params)
+    result = cd.inner_solve(seed, params, TOL_INNER)
     slack = 1e-13 * constants.tau_star
-    blocks, last = barrier_sweeps(seed, params, constants.tau_star, cd.InnerSolveOptions())
+    blocks, last = barrier_sweeps(seed, params, constants.tau_star, TOL_INNER)
     assert len(blocks) > 1
     assert max(map(len, blocks)) == result.iterations
     assert np.array_equal(last, result.tau.values)
@@ -87,7 +87,10 @@ def test_inner_solve_monotone_decrease(setup):
         assert np.all(image >= -slack)
     assert np.all(result.tau.values <= constants.tau_star)
     assert np.all(result.tau.values >= 0.0)
-    assert result.residual <= 1e-10
+    # the stop rule: each block's last sweep moved it by at most the
+    # tolerance, so one more sweep from the returned tau moves no row by
+    # more (measured: 7.5e-14, the tolerance over 1300)
+    assert np.max(np.abs(tau_map(seed, result.tau, params).values - result.tau.values)) <= TOL_INNER
     # tau approaches the limiting tail exponent at the far end
     assert result.tau.values[-1] == pytest.approx(3.0, rel=1e-3)
 
@@ -108,7 +111,7 @@ def test_inner_solve_holds_one_pair_rule(setup, monkeypatch):
         return rule
 
     monkeypatch.setattr(grids._HalfRangePlan, "_block_rule", counted)
-    cd.inner_solve(seed, params)
+    cd.inner_solve(seed, params, TOL_INNER)
     assert len(others) > 3 and max(others) == 0
 
 
@@ -123,13 +126,12 @@ def test_march_reaches_the_global_fixed_point(n, m0, force):
     # forced run, so the bound 1e-13 leaves a factor 25
     params = cd.ModelParams(0.5, m0)
     seed = cd.seed_profile(params, cd.build_grid(1e6, n, 0.5))
-    opts = cd.InnerSolveOptions()
     with warnings.catch_warnings():
         # the forced cap is no supersolution here: the run warns, as stated
         warnings.filterwarnings("ignore", "m0 above the admissibility|monotone sweep violated",
                                 RuntimeWarning)
-        result = cd.inner_solve(seed, params, opts, force=force)
-    iterations, tau = global_sweeps(seed, params, iteration_barrier(params, force)[0], opts)
+        result = cd.inner_solve(seed, params, TOL_INNER, force=force)
+    iterations, tau = global_sweeps(seed, params, iteration_barrier(params, force)[0], TOL_INNER)
     assert result.iterations == iterations
     assert result.tau.values[0] == tau[0] == 0.0
     np.testing.assert_allclose(result.tau.values[1:], tau[1:], rtol=1e-13, atol=0.0)
@@ -143,8 +145,9 @@ def _first_iterate(n, m0, force):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "m0 above the admissibility|monotone sweep violated",
                                 RuntimeWarning)
-        G = cd.reconstruct_profile(cd.inner_solve(seed, params, force=force).tau, params)
-        return params, G, cd.inner_solve(G, params, force=force)
+        tau = cd.inner_solve(seed, params, TOL_INNER, force=force).tau
+        G = cd.reconstruct_profile(tau, params)
+        return params, G, cd.inner_solve(G, params, TOL_INNER, force=force)
 
 
 def _warm_solve(G, params, force, factor, base):
@@ -152,7 +155,7 @@ def _warm_solve(G, params, force, factor, base):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "m0 above the admissibility|monotone sweep violated",
                                 RuntimeWarning)
-        return cd.inner_solve(G, params, force=force, start=start)
+        return cd.inner_solve(G, params, TOL_INNER, force=force, start=start)
 
 
 @pytest.mark.parametrize("m0, force, rtol", [(0.005, False, 1e-12), (0.3, True, 5e-11)])
@@ -194,16 +197,16 @@ def test_fixed_point_is_unique_below_the_barrier(m0, force):
     # 1.9e-16 apart on the README pair and 2.6e-15 forced)
     params, G, _ = _first_iterate(1025, m0, force)
     cap = iteration_barrier(params, force)[0]
-    opts = cd.InnerSolveOptions(tol=1e-13)
-    _, low = global_sweeps(G, params, cap, opts, start=np.zeros(G.grid.n))
-    _, high = global_sweeps(G, params, cap, opts)
+    _, low = global_sweeps(G, params, cap, 1e-13, start=np.zeros(G.grid.n))
+    _, high = global_sweeps(G, params, cap, 1e-13)
     np.testing.assert_allclose(low[1:], high[1:], rtol=1e-13, atol=0.0)
 
 
-def test_inner_solve_iteration_cap(setup):
+def test_inner_solve_iteration_cap(setup, monkeypatch):
     params, _, seed, _ = setup
+    monkeypatch.setattr(tau_iteration, "MAX_SWEEPS", 1)
     with pytest.raises(cd.ConvergenceError) as err:
-        cd.inner_solve(seed, params, cd.InnerSolveOptions(tol=1e-10, max_iter=1))
+        cd.inner_solve(seed, params, TOL_INNER)
     assert err.value.residual > 0.0
     assert err.value.best is not None
 
@@ -213,14 +216,14 @@ def test_inner_solve_rejects_wrong_mass(setup):
     bad = cd.GridFunction(grid, 2.0 * cd.seed_profile(params, grid).values,
                           tail_exponent=math.inf)
     with pytest.raises(cd.ParameterDomainError):
-        cd.inner_solve(bad, params)
+        cd.inner_solve(bad, params, TOL_INNER)
 
 
 def test_inner_solve_options_validation():
-    with pytest.raises(cd.ParameterDomainError):
-        cd.InnerSolveOptions(tol=0.0)
-    with pytest.raises(cd.ParameterDomainError):
-        cd.InnerSolveOptions(max_iter=0)
+    # the inner tolerance is an outer solve option, validated there
+    for tol in (0.0, -1e-10, math.nan):
+        with pytest.raises(cd.ParameterDomainError, match="tol_inner"):
+            cd.OuterSolveOptions(tol_inner=tol)
 
 
 def test_reconstruct_exponential_tau():
@@ -244,9 +247,9 @@ def test_forced_inner_solve_above_threshold():
     grid = cd.build_grid(1e4, 513, 0.5)
     seed = cd.seed_profile(params, grid)
     with pytest.raises(cd.ThresholdExceededError):
-        cd.inner_solve(seed, params)
+        cd.inner_solve(seed, params, TOL_INNER)
     with pytest.warns(RuntimeWarning):
-        result = cd.inner_solve(seed, params, force=True)
+        result = cd.inner_solve(seed, params, TOL_INNER, force=True)
     cap, certified = iteration_barrier(params, True)
     assert not certified and cap == pytest.approx(2.0 * params.tau_inf)
     assert np.all(result.tau.values >= 0.0) and np.all(result.tau.values <= cap)
@@ -280,7 +283,7 @@ def test_sweep_matches_per_point(setup, tau_case, zero_tail):
     if tau_case == "barrier":
         tau = _const_tau(grid, constants.tau_star, params.linear_coefficient)
     else:
-        tau = cd.inner_solve(seed, params).tau
+        tau = cd.inner_solve(seed, params, TOL_INNER).tau
     cum = plain_log_integral(tau)
     got_tau = tau_map(G, tau, params).values
     got_h = kernel_sums(grid.half_range_plan(), G, cum)
@@ -323,7 +326,7 @@ def test_inner_solve_kernel_overflow_is_typed():
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "m0 above the admissibility", RuntimeWarning)
             with pytest.raises(cd.NumericalConsistencyError, match="left the float range"):
-                cd.inner_solve(seed, params, force=force)
+                cd.inner_solve(seed, params, TOL_INNER, force=force)
     # one application of the map at the barrier of the first case overflows
     # the same way, typed and without a RuntimeWarning
     params = cd.ModelParams(0.99902, 1e-312)
@@ -337,6 +340,7 @@ def test_inner_solve_kernel_overflow_is_typed():
     # point whose kernel overflows; pairs of zero mass are left out of the
     # sweep, so the solve ends below the barrier
     params = cd.ModelParams(0.99902, 1e-320)
-    result = cd.inner_solve(cd.seed_profile(params, cd.build_grid(1e6, 3, 0.99902)), params)
+    result = cd.inner_solve(cd.seed_profile(params, cd.build_grid(1e6, 3, 0.99902)), params,
+                            TOL_INNER)
     cap = iteration_barrier(params)[0]
     assert np.all(result.tau.values >= 0.0) and np.all(result.tau.values <= cap)
