@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,13 +91,14 @@ class Grid:
     def zmax(self) -> float:
         return float(self.nodes[-1])
 
-    @property
+    @cached_property
     def dw(self) -> float:
         return float(np.log1p((1.0 - self.v) * self.zmax) / (self.n - 1))
 
-    def sprime(self, z):
-        """dz/dw = (1 + (1-v) z)/(1-v)."""
-        return (1.0 + (1.0 - self.v) * np.asarray(z, dtype=float)) / (1.0 - self.v)
+    @cached_property
+    def sprime(self) -> np.ndarray:
+        """dz/dw = (1 + (1-v) z)/(1-v) at the nodes."""
+        return (1.0 + (1.0 - self.v) * self.nodes) / (1.0 - self.v)
 
     def bracket(self, z):
         """Bracketing interval index and linear fraction in z.
@@ -255,7 +257,7 @@ class TauFunction:
         skip = int(start == 0)  # node 0, where tau(s)/s is continued
         z = self.grid.nodes[start + skip:stop]
         out = np.empty(stop - start)
-        out[skip:] = self.values[start + skip:stop] * self.grid.sprime(z) / z
+        out[skip:] = self.values[start + skip:stop] * self.grid.sprime[start + skip:stop] / z
         if skip:
             out[0] = self.slope0 / (1.0 - self.grid.v)
         return out
@@ -307,7 +309,7 @@ def moment(F: GridFunction, k: int) -> float:
             f"moment of order {k} diverges: tail exponent {p} <= {k + 1}"
         )
     z = grid.nodes
-    g = z**k * F.values * grid.sprime(z)
+    g = z**k * F.values * grid.sprime
     body = _corrected_trapezoid_w(grid, g)
     if f_end == 0.0 or math.isinf(p):
         tail = 0.0

@@ -89,22 +89,28 @@ class InnerSolveResult:
     restarts: int
 
 
-def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams) -> np.ndarray:
+def _factor(grid, params: ModelParams) -> np.ndarray:
+    """The positive factor z / ((1-v) z + 1) of the fixed-point map at the
+    nodes, the same for every sweep."""
+    z = grid.nodes
+    return z / ((1.0 - params.v) * z + 1.0)
+
+
+def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams,
+          factor: np.ndarray) -> np.ndarray:
     """One application of the fixed-point map to tau on the rows of the pair
     block ``rule``: the image at the nodes rows.start + 1 to rows.stop, from
     the plain log-integral table ``cum`` of tau, which the block reads up to
-    node rows.stop + 1.  Order preserving, as h is (``kernel_sums``) and
-    enters with a positive factor.  A kernel that overflows is a consistency
-    error."""
-    grid = tau.grid
-    z = grid.nodes[rule.rows.start + 1:rule.rows.stop + 1]
+    node rows.stop + 1, and ``factor`` of ``_factor``.  Order preserving, as
+    h is (``kernel_sums``) and enters with a positive factor.  A kernel that
+    overflows is a consistency error."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = z / ((1.0 - params.v) * z + 1.0) * (params.linear_coefficient
-                                                    + rule.kernel_sums(cum))
+        vals = factor[rule.rows.start + 1:rule.rows.stop + 1] * (params.linear_coefficient
+                                                                 + rule.kernel_sums(cum))
     if not np.isfinite(vals).all():
         raise NumericalConsistencyError(
             f"a sweep left the float range: the kernel exp(I(z) - I(z-y)) under "
-            f"tau <= {float(np.max(tau.values)):.6g} overflows on this {grid.n}-node grid"
+            f"tau <= {float(np.max(tau.values)):.6g} overflows on this {tau.grid.n}-node grid"
         )
     return vals
 
@@ -166,6 +172,7 @@ def inner_solve(
         np.clip(start.values, 0.0, cap, out=values)
     values[0] = 0.0  # the image at z = 0, where no row reads tau
     cum = np.zeros(grid.n)
+    factor = _factor(grid, params)
     stale = 1  # cum holds the plain log-integral table of tau below this node
 
     iterations = restarts = 0
@@ -178,7 +185,7 @@ def inner_solve(
         for sweep in range(1, MAX_SWEEPS + 2):
             _continue_log_integral(cum, tau, stale, reads)
             stale = block.start
-            new_vals = _step(rule, tau, cum, params)
+            new_vals = _step(rule, tau, cum, params, factor)
             change = new_vals - values[block]
             low = float(new_vals.min())
             rise = float(change.max())

@@ -24,7 +24,7 @@ import coagdrift as cd
 from coagdrift import tau_iteration
 from coagdrift.evolution import _WINDOW_SAMPLES
 from coagdrift.grids import _continue_log_integral
-from coagdrift.tau_iteration import _step
+from coagdrift.tau_iteration import _factor, _step
 
 # The default inner tolerance, whose one owner is ``OuterSolveOptions``.
 TOL_INNER = cd.OuterSolveOptions().tol_inner
@@ -64,9 +64,10 @@ def tau_map(G, tau, params, rules=None):
     if rules is None:
         rules = G.grid.half_range_plan().pair_rule(G)
     cum = plain_log_integral(tau)
+    factor = _factor(G.grid, params)
     values = np.zeros(G.grid.n)
     for rule in rules:
-        values[rule.rows.start + 1:rule.rows.stop + 1] = _step(rule, tau, cum, params)
+        values[rule.rows.start + 1:rule.rows.stop + 1] = _step(rule, tau, cum, params, factor)
     return cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
 
 
