@@ -244,9 +244,7 @@ def _sweep_worker(payload: dict) -> tuple[float, int, str]:
 
 
 def cmd_sweep(args) -> int:
-    # imported here: only a sweep needs multiprocessing, which costs every
-    # other command's process time and memory to load
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor  # no other command loads multiprocessing
 
     if not args.m0_list:
         raise ParameterDomainError("empty m0 list")

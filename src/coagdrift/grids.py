@@ -269,10 +269,9 @@ class TauFunction:
 
 def _derivative_uniform(g: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order finite-difference derivative on a uniform grid."""
-    n = g.size
-    d = np.empty_like(g)
-    if n < 5:
+    if g.size < 5:
         return np.gradient(g, h)
+    d = np.empty_like(g)
     d[2:-2] = (g[:-4] - 8.0 * g[1:-3] + 8.0 * g[3:-1] - g[4:]) / (12.0 * h)
     d[0] = (-25.0 * g[0] + 48.0 * g[1] - 36.0 * g[2] + 16.0 * g[3] - 3.0 * g[4]) / (12.0 * h)
     d[1] = (-3.0 * g[0] - 10.0 * g[1] + 18.0 * g[2] - 6.0 * g[3] + g[4]) / (12.0 * h)
@@ -800,8 +799,7 @@ def cumulative_log_integral(tau: TauFunction) -> np.ndarray:
     pointwise order 4.
     """
     grid = tau.grid
-    out = np.empty(grid.n)
-    out[0] = 0.0
+    out = np.zeros(grid.n)
     _continue_log_integral(out, tau, 1, grid.n)
     if grid.n >= 5:
         dw = grid.dw

@@ -12,7 +12,8 @@ first sweep and replaced by the barrier (``inner_solve``).  A level also
 stops when the contraction bound on its distance to the fixed point
 reaches the tolerance, with the contraction estimated on its own steps and
 on the rungs below it, so the first iterate on a well-seeded grid can be
-its last.
+its last.  Every setting of a solve, the inner sweep's tolerance
+included, is a field of ``OuterSolveOptions``.
 """
 
 from __future__ import annotations

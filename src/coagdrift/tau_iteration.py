@@ -23,11 +23,13 @@ The map is also causal, of Volterra type: the image at z reads tau on
 table is a prefix sum and the rules of row j read it at nodes up to j only
 (``grids._PairRule.kernel_sums``).  So ``inner_solve`` marches the pair
 blocks of the plan in row order, and a block is swept only once the rows
-before it are final; only that block's rule is alive.  The barrier argument
-holds per block.  The earlier rows end in [0, cap], so the cap on the
-block's rows maps below the image of the constant cap on all rows, which is
-at most the cap; the block's map is order preserving, so its sweep from the
-cap decreases pointwise.  Its limit is the fixed point of the block with
+before it are final; only that block's rule is alive.  It is swept until
+its last sweep moves it by at most the tolerance ``inner_solve`` is given
+(``OuterSolveOptions.tol_inner`` in the outer solve), in at most
+``MAX_SWEEPS`` sweeps.  The barrier argument holds per block.  The earlier
+rows end in [0, cap], so the cap on the block's rows maps below the image
+of the constant cap on all rows, which is at most the cap; the block's map
+is order preserving, so its sweep from the cap decreases pointwise.  Its limit is the fixed point of the block with
 the earlier rows at theirs, block by block the fixed point of the all-rows
 iteration.
 
@@ -90,10 +92,8 @@ class InnerSolveResult:
 
 
 def _factor(grid, params: ModelParams) -> np.ndarray:
-    """The positive factor z / ((1-v) z + 1) of the fixed-point map at the
-    nodes, the same for every sweep."""
-    z = grid.nodes
-    return z / ((1.0 - params.v) * z + 1.0)
+    """The fixed-point map's positive factor z / ((1-v) z + 1) at the nodes."""
+    return grid.nodes / ((1.0 - params.v) * grid.nodes + 1.0)
 
 
 def _step(rule, tau: TauFunction, cum: np.ndarray, params: ModelParams,
