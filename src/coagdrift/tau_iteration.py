@@ -29,9 +29,9 @@ its last sweep moves it by at most the tolerance ``inner_solve`` is given
 ``MAX_SWEEPS`` sweeps.  The barrier argument holds per block.  The earlier
 rows end in [0, cap], so the cap on the block's rows maps below the image
 of the constant cap on all rows, which is at most the cap; the block's map
-is order preserving, so its sweep from the cap decreases pointwise.  Its limit is the fixed point of the block with
-the earlier rows at theirs, block by block the fixed point of the all-rows
-iteration.
+is order preserving, so its sweep from the cap decreases pointwise.  Its
+limit is the fixed point of the block with the earlier rows at theirs,
+block by block the fixed point of the all-rows iteration.
 
 The barrier is only the one start known in advance.  Any tau in [0, cap]
 that the map sends below itself is a supersolution too, and the sweep from
