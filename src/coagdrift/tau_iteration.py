@@ -150,6 +150,8 @@ def inner_solve(
     so its tau is unique, and the tests check that the iterations from 0
     and from the cap meet.
     """
+    if not tol > 0.0:
+        raise ParameterDomainError(f"tol must be positive, got {tol}")
     m0_actual = moment(G, 0)
     if abs(m0_actual - params.m0) > _M0_MATCH_RTOL * max(params.m0, 1e-300):
         raise ParameterDomainError(

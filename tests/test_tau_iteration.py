@@ -219,11 +219,15 @@ def test_inner_solve_rejects_wrong_mass(setup):
         cd.inner_solve(bad, params, TOL_INNER)
 
 
-def test_inner_solve_options_validation():
-    # the inner tolerance is an outer solve option, validated there
+def test_inner_solve_options_validation(setup):
+    # the inner tolerance is an outer solve option, validated there and by
+    # inner_solve, which takes it as a float
+    params, _, seed, _ = setup
     for tol in (0.0, -1e-10, math.nan):
         with pytest.raises(cd.ParameterDomainError, match="tol_inner"):
             cd.OuterSolveOptions(tol_inner=tol)
+        with pytest.raises(cd.ParameterDomainError, match="tol must be positive"):
+            cd.inner_solve(seed, params, tol)
 
 
 def test_reconstruct_exponential_tau():
