@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 from .errors import (
     CoagDriftError,
@@ -244,8 +245,6 @@ def _sweep_worker(payload: dict) -> tuple[float, int, str]:
 
 
 def cmd_sweep(args) -> int:
-    from concurrent.futures import ProcessPoolExecutor  # no other command loads multiprocessing
-
     if not args.m0_list:
         raise ParameterDomainError("empty m0 list")
     jobs = []

@@ -95,10 +95,9 @@ class Grid:
     def dw(self) -> float:
         return float(np.log1p((1.0 - self.v) * self.zmax) / (self.n - 1))
 
-    @cached_property
-    def sprime(self) -> np.ndarray:
-        """dz/dw = (1 + (1-v) z)/(1-v) at the nodes."""
-        return (1.0 + (1.0 - self.v) * self.nodes) / (1.0 - self.v)
+    def sprime(self, z):
+        """dz/dw = (1 + (1-v) z)/(1-v)."""
+        return (1.0 + (1.0 - self.v) * np.asarray(z, dtype=float)) / (1.0 - self.v)
 
     def bracket(self, z):
         """Bracketing interval index and linear fraction in z.
@@ -257,7 +256,7 @@ class TauFunction:
         skip = int(start == 0)  # node 0, where tau(s)/s is continued
         z = self.grid.nodes[start + skip:stop]
         out = np.empty(stop - start)
-        out[skip:] = self.values[start + skip:stop] * self.grid.sprime[start + skip:stop] / z
+        out[skip:] = self.values[start + skip:stop] * self.grid.sprime(z) / z
         if skip:
             out[0] = self.slope0 / (1.0 - self.grid.v)
         return out
@@ -308,7 +307,7 @@ def moment(F: GridFunction, k: int) -> float:
             f"moment of order {k} diverges: tail exponent {p} <= {k + 1}"
         )
     z = grid.nodes
-    g = z**k * F.values * grid.sprime
+    g = z**k * F.values * grid.sprime(z)
     body = _corrected_trapezoid_w(grid, g)
     if f_end == 0.0 or math.isinf(p):
         tail = 0.0

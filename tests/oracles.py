@@ -12,11 +12,8 @@ rebuilds the half-range plan one row at a time, with per-point weights and
 sample indices.  ``reference_step`` and ``reference_run`` are the explicit
 Euler step and the march of ``simulate`` with a fresh array for every
 intermediate.  ``RecordingPool``
-replaces the ``concurrent.futures.ProcessPoolExecutor`` that ``sweep``
-imports, so that ``sweep`` starts no process.
+replaces ``cli.ProcessPoolExecutor`` so that ``sweep`` starts no process.
 """
-
-import concurrent.futures
 
 import numpy as np
 
@@ -122,7 +119,8 @@ def barrier_sweeps(G, params, cap, tol):
 def global_sweeps(G, params, cap, tol, start=None):
     """The all-rows iteration: start at the constant barrier ``cap`` (or at
     the values ``start``), apply the map to every row at once, clip each
-    image to [0, cap], and stop once a step moves tau by at most ``tol``.  Returns the step count and the last iterate."""
+    image to [0, cap], and stop once a step moves tau by at most ``tol``.
+    Returns the step count and the last iterate."""
     rules = list(G.grid.half_range_plan().pair_rule(G))
     values = np.full(G.grid.n, cap) if start is None else start
     tau = cd.TauFunction(G.grid, values, slope0=params.linear_coefficient)
@@ -236,13 +234,6 @@ class RecordingPool:
     every job in-process without solving, so no process is started."""
 
     created: list = []
-
-    @classmethod
-    def install(cls, monkeypatch):
-        """Make this class the pool that ``sweep`` imports, with an empty
-        record, until ``monkeypatch`` undoes it."""
-        monkeypatch.setattr(RecordingPool, "created", [])
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", cls)
 
     def __init__(self, max_workers):
         self.created.append(max_workers)

@@ -31,12 +31,11 @@ def solved_file(tmp_path_factory):
 
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency: a fresh interpreter importing
-    # the command line loads no scipy module, and no multiprocessing module,
-    # which only ``sweep`` needs and imports when it runs
+    # the command line loads no scipy module
     src = os.path.dirname(os.path.dirname(os.path.abspath(cd.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, coagdrift.cli; print(sorted(m for m in sys.modules if "
-            "m.split('.')[0] in ('scipy', 'multiprocessing') or m == 'concurrent.futures.process'))")
+    code = ("import sys, coagdrift.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -103,7 +102,10 @@ def test_threshold_and_solve_beyond_float_range(tmp_path, capsys):
     (["solve", "--v", "0.5", "--m0", "0.005", "--max-iter", "0"], "--max-iter"),
 ])
 def test_bad_flag_value_exits_2_naming_it(argv, flag, capsys, monkeypatch):
-    RecordingPool.install(monkeypatch)
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -491,7 +493,8 @@ def test_sweep_command(tmp_path):
 def test_sweep_pool_size(monkeypatch, tmp_path, cpus, extra, want):
     from coagdrift import cli
 
-    RecordingPool.install(monkeypatch)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     code = main([
         "sweep", "--v", "0.5", "--m0-list", "0.001,0.002,0.003,0.004,0.005",
@@ -511,7 +514,10 @@ class InProcessPool(RecordingPool):
 def test_sweep_reports_each_failing_job(monkeypatch, tmp_path, capsys):
     # a job that ends in a package error reports its exit code like any
     # other instead of aborting the sweep; the sweep returns the worst code
-    InProcessPool.install(monkeypatch)
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     code = main(["sweep", "--v", "0.5", "--m0-list", "0.004,0.005", "--nodes", "5",
                  "--jobs", "1", "--out-dir", str(tmp_path)])
     assert code == 3
@@ -523,7 +529,10 @@ def test_sweep_reports_each_failing_job(monkeypatch, tmp_path, capsys):
 def test_sweep_distinct_m0_get_distinct_files(monkeypatch, tmp_path, capsys):
     # m0 values equal to six significant digits keep their own files and
     # report lines
-    RecordingPool.install(monkeypatch)
+    from coagdrift import cli
+
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     assert main(["sweep", "--v", "0.5", "--m0-list", "0.01658011,0.01658012",
                  "--out-dir", str(tmp_path)]) == 0
     assert capsys.readouterr().out.splitlines() == [

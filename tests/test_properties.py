@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import coagdrift as cd
-from coagdrift import grids
+from coagdrift import cli, grids
 from coagdrift.cli import main
 from coagdrift.errors import ProfileFormatError
 from coagdrift.grids import _moment_table, _range_moments, _z_fraction_rule
@@ -431,7 +431,8 @@ def _exit_code_of_drawn_argv(cli_files, data, warnings_as_errors):
         else:
             warnings.simplefilter("always", RuntimeWarning)
             warnings.filterwarnings("ignore", _STATED_WARNINGS, RuntimeWarning)
-        RecordingPool.install(patch)
+        patch.setattr(RecordingPool, "created", [])
+        patch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         try:
             code = main(argv)
         except SystemExit as exc:
