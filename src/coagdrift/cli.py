@@ -60,7 +60,7 @@ def _default_paths(args) -> tuple[str, str]:
 def cmd_threshold(args) -> int:
     m0_bar = admissible_threshold(args.v)
     print(f"v      = {args.v:.17g}")
-    print(f"a_0    = {(2 - args.v) / (1 - args.v):.17g}")
+    print(f"a_0    = {ModelParams.limiting_tail_exponent(args.v):.17g}")
     print(f"m0_bar = {m0_bar:.17g}")
     if args.m0 is not None:
         try:

@@ -32,15 +32,11 @@ class DivergentMomentError(CoagDriftError, ValueError):
 
 
 class ConvergenceError(CoagDriftError, RuntimeError):
-    """An iteration hit its cap before reaching tolerance.
+    """An iteration stopped short of its tolerance.  ``best`` and ``report``
+    (optional) hold the last iterate and the solve's report for callers."""
 
-    ``residual`` is the last measured update norm; ``best`` (optional) holds
-    the last iterate so callers can inspect or persist it.
-    """
-
-    def __init__(self, message: str, residual: float, best=None, report=None):
+    def __init__(self, message: str, best=None, report=None):
         super().__init__(message)
-        self.residual = residual
         self.best = best
         self.report = report
 

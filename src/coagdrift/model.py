@@ -61,10 +61,15 @@ class ModelParams:
         if not (0.0 < self.m0 < 1.0):
             raise ParameterDomainError(f"m0 must lie in (0, 1), got {self.m0}")
 
+    @staticmethod
+    def limiting_tail_exponent(v: float) -> float:
+        """Limiting tail exponent (2 - v)/(1 - v) of the fat-tail family (a_0)."""
+        return (2.0 - v) / (1.0 - v)
+
     @property
     def tau_inf(self) -> float:
-        """Limiting tail exponent (2 - v)/(1 - v) of the fat-tail family."""
-        return (2.0 - self.v) / (1.0 - self.v)
+        """``limiting_tail_exponent`` of this v."""
+        return self.limiting_tail_exponent(self.v)
 
     @property
     def alpha(self) -> float:
@@ -116,7 +121,7 @@ def admissible_threshold(v: float) -> float:
     """
     if not (0.0 < v < 1.0):
         raise ParameterDomainError(f"v must lie in (0, 1), got {v}")
-    a_0 = (2.0 - v) / (1.0 - v)
+    a_0 = ModelParams.limiting_tail_exponent(v)
     peak = 1.0 / (math.e * math.log(2.0))
     try:
         barrier_bound = (1.0 - v) * peak / (2.0 * 2.0**a_0)
@@ -181,7 +186,7 @@ def iteration_barrier(params: ModelParams, force: bool = False) -> tuple[float, 
     cap OVERRIDE_CAP_FACTOR * tau_inf is returned with False."""
     try:
         return derive_constants(params).tau_star, True
-    except (ThresholdExceededError, ParameterDomainError):
+    except ParameterDomainError:
         if not force:
             raise
         return OVERRIDE_CAP_FACTOR * params.tau_inf, False

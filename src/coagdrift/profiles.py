@@ -5,15 +5,15 @@ The outer solve is seeded from a ladder of coarser solves of the same zmax,
 each with (n-1)//4 + 1 nodes of the one above (``_ladder_seed``).  The tau
 sweep's quadrature is of order 2 in dw, so the log-profile on a grid of
 step h errs by about C h^2, and the two rungs below a grid give, by one
-Richardson step, its solution up to O(h^4).  Within a level, every inner
-solve starts from the tau of the step before, raised to lie above its
-next fixed point (``_picard``); a start that does not is detected by its
-first sweep and replaced by the barrier (``inner_solve``).  A level also
-stops when the contraction bound on its distance to the fixed point
-reaches the tolerance, with the contraction estimated on its own steps and
-on the rungs below it, so the first iterate on a well-seeded grid can be
-its last.  Every setting of a solve, the inner sweep's tolerance
-included, is a field of ``OuterSolveOptions``.
+Richardson step, its solution up to O(h^4).  Within a level, each step's
+profile is the next datum, and its inner solve starts from the last tau
+raised above its next fixed point (``_picard``); a start below it is
+detected by its first sweep and replaced by the barrier (``inner_solve``).
+A level also stops when the contraction bound on its distance to the fixed
+point reaches the tolerance, with the contraction estimated on its own
+steps and on the rungs below it, so the first iterate on a well-seeded
+grid can be its last.  Every setting of a solve, the inner sweep's
+tolerance included, is a field of ``OuterSolveOptions``.
 """
 
 from __future__ import annotations
@@ -224,10 +224,11 @@ def _relative_update(before: TauFunction, after: TauFunction) -> float:
 
 def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
             start: TauFunction | None = None, contraction: float | None = None):
-    """Picard iteration of the auxiliary solution map from the datum G, on
-    G's grid.  It stops as soon as the update norm does not fall below the
-    previous one, or after ``opts.max_outer`` iterations, and else when the
-    update norm reaches ``opts.tol`` or the contraction bound does.
+    """Picard iteration G <- T(G) of the auxiliary solution map from the
+    datum G, on G's grid: a step's profile (at mass m0) is the next datum.
+    It stops as soon as the update norm does not fall below the previous
+    one, or after ``opts.max_outer`` iterations, and else when the update
+    norm reaches ``opts.tol`` or the contraction bound does.
 
     The bound is the a-posteriori one of the contraction mapping principle,
     dist(F, F*) <= q/(1-q) * update norm for a map of contraction q < 1.
@@ -264,8 +265,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
         margin = None if last is None else _relative_update(last, result.tau)
         last = result.tau
         F = reconstruct_profile(last, params)
-        delta = F.values - G.values
-        update_norm = _weighted_sup(delta, weight)
+        update_norm = _weighted_sup(F.values - G.values, weight)
         if not update_norm < prev_norm:
             break
         if prev_norm < math.inf:
@@ -277,8 +277,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
                 update_norm = bound
                 break
         prev_norm = update_norm
-        G = _with_mass(GridFunction(grid, G.values + delta, tail_exponent=params.tau_inf),
-                       params.m0)
+        G = F
     return _Level(F, outer_iterations, inner_total, restarts, update_norm,
                   converged=update_norm <= opts.tol, contraction=contraction)
 
@@ -418,7 +417,7 @@ def outer_solve(
             msg = (f"update norm {norm} at outer iteration {steps}: the tail weight "
                    f"(1+z)^{params.tau_inf - 0.5:.6g} overflows on this grid; lower "
                    f"zmax (now {opts.zmax:g})")
-        raise ConvergenceError(msg, residual=norm, best=F, report=report)
+        raise ConvergenceError(msg, best=F, report=report)
     return F, report
 
 

@@ -215,10 +215,7 @@ def inner_solve(
             if sweep - wasted == MAX_SWEEPS:
                 raise ConvergenceError(
                     f"inner iteration did not reach tol={tol} in {MAX_SWEEPS} sweeps "
-                    f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})",
-                    residual=step,
-                    best=tau,
-                )
+                    f"on nodes {block.start} to {block.stop - 1} (last residual {step:.3e})")
         iterations = max(iterations, sweep)
         restarts += wasted
         del rule  # before the next block's rule is built: one rule is alive

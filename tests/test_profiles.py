@@ -464,13 +464,10 @@ def test_outer_solve_coarse_level_that_raises_falls_back(default_params, monkeyp
         cd.outer_solve(default_params, opts)
 
 
-def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
-    # at v = 0.95 the 257-node level never converges: its update norms run
-    # 2.8e16, 9.5e7, 8.05, 8.05, ...  It stops at the fourth iteration, the
-    # first whose norm does not fall, and the fine solve runs from the
-    # exponential seed, with no contraction estimate from the rung
-    params = cd.ModelParams(0.95, 0.1 * cd.admissible_threshold(0.95))
-    opts = cd.OuterSolveOptions(zmax=1e10, nodes=1025)
+def _record_levels(monkeypatch):
+    """Patch ``profiles._picard`` to record, per level, its node count,
+    outer iterations, whether it converged and the contraction estimate it
+    was handed."""
     calls = []
     picard = profiles._picard
 
@@ -480,27 +477,63 @@ def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(monkeypatch):
         return level
 
     monkeypatch.setattr(profiles, "_picard", recording_picard)
-    F, report = cd.outer_solve(params, opts)
+    return calls
+
+
+def test_outer_solve_gives_up_a_nonconverging_coarse_level_early(default_params, monkeypatch):
+    # the 257-node rung's third iterate is pushed away from its second, so
+    # its update norms run 8.5e-3, 2.3e-5 and then rise: the rung stops
+    # there, unconverged, and the fine solve runs from the exponential seed,
+    # with no contraction estimate from the rung (the rung has one, from
+    # its two falling steps)
+    opts = cd.OuterSolveOptions(zmax=1e5, nodes=1025)
+    rung_steps = []
+    reconstruct = profiles.reconstruct_profile
+
+    def pushed_away(tau, params):
+        F = reconstruct(tau, params)
+        if F.grid.n == 257:
+            rung_steps.append(F)
+            if len(rung_steps) == 3:
+                return cd.GridFunction(F.grid, 10.0 * F.values, tail_exponent=F.tail_exponent)
+        return F
+
+    monkeypatch.setattr(profiles, "reconstruct_profile", pushed_away)
+    calls = _record_levels(monkeypatch)
+    F, report = cd.outer_solve(default_params, opts)
     (coarse_n, coarse_iterations, coarse_converged, _), fine = calls
-    assert coarse_n == 257 and not coarse_converged
-    assert coarse_iterations == 4
+    assert (coarse_n, coarse_iterations, coarse_converged) == (257, 3, False)
     assert fine[3] is None
     assert report.seed_nodes == 0
-    monkeypatch.setattr(profiles, "_picard", picard)
-    ref = _from_exponential_seed(params, opts)
+    monkeypatch.undo()
+    ref = _from_exponential_seed(default_params, opts)
     assert np.array_equal(F.values, ref.F.values)
     assert report.outer_iterations == ref.outer_iterations == fine[1]
 
 
-def test_outer_solve_stalled_level_stops_early():
-    # at v = 0.99 and zmax 1e2 the update norm repeats 2.3e121 from the
-    # second iteration on: the loop stops at the third, not at max_outer
+def test_outer_solve_large_v_rung_converges_and_seeds_the_grid(monkeypatch):
+    # at v = 0.95 each Picard step feeds its own profile back, and the
+    # third step's tau repeats the second's bit for bit, so its update norm
+    # is exactly 0: the 257-node rung converges in 3 steps and seeds the
+    # grid, which converges too.  The weighted residual, about 2.3e5 under
+    # the weight (1+z)^21, leaves it uncertified.
+    params = cd.ModelParams(0.95, 0.1 * cd.admissible_threshold(0.95))
+    calls = _record_levels(monkeypatch)
+    F, report = cd.outer_solve(params, cd.OuterSolveOptions(zmax=1e6, nodes=1025))
+    assert [call[:3] for call in calls] == [(257, 3, True), (1025, 3, True)]
+    assert report.seed_nodes == 257
+    assert (report.outer_iterations, report.fp_residual) == (3, 0.0)
+    assert not report.certified
+
+
+def test_outer_solve_large_v_takes_one_fine_step_from_an_exact_rung():
+    # at v = 0.99 and zmax 1e2 the 129-node rung's second update is exactly
+    # 0, a contraction estimate of 0, so the 513-node grid stops on the
+    # contraction bound after one step, uncertified, not at max_outer
     params = cd.ModelParams(0.99, 0.1 * cd.admissible_threshold(0.99))
-    opts = cd.OuterSolveOptions(zmax=1e2, nodes=257)
-    with pytest.raises(cd.ConvergenceError, match="stopped short") as err:
-        cd.outer_solve(params, opts)
-    assert err.value.report.outer_iterations <= 3 < opts.max_outer
-    assert not err.value.report.certified
+    F, report = cd.outer_solve(params, cd.OuterSolveOptions(zmax=1e2, nodes=513))
+    assert (report.seed_nodes, report.outer_iterations, report.fp_residual) == (129, 1, 0.0)
+    assert not report.certified
 
 
 def test_outer_solve_stops_at_a_rising_update_norm(default_params, monkeypatch):

@@ -206,10 +206,9 @@ def test_fixed_point_is_unique_below_the_barrier(m0, force):
 def test_inner_solve_iteration_cap(setup, monkeypatch):
     params, _, seed, _ = setup
     monkeypatch.setattr(tau_iteration, "MAX_SWEEPS", 1)
-    with pytest.raises(cd.ConvergenceError) as err:
+    with pytest.raises(cd.ConvergenceError, match=r"did not reach tol=.* in 1 sweeps "
+                       r"on nodes 1 to \d+ \(last residual \d\.\d{3}e[+-]\d+\)"):
         cd.inner_solve(seed, params, TOL_INNER)
-    assert err.value.residual > 0.0
-    assert err.value.best is not None
 
 
 def test_inner_solve_rejects_wrong_mass(setup):
