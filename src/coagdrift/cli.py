@@ -1,11 +1,13 @@
 """Command-line interface: solve, verify, threshold, simulate, sweep.
 
-Exit codes are a stable contract: 0 success, 2 usage/domain/malformed input,
-3 numerical non-convergence, scheme failure, or a RuntimeWarning that the
-warning filters raise as an error (``PYTHONWARNINGS=error::RuntimeWarning``),
-4 uncertified forced output.  ``verify`` additionally exits 1 when a
-recomputed check fails.  The environment variable COAGDRIFT_OUTDIR supplies
-the default output directory.
+Exit codes are a stable contract: 0 success, 2 usage/domain/malformed input
+or an output path that cannot be written, 3 numerical non-convergence,
+scheme failure, or a RuntimeWarning that the warning filters raise as an
+error (``PYTHONWARNINGS=error::RuntimeWarning``), 4 uncertified forced
+output.  ``verify`` additionally exits 1 when a recomputed check fails.
+Every failure prints one ``error:`` line; ``_run`` alone maps an error to
+its code.  The environment variable COAGDRIFT_OUTDIR supplies the default
+output directory.
 """
 
 from __future__ import annotations
@@ -128,20 +130,11 @@ def cmd_solve(args) -> int:
     out, meta = _default_paths(args)
     try:
         F, report = outer_solve(params, opts)
-    except ThresholdExceededError as exc:
-        print(
-            f"m0 = {args.m0:g} exceeds the admissible threshold "
-            f"m0_bar = {exc.m0_bar:.17g} at v = {args.v:g}; "
-            "pass --force for an exploratory, uncertified run",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
     except ConvergenceError as exc:
-        print(f"solve did not converge: {exc}", file=sys.stderr)
         if exc.best is not None and exc.report is not None:
             _write_solution(params, opts, exc.best, exc.report, out, meta)
             print(f"best iterate written to {out}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        raise
 
     _write_solution(params, opts, F, report, out, meta)
     if args.gnuplot:
@@ -187,16 +180,35 @@ def cmd_verify(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 
+def _write_run(outdir: str, state, diagnostics, snapshots) -> None:
+    """Write the diagnostics and one CSV per snapshot, the final (or
+    last-good) state included, to ``outdir``, which is made only now, so
+    that a run refused up front leaves no directory behind."""
+    os.makedirs(outdir, exist_ok=True)
+    lines = ["t,m0,m1,u,self_similar_error"]
+    for row in diagnostics:
+        lines.append(",".join(f"{x:.17g}" for x in row))
+    atomic_write_text(os.path.join(outdir, "diagnostics.csv"), "\n".join(lines) + "\n")
+
+    snapshots = dict(snapshots)
+    snapshots[state.t] = state
+    for t_snap, snap in sorted(snapshots.items()):
+        rows = ["x,f"]
+        for x, f in zip(snap.centers, snap.f):
+            rows.append(f"{x:.17g},{f:.17g}")
+        atomic_write_text(
+            os.path.join(outdir, f"snapshot_t{t_snap:g}.csv"), "\n".join(rows) + "\n"
+        )
+    print(f"diagnostics -> {os.path.join(outdir, 'diagnostics.csv')}")
+
+
 def cmd_simulate(args) -> int:
     record = read_profile(args.profile)
     F = record.grid_function()
-    if args.t1 <= args.t0:
-        raise ParameterDomainError("need t1 > t0 > 0")
     xmax = args.xmax if args.xmax is not None else default_domain_cutoff(F, args.t1)
     state = init_from_profile(F, args.t0, args.cells, xmax, strict=not args.allow_truncation)
     z_window = args.z_window if args.z_window is not None else min(10.0, xmax / args.t1)
-
-    failure = None
+    outdir = args.out or _outdir()
     try:
         state, diagnostics, snapshots = simulate(
             state,
@@ -208,31 +220,12 @@ def cmd_simulate(args) -> int:
             record_every=args.record_every,
         )
     except SchemeFailureError as exc:
-        failure = exc
-        state, diagnostics, snapshots = exc.state, exc.diagnostics, exc.snapshots
-        print(f"scheme failure at t={state.t}: {exc}", file=sys.stderr)
-
-    # made only now, so that a run refused up front leaves no directory behind
-    outdir = args.out or _outdir()
-    os.makedirs(outdir, exist_ok=True)
-    lines = ["t,m0,m1,u,self_similar_error"]
-    for row in diagnostics:
-        lines.append(",".join(f"{x:.17g}" for x in row))
-    atomic_write_text(os.path.join(outdir, "diagnostics.csv"), "\n".join(lines) + "\n")
-
-    snapshots = dict(snapshots)
-    snapshots[state.t] = state  # final (or last-good) state
-    for t_snap, snap in sorted(snapshots.items()):
-        rows = ["x,f"]
-        for x, f in zip(snap.centers, snap.f):
-            rows.append(f"{x:.17g},{f:.17g}")
-        atomic_write_text(
-            os.path.join(outdir, f"snapshot_t{t_snap:g}.csv"), "\n".join(rows) + "\n"
-        )
-    print(f"diagnostics -> {os.path.join(outdir, 'diagnostics.csv')}")
-    print(f"final self-similar deviation: {diagnostics[-1][4]:.6e}"
-          if failure is None else "run aborted; last-good state preserved")
-    return EXIT_NUMERICAL if failure is not None else EXIT_OK
+        _write_run(outdir, exc.state, exc.diagnostics, exc.snapshots)
+        print("run aborted; last-good state preserved")
+        raise
+    _write_run(outdir, state, diagnostics, snapshots)
+    print(f"final self-similar deviation: {diagnostics[-1][4]:.6e}")
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +238,6 @@ def _sweep_worker(payload: dict) -> tuple[float, int, str]:
 
 
 def cmd_sweep(args) -> int:
-    if not args.m0_list:
-        raise ParameterDomainError("empty m0 list")
     jobs = []
     for m0 in args.m0_list:
         payload = dict(vars(args))
@@ -307,10 +298,11 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 
 def _m0_list(text: str) -> tuple[float, ...]:
-    """Flag type: comma-separated masses, each a finite number in (0, 1)."""
+    """Flag type: one or more comma-separated masses, each a finite number
+    in (0, 1)."""
     values = _float_list(text)
-    if not all(0.0 < m0 < 1.0 for m0 in values):
-        raise argparse.ArgumentTypeError(f"expected numbers in (0, 1), got {text!r}")
+    if not values or not all(0.0 < m0 < 1.0 for m0 in values):
+        raise argparse.ArgumentTypeError(f"expected one or more numbers in (0, 1), got {text!r}")
     return values
 
 
@@ -395,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "simulate":
+        if args.t1 <= args.t0:
+            parser.error(f"argument --t1: must exceed --t0 = {args.t0!r}, got {args.t1!r}")
         outside = [t for t in args.snapshots if not args.t0 <= t <= args.t1]
         if outside:
             parser.error(f"argument --snapshots: times {', '.join(map(repr, outside))} "
@@ -403,14 +397,19 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(command, args) -> int:
-    """Exit code of ``command(args)``, a package error mapped to its code;
-    a warning that the filters let through prints as one ``warning:`` line,
-    one that they raise as an error as one ``error:`` line."""
+    """Exit code of ``command(args)``: a package error, an unwritable
+    output (``OSError``) or a warning that the filters raise as an error is
+    mapped to its code and printed as one ``error:`` line; a warning that
+    the filters let through prints as one ``warning:`` line."""
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return command(args)
-    except (ProfileFormatError, ParameterDomainError) as exc:
+    except ThresholdExceededError as exc:
+        print(f"error: {exc}; pass --force for an exploratory, uncertified run",
+              file=sys.stderr)
+        return EXIT_USAGE
+    except (ProfileFormatError, ParameterDomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CoagDriftError as exc:

@@ -12,15 +12,8 @@ class ParameterDomainError(CoagDriftError, ValueError):
 
 
 class ThresholdExceededError(ParameterDomainError):
-    """m0 exceeds the admissible threshold below which a constant barrier exists.
-
-    Carries the threshold so callers can report how far out of range the
-    request was.
-    """
-
-    def __init__(self, message: str, m0_bar: float):
-        super().__init__(message)
-        self.m0_bar = m0_bar
+    """m0 exceeds the admissible threshold below which a constant barrier
+    exists; the message names m0, the threshold and v."""
 
 
 class ProfileFormatError(CoagDriftError, ValueError):

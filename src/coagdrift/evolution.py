@@ -343,7 +343,7 @@ def simulate(
         for target in events:
             while state.t < target:
                 if steps >= _MAX_STEPS:
-                    raise SchemeFailureError(f"exceeded {_MAX_STEPS} steps")
+                    raise SchemeFailureError(f"exceeded {_MAX_STEPS} steps at t={state.t}")
                 if m0 is None:
                     m0 = state.m0()
                 speed = _max_speed(m0 / state.m1_target, state.edges)

@@ -170,11 +170,8 @@ def derive_constants(params: ModelParams) -> DerivedConstants:
     v, m0 = params.v, params.m0
     sigma = _smallest_sigma(2.0 * m0 / (1.0 - v), params.tau_inf)
     if sigma is None:
-        m0_bar = admissible_threshold(v)
-        raise ThresholdExceededError(
-            f"no barrier slack exists: m0={m0} exceeds threshold {m0_bar} at v={v}",
-            m0_bar=m0_bar,
-        )
+        raise ThresholdExceededError(f"no barrier slack exists: m0={m0} exceeds "
+                                     f"threshold {admissible_threshold(v)} at v={v}")
     return DerivedConstants(sigma_star=sigma, tau_star=params.tau_inf + sigma)
 
 

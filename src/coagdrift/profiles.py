@@ -235,7 +235,9 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
     q is ``_CONTRACTION_SAFETY`` times the estimate: the largest ratio of
     successive falling update norms over this level's steps and
     ``contraction``, the estimate of the converged rungs below (None for
-    none).  The bound only counts where it is below the update norm, that
+    none).  A step whose update norm is exactly 0 gives no ratio: it says
+    nothing of how fast the map contracts, and the level stops on it
+    anyway.  The bound only counts where it is below the update norm, that
     is for q < 1/2.
 
     Every inner solve starts, per pair block, at min(cap, s (1 + delta)),
@@ -268,7 +270,7 @@ def _picard(params: ModelParams, G: GridFunction, opts: OuterSolveOptions,
         update_norm = _weighted_sup(F.values - G.values, weight)
         if not update_norm < prev_norm:
             break
-        if prev_norm < math.inf:
+        if prev_norm < math.inf and update_norm > 0.0:
             contraction = max(contraction or 0.0, update_norm / prev_norm)
         if update_norm <= opts.tol:
             break

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -149,6 +150,20 @@ def test_profile_roundtrip_bit_exact(solved_file, tmp_path):
     assert np.array_equal(again.z, record.z)
     assert np.array_equal(again.F, record.F)
     assert np.array_equal(again.tau, record.tau)
+
+
+@pytest.mark.parametrize("body, message", [
+    ([], "missing column header line"),
+    (["z,F,tau"], "no data rows"),
+    (["z,F,tau", "0,0.005,0"], "at least 2 data rows"),
+])
+def test_read_profile_rejects_a_short_body(solved_file, tmp_path, body, message):
+    # the header of a valid file, then no column line, no rows or one row
+    lines = solved_file.read_text().splitlines()
+    path = tmp_path / "short.csv"
+    path.write_text("\n".join(lines[:lines.index("z,F,tau")] + body) + "\n")
+    with pytest.raises(ProfileFormatError, match=message):
+        read_profile(str(path))
 
 
 @pytest.mark.parametrize("bad, message", [("1,2", "row 40 does not have 3 columns"),
@@ -321,7 +336,10 @@ def test_solve_nonconvergence_writes_best_iterate(tmp_path, capsys):
     out = tmp_path / "partial.csv"
     code = main(solve_args(out, extra=["--max-iter", "1"]))
     assert code == 3
-    assert "did not converge" in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and lines[0] == f"best iterate written to {out}"
+    assert lines[1].startswith("error: outer iteration stopped short of tol=1e-09 at "
+                               "iteration 1 (cap 1): last update norm ")
     record = read_profile(str(out))
     assert not record.certified
     payload = json.loads(out.with_suffix(".json").read_text())
@@ -464,12 +482,13 @@ def test_simulate_rejected_window_makes_no_directory(solved_file, tmp_path, caps
     assert not outdir.exists()
 
 
-def test_simulate_rejects_bad_times(solved_file, tmp_path):
-    code = main([
-        "simulate", "--profile", str(solved_file), "--t0", "2", "--t1", "1",
-        "--out", str(tmp_path),
-    ])
-    assert code == 2
+def test_simulate_rejects_bad_times(solved_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--profile", str(solved_file), "--t0", "2", "--t1", "1",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --t1: must exceed --t0 = 2.0, got 1.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_command(tmp_path):
@@ -539,3 +558,98 @@ def test_sweep_distinct_m0_get_distinct_files(monkeypatch, tmp_path, capsys):
         f"m0={m0}: exit 0  ({tmp_path / f'profile_v0.5_m0{m0}.csv'})"
         for m0 in ("0.01658011", "0.01658012")
     ]
+
+
+SMALL_SOLVE = ["--nodes", "65"]
+TRUNCATED = ["--cells", "512", "--t1", "1.05"]
+
+
+@pytest.mark.parametrize("argv, setting, code, cause", [
+    pytest.param(["threshold", "--v", "1.5"], None, 2, "v must lie in (0, 1)",
+                 id="threshold-domain"),
+    pytest.param(["solve", "--v", "1.5", "--m0", "0.005", *SMALL_SOLVE, "--out", "{tmp}/s.csv"],
+                 None, 2, "v must lie in (0, 1)", id="solve-domain"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.02", *SMALL_SOLVE, "--out", "{tmp}/s.csv"],
+                 None, 2, "threshold 0.0165855", id="solve-threshold"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.005", *SMALL_SOLVE, "--out", "{file}/s.csv"],
+                 None, 2, "{file}", id="solve-out-under-file"),
+    # the rename onto a directory fails after the temporary file is written
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.005", *SMALL_SOLVE, "--out", "{tmp}/d"],
+                 None, 2, "Is a directory", id="solve-out-is-directory"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.005", *SMALL_SOLVE],
+                 "outdir", 2, "{file}", id="solve-outdir-env"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.005", *SMALL_SOLVE, "--max-iter", "1",
+                  "--out", "{tmp}/s.csv"], None, 3, "stopped short of tol", id="solve-max-iter"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.005", "--nodes", "5", "--out", "{tmp}/s.csv"],
+                 None, 3, "monotone sweep violated", id="solve-numerical"),
+    pytest.param(["solve", "--v", "0.5", "--m0", "0.02", "--force", *SMALL_SOLVE,
+                  "--out", "{tmp}/s.csv"], None, 3, "raised as an error: m0 above",
+                 id="solve-warning-as-error"),
+    pytest.param(["verify", "{junk}"], None, 2, "bad magic line", id="verify-malformed"),
+    pytest.param(["verify", "{tmp}/missing.csv"], None, 2, "cannot read", id="verify-missing"),
+    pytest.param(["simulate", "--profile", "{junk}"], None, 2, "bad magic line",
+                 id="simulate-malformed"),
+    pytest.param(["simulate", "--profile", "{profile}", *TRUNCATED, "--out", "{tmp}/sim"],
+                 None, 2, "512 cells", id="simulate-domain"),
+    pytest.param(["simulate", "--profile", "{profile}", "--t0", "1", "--t1", "1"],
+                 None, 2, "argument --t1", id="simulate-empty-time-range"),
+    pytest.param(["simulate", "--profile", "{profile}", "--t1", "1.01", "--out", "{file}/sim"],
+                 None, 2, "{file}/sim", id="simulate-out-under-file"),
+    pytest.param(["simulate", "--profile", "{profile}", "--t1", "1.01"],
+                 "outdir", 2, "{file}", id="simulate-outdir-env"),
+    pytest.param(["simulate", "--profile", "{profile}", "--t1", "1.05", "--out", "{tmp}/sim"],
+                 "step-cap", 3, "exceeded 3 steps at t=1.00", id="simulate-step-cap"),
+    pytest.param(["simulate", "--profile", "{profile}", *TRUNCATED, "--allow-truncation",
+                  "--out", "{tmp}/sim"], None, 3, "raised as an error: 512 cells",
+                 id="simulate-warning-as-error"),
+    pytest.param(["sweep", "--v", "0.5", "--m0-list", ""], None, 2, "argument --m0-list",
+                 id="sweep-empty-m0-list"),
+    pytest.param(["sweep", "--v", "1.5", "--m0-list", "0.005", *SMALL_SOLVE,
+                  "--out-dir", "{tmp}"], None, 2, "v must lie in (0, 1)", id="sweep-domain"),
+    pytest.param(["sweep", "--v", "0.5", "--m0-list", "0.005", *SMALL_SOLVE,
+                  "--out-dir", "{file}"], None, 2, "{file}", id="sweep-out-dir-file"),
+    pytest.param(["sweep", "--v", "0.5", "--m0-list", "0.005", *SMALL_SOLVE],
+                 "outdir", 2, "{file}", id="sweep-outdir-env"),
+    pytest.param(["sweep", "--v", "0.5", "--m0-list", "0.005", "--nodes", "5",
+                  "--out-dir", "{tmp}"], None, 3, "monotone sweep violated",
+                 id="sweep-numerical"),
+    pytest.param(["sweep", "--v", "0.5", "--m0-list", "0.02", "--force", *SMALL_SOLVE,
+                  "--out-dir", "{tmp}"], None, 3, "raised as an error: m0 above",
+                 id="sweep-warning-as-error"),
+])
+def test_every_failure_exits_through_one_error_line(argv, setting, code, cause, solved_file,
+                                                    tmp_path, monkeypatch, capsys):
+    # each command, driven into each failure it can meet, exits with the
+    # code of its cause and prints one "error:" line that names it, never a
+    # traceback; a write that fails leaves no temporary file behind.  Warnings
+    # are errors under the test configuration, and sweep jobs run in process.
+    from coagdrift import cli, evolution
+
+    regular = tmp_path / "f"
+    regular.write_text("not a directory\n")
+    (tmp_path / "d").mkdir()
+    junk = tmp_path / "junk.csv"
+    junk.write_text("z,F,tau\n0,1,0\n")
+    names = {"tmp": str(tmp_path), "file": str(regular), "junk": str(junk),
+             "profile": str(solved_file)}
+    argv = [arg.format(**names) for arg in argv]
+    monkeypatch.setattr(RecordingPool, "created", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    if setting == "outdir":
+        monkeypatch.setenv("COAGDRIFT_OUTDIR", str(regular))
+    elif setting == "step-cap":
+        monkeypatch.setattr(evolution, "_MAX_STEPS", 3)
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # a usage error of the parser
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines()
+              if re.match(r"(coagdrift( \w+)?: )?error: ", line)]
+    assert len(errors) == 1 and cause.format(**names) in errors[0], err
+    if argv[0] == "sweep" and RecordingPool.created:  # one report line per job
+        assert re.fullmatch(rf"m0=[^:]+: exit {code}  \(.+\.csv\)\n", out), out
+    assert not [p.name for p in tmp_path.rglob(".tmp-*")]
+

@@ -45,6 +45,36 @@ def test_init_truncation_strictness(exp_profile):
         cd.init_from_profile(exp_profile, 1.0, 256, 5.0, strict=False)
 
 
+def _state_with_a_negative_cell():
+    f = np.ones(64)
+    f[10] = -1.0
+    return cd.EvolutionState(edges=np.linspace(0.0, 10.0, 65), f=f, t=1.0, m1_target=1.0)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: cd.EvolutionState(edges=[0.0, 1.0, 2.0], f=[1.0], t=1.0, m1_target=1.0),
+     cd.ParameterDomainError, "one more entry"),
+    (lambda: cd.EvolutionState(edges=[0.5, 1.0, 2.0], f=[1.0, 1.0], t=1.0, m1_target=1.0),
+     cd.ParameterDomainError, "increase strictly from 0"),
+    (lambda: cd.EvolutionState(edges=[0.0, 2.0, 1.0], f=[1.0, 1.0], t=1.0, m1_target=1.0),
+     cd.ParameterDomainError, "increase strictly from 0"),
+    # a cell average below -1e-14 max f after a step within the bounds
+    (lambda: cd.step(_state_with_a_negative_cell(), 1e-6), cd.SchemeFailureError,
+     "negative cell average"),
+])
+def test_evolution_rejects_invalid_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_default_domain_cutoff_past_the_grid():
+    # the solved profile's tail beyond zmax holds more than 0.1% of its
+    # first moment, so the cutoff is the grid's end at t1
+    params = cd.ModelParams(0.3, 0.5 * cd.admissible_threshold(0.3))
+    F, _ = cd.outer_solve(params, cd.OuterSolveOptions(nodes=513))
+    assert cd.default_domain_cutoff(F, 2.0) == 2.0 * F.grid.zmax
+
+
 def test_step_keeps_zero_state():
     edges = np.linspace(0.0, 10.0, 65)
     state = cd.EvolutionState(edges=edges, f=np.zeros(64), t=1.0, m1_target=1.0)

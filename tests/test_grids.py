@@ -37,6 +37,17 @@ def test_build_grid_basics():
     assert np.max(np.abs(dws - dws[0])) < 1e-12 * dws[0]
 
 
+@pytest.mark.parametrize("nodes, v, match", [
+    ([0.0], 0.5, "at least two nodes"),
+    ([1.0, 2.0], 0.5, "increasing from 0"),
+    ([0.0, 2.0, 1.0], 0.5, "increasing from 0"),
+    ([0.0, 1.0], 1.5, "v must lie in"),
+])
+def test_grid_rejects_invalid_nodes(nodes, v, match):
+    with pytest.raises(cd.ParameterDomainError, match=match):
+        cd.Grid(nodes=nodes, v=v)
+
+
 def test_build_grid_errors():
     with pytest.raises(cd.ParameterDomainError):
         cd.build_grid(-1.0, 100, 0.5)

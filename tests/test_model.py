@@ -105,18 +105,24 @@ def test_admissible_threshold_shape():
         cd.admissible_threshold(1.5)
 
 
+def _named_threshold(err) -> float:
+    """The threshold that a ThresholdExceededError's message names."""
+    return float(str(err.value).split(" exceeds threshold ")[1].split(" ")[0])
+
+
 def test_threshold_exceeded_carries_bar():
-    with pytest.raises(cd.ThresholdExceededError) as err:
+    # the message names m0, the threshold and v
+    with pytest.raises(cd.ThresholdExceededError, match=r"m0=0\.02 .* at v=0\.5$") as err:
         cd.derive_constants(cd.ModelParams(0.5, 0.02))
-    assert err.value.m0_bar == pytest.approx(M0_BAR_05, abs=1e-9)
+    assert _named_threshold(err) == pytest.approx(M0_BAR_05, abs=1e-9)
     # at a_0 = 1022.97 the power 2^(a_0 + sigma) overflows inside the sigma
     # search: no barrier, although m0_bar itself is still positive
     with pytest.raises(cd.ThresholdExceededError) as err:
         cd.derive_constants(cd.ModelParams(0.9990215, 1e-5))
-    assert err.value.m0_bar > 0.0
+    assert _named_threshold(err) > 0.0
     with pytest.raises(cd.ThresholdExceededError) as err:
         cd.derive_constants(cd.ModelParams(0.9991, 1e-5))
-    assert err.value.m0_bar == 0.0
+    assert _named_threshold(err) == 0.0
 
 
 def test_threshold_boundary_accepted():
@@ -141,7 +147,7 @@ def test_iteration_barrier_policy():
     assert iteration_barrier(params, True) == (2.0 * params.tau_inf, False)
     with pytest.raises(cd.ThresholdExceededError) as err:
         iteration_barrier(params)
-    assert err.value.m0_bar == pytest.approx(M0_BAR_05, abs=1e-9)
+    assert _named_threshold(err) == pytest.approx(M0_BAR_05, abs=1e-9)
     # outside m0 < v/2 the same cap with force, else the domain error
     params = cd.ModelParams(0.5, 0.3)
     assert iteration_barrier(params, True) == (2.0 * params.tau_inf, False)

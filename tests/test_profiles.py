@@ -266,6 +266,8 @@ def test_outer_solve_threshold_gate():
 def test_solve_options_validation():
     with pytest.raises(cd.ParameterDomainError):
         cd.OuterSolveOptions(tol=-1.0)
+    with pytest.raises(cd.ParameterDomainError, match="max_outer must be at least 1"):
+        cd.OuterSolveOptions(max_outer=0)
 
 
 def _from_exponential_seed(params, opts):
@@ -526,13 +528,15 @@ def test_outer_solve_large_v_rung_converges_and_seeds_the_grid(monkeypatch):
     assert not report.certified
 
 
-def test_outer_solve_large_v_takes_one_fine_step_from_an_exact_rung():
+def test_outer_solve_large_v_stops_on_its_own_exact_step():
     # at v = 0.99 and zmax 1e2 the 129-node rung's second update is exactly
-    # 0, a contraction estimate of 0, so the 513-node grid stops on the
-    # contraction bound after one step, uncertified, not at max_outer
+    # 0, which gives no contraction estimate, so the 513-node grid does not
+    # stop on a bound after its first step (update norm about 1e133) but on
+    # its own second step, whose update norm is exactly 0: converged,
+    # uncertified, not at max_outer
     params = cd.ModelParams(0.99, 0.1 * cd.admissible_threshold(0.99))
     F, report = cd.outer_solve(params, cd.OuterSolveOptions(zmax=1e2, nodes=513))
-    assert (report.seed_nodes, report.outer_iterations, report.fp_residual) == (129, 1, 0.0)
+    assert (report.seed_nodes, report.outer_iterations, report.fp_residual) == (129, 2, 0.0)
     assert not report.certified
 
 

@@ -219,6 +219,14 @@ def test_inner_solve_rejects_wrong_mass(setup):
         cd.inner_solve(bad, params, TOL_INNER)
 
 
+def test_reconstruct_profile_rejects_negative_tau(setup):
+    params, grid, _, _ = setup
+    values = np.full(grid.n, 3.0)
+    values[500] = -0.1
+    with pytest.raises(cd.ParameterDomainError, match="nonnegative"):
+        cd.reconstruct_profile(cd.TauFunction(grid, values, slope0=3.0), params)
+
+
 def test_inner_solve_options_validation(setup):
     # the inner tolerance is an outer solve option, validated there and by
     # inner_solve, which takes it as a float
